@@ -5,8 +5,9 @@ execution order, so one reverse sweep computes all adjoints. Complex values
 are carried as paired real tensors (see :mod:`pinchbeam.cplx`); the only
 non-holomorphic op the pipeline needs is ``|z|^2 = re^2 + im^2``.
 
-Gradient conventions: ``max_with_scalar`` and ``relu`` use subgradient 0 at
-the kink. Tests and gradient checks keep inputs away from kinks.
+Gradient conventions: ``max_with_scalar``, ``relu`` and the relu fused into
+``dense`` use subgradient 0 at the kink. Tests and gradient checks keep
+inputs away from kinks.
 """
 
 from __future__ import annotations
@@ -229,6 +230,45 @@ def matmul(a, b) -> Var:
         return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
     return tape._push(av @ bv, (a.idx, b.idx), vjp, "matmul")
+
+
+def dense(x: Var, w: Var, b: Var | None = None, relu: bool = False) -> Var:
+    """``act(x @ W + b)`` along the last axis of ``x`` as one node.
+
+    ``act`` is relu or the identity. Leading axes are flattened, so the
+    forward pass and each adjoint are single 2-D GEMMs. The relu has
+    subgradient 0 at the kink, like ``max_with_scalar``; its mask ``pre > 0``
+    equals ``out > 0`` and is taken from the output. With relu the node's
+    meta is the smallest |pre-activation|, its distance to the kink.
+    """
+    xv, wv = x.value, w.value
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
+        raise ValueError(f"dense needs (..., n) @ (n, m), got {xv.shape} @ {wv.shape}")
+    n_in, n_out = wv.shape
+    y2 = xv.reshape(-1, n_in) @ wv
+    has_bias = b is not None
+    if has_bias:
+        if b.value.shape != (n_out,):
+            raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
+        y2 += b.value
+    kink = None
+    if relu:
+        kink = float(np.min(np.abs(y2), initial=math.inf))
+        np.maximum(y2, 0.0, out=y2)
+
+    # Captures arrays and flags only: a Var here would tie the tape into a
+    # reference cycle and keep it alive until the cyclic collector runs.
+    def vjp(g):
+        g2 = g.reshape(-1, n_out)
+        if relu:
+            g2 = g2 * (y2 > 0.0)
+        gx = (g2 @ wv.T).reshape(xv.shape)
+        gw = xv.reshape(-1, n_in).T @ g2
+        return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
+
+    parents = (x.idx, w.idx, b.idx) if has_bias else (x.idx, w.idx)
+    return x.tape._push(y2.reshape(xv.shape[:-1] + (n_out,)), parents, vjp, "dense",
+                        meta=kink)
 
 
 def solve(a: Var, b: Var) -> Var:
@@ -561,9 +601,10 @@ def backward_into(store: ParameterStore, loss: Var) -> None:
 # fully-connected building block
 
 
+# Activation applied after a layer's dense node; None means fused into it.
 _ACTIVATIONS = {
-    "identity": lambda v: v,
-    "relu": relu,
+    "identity": None,
+    "relu": None,
     "tanh": tanh,
     "sigmoid": sigmoid,
     "softplus": softplus,
@@ -607,18 +648,18 @@ def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
 
 def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
                 x: Var) -> Var:
-    """Apply the net along the last axis of ``x``."""
+    """Apply the net along the last axis of ``x``; one dense node per layer."""
     if x.shape[-1] != spec.widths[0]:
         raise ValueError(
             f"input width {x.shape[-1]} does not match spec width {spec.widths[0]}")
     h = x
     for i in range(spec.n_layers):
-        w = tape.param(store, f"{prefix}.W{i}")
-        h = matmul(h, w)
-        if spec.has_bias:
-            h = add(h, tape.param(store, f"{prefix}.b{i}"))
         act = spec.final_activation if i == spec.n_layers - 1 else spec.activation
-        h = _ACTIVATIONS[act](h)
+        w = tape.param(store, f"{prefix}.W{i}")
+        b = tape.param(store, f"{prefix}.b{i}") if spec.has_bias else None
+        h = dense(h, w, b, relu=act == "relu")
+        if _ACTIVATIONS[act] is not None:
+            h = _ACTIVATIONS[act](h)
     return h
 
 

@@ -172,20 +172,6 @@ def normalize_power(tape: Tape, w: CVar, p_max: float) -> CVar:
     return cx.scale_real(w, ad.sqrt(ad.div(p_max, n2)))
 
 
-def tbf_forward(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
-                model: ModelConfig) -> CVar:
-    """Effective channel (B, N, K) -> power-exact precoder (B, N, K)."""
-    scale = float(store.values["tbf.input_scale"])
-    d = tbf_init_edges(tape, ht, scale)
-    width = 2
-    for layer in range(1, model.tbf_layers + 1):
-        d = tbf_layer(tape, d, store, f"tbf.layer{layer}", width, model)
-        width = model.hidden
-    p, lam = output_powers(tape, d, store, model, cfg.power_budget_w)
-    w = recover_precoder(tape, ht, p, lam, cfg.noise_power_w)
-    return normalize_power(tape, w, cfg.power_budget_w)
-
-
 def tbf_powers(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
                model: ModelConfig) -> tuple[Var, Var]:
     """The learned (p, lam) alone; the surface of the permutation property."""
@@ -196,6 +182,14 @@ def tbf_powers(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
         d = tbf_layer(tape, d, store, f"tbf.layer{layer}", width, model)
         width = model.hidden
     return output_powers(tape, d, store, model, cfg.power_budget_w)
+
+
+def tbf_forward(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
+                model: ModelConfig) -> CVar:
+    """Effective channel (B, N, K) -> power-exact precoder (B, N, K)."""
+    p, lam = tbf_powers(tape, ht, store, cfg, model)
+    w = recover_precoder(tape, ht, p, lam, cfg.noise_power_w)
+    return normalize_power(tape, w, cfg.power_budget_w)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,15 @@ class TrainConfig:
         for name in ("n_train", "n_test", "batch_size", "epochs"):
             if int(getattr(self, name)) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
-        if self.learning_rate < 0:
-            raise InvalidConfigError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InvalidConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0):
+            raise InvalidConfigError(
+                f"grad_clip must be None or finite and > 0, got {self.grad_clip}")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise InvalidConfigError(f"snr_db must be None or finite, got {self.snr_db}")
 
 
 @dataclass

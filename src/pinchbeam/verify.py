@@ -327,6 +327,20 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
     run("cos", {"x": x34}, lambda t, s: ad.cos(t.param(s, "x")), (3, 4))
     run("complex_abs2", {"re": x34, "im": u((3, 4))},
         lambda t, s: ad.complex_abs2(t.param(s, "re"), t.param(s, "im")), (3, 4))
+    # dense on a 3-D input, so the leading axes are flattened. Inputs are
+    # redrawn until every pre-activation is clear of the relu kink.
+    for relu in (False, True):
+        for bias in (False, True):
+            while True:
+                p = {"x": u((2, 3, 4)), "w": u((4, 5))}
+                if bias:
+                    p["b"] = u((5,))
+                if np.min(np.abs(p["x"] @ p["w"] + p.get("b", 0.0))) > 0.05:
+                    break
+            run(("dense_relu" if relu else "dense_identity") + ("_bias" if bias else ""),
+                p, lambda t, s, relu=relu: ad.dense(
+                    t.param(s, "x"), t.param(s, "w"),
+                    t.param(s, "b") if "b" in s else None, relu=relu), (2, 3, 5))
     return results
 
 
@@ -340,8 +354,9 @@ def check_primitive_gradients(seed: int = 0) -> PropertyCheck:
 def kink_distance(tape: Tape) -> float:
     """Distance of recorded values to the nearest non-smooth point.
 
-    Covers max_with_scalar/relu thresholds and the sqrt/log domains; used to
-    resample gradient-check inputs that would straddle a kink during probing.
+    Covers max_with_scalar thresholds, the relus fused into dense nodes and
+    the sqrt/log domains; used to resample gradient-check inputs that would
+    straddle a kink during probing.
     """
     worst = math.inf
     for i, op in enumerate(tape.ops):
@@ -349,6 +364,8 @@ def kink_distance(tape: Tape) -> float:
             parent = tape.values[tape.parents[i][0]]
             thresh = tape.meta[i]
             worst = min(worst, float(np.min(np.abs(parent - thresh))))
+        elif op == "dense" and tape.meta[i] is not None:
+            worst = min(worst, tape.meta[i])
         elif op in ("sqrt", "log"):
             parent = tape.values[tape.parents[i][0]]
             worst = min(worst, float(np.min(np.abs(parent))))

@@ -8,7 +8,7 @@ from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
                                 adam_step, backward_into, fnn_forward,
                                 grad_check, init_fnn)
 from pinchbeam.errors import InvalidConfigError, SingularityError
-from pinchbeam.verify import primitive_grad_checks
+from pinchbeam.verify import kink_distance, primitive_grad_checks
 
 
 class TestTapeBasics:
@@ -258,6 +258,85 @@ class TestFnn:
         lim = math.sqrt(6.0 / 30.0)
         assert np.all(np.abs(store.values["net.W0"]) <= lim)
         assert np.all(store.values["net.b0"] == 0.0)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    def test_one_node_per_layer(self, act):
+        spec = FnnSpec((4, 6, 3), activation=act, final_activation=act)
+        store = ParameterStore()
+        init_fnn(store, "net", spec, np.random.default_rng(2))
+        tape = Tape()
+        x = tape.constant(np.ones((2, 5, 4)))
+        n0 = len(tape)
+        fnn_forward(tape, spec, store, "net", x)
+        ops = tape.ops[n0:]
+        assert ops.count("dense") == spec.n_layers
+        assert set(ops) == {"const", "dense"}
+
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    def test_matches_unfused_layers(self, act):
+        rng = np.random.default_rng(3)
+        inputs = (rng.standard_normal((7, 4)), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3))
+        weights = rng.standard_normal((7, 3))
+        runs = []
+        for fused in (True, False):
+            tape = Tape()
+            x, w, b = (tape.constant(v) for v in inputs)
+            if fused:
+                y = ad.dense(x, w, b, relu=act == "relu")
+            else:
+                y = ad.add(ad.matmul(x, w), b)
+                if act == "relu":
+                    y = ad.relu(y)
+            grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1)))
+            runs.append((y.value, [grads[v.idx] for v in (x, w, b)]))
+        (y_fused, g_fused), (y_plain, g_plain) = runs
+        # A 2-D input runs the same GEMM, so the values agree bit for bit.
+        np.testing.assert_array_equal(y_fused, y_plain)
+        for gf, gp in zip(g_fused, g_plain):
+            np.testing.assert_allclose(gf, gp, rtol=1e-12, atol=1e-15)
+
+    def test_relu_subgradient_zero_at_kink(self):
+        tape = Tape()
+        x = tape.constant(np.array([[1.0, -1.0]]))
+        w = tape.constant(np.array([[1.0], [1.0]]))
+        y = ad.dense(x, w, relu=True)
+        assert y.value.item() == 0.0
+        grads = tape.backward(ad.sum_axis(y, (0, 1)))
+        np.testing.assert_array_equal(grads[w.idx], np.zeros((2, 1)))
+
+    def test_bad_shapes_rejected(self):
+        tape = Tape()
+        x = tape.constant(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            ad.dense(x, tape.constant(np.ones((4, 2))))
+        with pytest.raises(ValueError):
+            ad.dense(x, tape.constant(np.ones((3, 2))), tape.constant(np.ones((1, 2))))
+
+    def test_kink_distance_sees_fused_relu(self):
+        spec = FnnSpec((2, 3, 1))
+        store = ParameterStore()
+        store.add("net.W0", np.array([[0.0, 1.0, -1.0], [0.0, 1.0, -1.0]]))
+        store.add("net.b0", np.array([-1e-6, 0.5, -0.5]))
+        store.add("net.W1", np.ones((3, 1)))
+        store.add("net.b1", np.zeros(1))
+        tape = Tape()
+        fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
+        assert 0.0 < kink_distance(tape) <= 1e-6
+        store.values["net.b0"][0] = 0.25
+        tape = Tape()
+        fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
+        assert kink_distance(tape) == 0.25
+
+    def test_identity_layer_has_no_kink(self):
+        spec = FnnSpec((2, 2), final_activation="identity")
+        store = ParameterStore()
+        init_fnn(store, "net", spec, np.random.default_rng(0))
+        tape = Tape()
+        fnn_forward(tape, spec, store, "net", tape.constant(np.zeros((1, 2))))
+        assert kink_distance(tape) == math.inf
 
 
 class TestAdam:

@@ -47,6 +47,14 @@ class TestTrainCommand:
         assert result.exit_code == 2
         assert "absent.json" in result.output
 
+    def test_nan_learning_rate_exit_2(self, runner, config_file, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--config", str(config_file),
+                                      "--out", str(out), "--lr", "nan"] + TRAIN_ARGS)
+        assert result.exit_code == 2, result.output
+        assert "learning_rate" in result.output
+        assert not out.exists()
+
     def test_writes_three_files(self, runner, config_file, tmp_path):
         out = train_once(runner, config_file, tmp_path / "run")
         assert (out / "checkpoint.json").exists()

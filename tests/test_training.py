@@ -1,10 +1,13 @@
+import gc
 import json
+import math
+import weakref
 
 import numpy as np
 import pytest
 
 from pinchbeam import pipeline
-from pinchbeam.autodiff import Tape
+from pinchbeam.autodiff import Tape, backward_into
 from pinchbeam.config import ModelConfig, default_config
 from pinchbeam.errors import (DivergenceError, IncompatibleCheckpointError,
                               InvalidConfigError)
@@ -53,6 +56,25 @@ class TestLoss:
         l1 = loss_on_tape(Tape(), phi, store, cfg, MICRO)
         l2 = loss_on_tape(Tape(), phi[::-1].copy(), store, cfg, MICRO)
         assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
+
+    def test_tape_freed_by_reference_counting(self):
+        # A VJP closure that held a Var would tie its tape into a reference
+        # cycle, so every training step's tape would wait for the cyclic
+        # collector before its memory came back.
+        cfg = default_config(2, 2, 2)
+        store = pipeline.init_parameters(cfg, MICRO, 4)
+        phi = train_dataset(cfg, 3, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape()
+            loss = loss_on_tape(tape, phi, store, cfg, MICRO)
+            backward_into(store, loss)
+            ref = weakref.ref(tape)
+            del tape, loss
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_tape_se_matches_reference_physics(self):
         # The differentiable pipeline and the plain-numpy model are
@@ -119,6 +141,23 @@ class TestTrain:
             TrainConfig(n_train=0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(learning_rate=-1.0)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    def test_learning_rate_must_be_finite_nonnegative(self, lr):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("clip", [-1.0, 0.0, math.nan, math.inf])
+    def test_grad_clip_must_be_finite_positive(self, clip):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(grad_clip=clip)
+        assert TrainConfig(grad_clip=None).grad_clip is None
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    def test_snr_db_must_be_finite(self, snr):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(snr_db=snr)
+        assert TrainConfig(snr_db=None).snr_db is None
 
 
 class TestEvaluate:
