@@ -232,20 +232,45 @@ def matmul(a, b) -> Var:
     return tape._push(av @ bv, (a.idx, b.idx), vjp, "matmul")
 
 
-def dense(x: Var, w: Var, b: Var | None = None, relu: bool = False) -> Var:
-    """``act(x @ W + b)`` along the last axis of ``x`` as one node.
+def as_parts(x: Var | Sequence[Var]) -> list[Var]:
+    """The parts of a :func:`dense` input: one Var or a sequence of Vars."""
+    return [x] if isinstance(x, Var) else list(x)
 
-    ``act`` is relu or the identity. Leading axes are flattened, so the
-    forward pass and each adjoint are single 2-D GEMMs. The relu has
-    subgradient 0 at the kink, like ``max_with_scalar``; its mask ``pre > 0``
-    equals ``out > 0`` and is taken from the output. With relu the node's
-    meta is the smallest |pre-activation|, its distance to the kink.
+
+def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
+          relu: bool = False) -> Var:
+    """``act(concat(xs, -1) @ W + b)`` along the last axis as one node.
+
+    ``x`` is one Var or a sequence of parts whose leading shapes broadcast.
+    Their concat is never built: each part multiplies its own row block of
+    ``W`` at its own resolution and the products are broadcast-added. ``act``
+    is relu or the identity. Leading axes are flattened, so every product and
+    adjoint is one 2-D GEMM. The relu has subgradient 0 at the kink, like
+    ``max_with_scalar``; its mask ``pre > 0`` equals ``out > 0`` and is taken
+    from the output. With relu the node's meta is the smallest
+    |pre-activation|, its distance to the kink.
     """
-    xv, wv = x.value, w.value
-    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
-        raise ValueError(f"dense needs (..., n) @ (n, m), got {xv.shape} @ {wv.shape}")
-    n_in, n_out = wv.shape
-    y2 = xv.reshape(-1, n_in) @ wv
+    parts = as_parts(x)
+    xvs, wv = [p.value for p in parts], w.value
+    shapes = [v.shape for v in xvs]
+    if len({len(s) for s in shapes}) != 1:
+        raise ValueError(f"dense parts differ in ndim: {shapes}")
+    if wv.ndim != 2 or not shapes[0] or sum(s[-1] for s in shapes) != wv.shape[0]:
+        raise ValueError(f"dense needs (..., n) parts @ (n, m), got {shapes} @ {wv.shape}")
+    n_out = wv.shape[1]
+    lead = np.broadcast_shapes(*(s[:-1] for s in shapes))
+    rows = np.cumsum([0] + [s[-1] for s in shapes])
+    blocks = [wv[r0:r1] for r0, r1 in zip(rows[:-1], rows[1:])]
+    y = None
+    for xv, wb in zip(xvs, blocks):
+        p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
+        if y is None:
+            y = p
+        elif y.shape[:-1] == lead:
+            y += p
+        else:
+            y = y + p  # the running sum grows to the broadcast shape
+    y2 = y.reshape(-1, n_out)
     has_bias = b is not None
     if has_bias:
         if b.value.shape != (n_out,):
@@ -255,20 +280,25 @@ def dense(x: Var, w: Var, b: Var | None = None, relu: bool = False) -> Var:
     if relu:
         kink = float(np.min(np.abs(y2), initial=math.inf))
         np.maximum(y2, 0.0, out=y2)
+    y = y2.reshape(lead + (n_out,))
 
     # Captures arrays and flags only: a Var here would tie the tape into a
     # reference cycle and keep it alive until the cyclic collector runs.
     def vjp(g):
-        g2 = g.reshape(-1, n_out)
         if relu:
-            g2 = g2 * (y2 > 0.0)
-        gx = (g2 @ wv.T).reshape(xv.shape)
-        gw = xv.reshape(-1, n_in).T @ g2
-        return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
+            g = g * (y > 0.0)
+        gxs, gws = [], []
+        for xv, wb in zip(xvs, blocks):
+            g2 = _unbroadcast(g, xv.shape[:-1] + (n_out,)).reshape(-1, n_out)
+            gxs.append((g2 @ wb.T).reshape(xv.shape))
+            gws.append(xv.reshape(-1, wb.shape[0]).T @ g2)
+        gw = gws[0] if len(gws) == 1 else np.concatenate(gws)
+        if has_bias:
+            return (*gxs, gw, g.reshape(-1, n_out).sum(axis=0))
+        return (*gxs, gw)
 
-    parents = (x.idx, w.idx, b.idx) if has_bias else (x.idx, w.idx)
-    return x.tape._push(y2.reshape(xv.shape[:-1] + (n_out,)), parents, vjp, "dense",
-                        meta=kink)
+    parents = tuple(p.idx for p in parts) + (w.idx,) + ((b.idx,) if has_bias else ())
+    return w.tape._push(y, parents, vjp, "dense", meta=kink)
 
 
 def solve(a: Var, b: Var) -> Var:
@@ -602,7 +632,7 @@ def backward_into(store: ParameterStore, loss: Var) -> None:
 
 
 # Activation applied after a layer's dense node; None means fused into it.
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "identity": None,
     "relu": None,
     "tanh": tanh,
@@ -627,7 +657,7 @@ class FnnSpec:
         if any(w < 1 for w in self.widths):
             raise InvalidConfigError(f"widths must be positive, got {self.widths}")
         for act in (self.activation, self.final_activation):
-            if act not in _ACTIVATIONS:
+            if act not in ACTIVATIONS:
                 raise InvalidConfigError(f"unknown activation {act!r}")
 
     @property
@@ -647,19 +677,21 @@ def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
 
 
 def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
-                x: Var) -> Var:
-    """Apply the net along the last axis of ``x``; one dense node per layer."""
-    if x.shape[-1] != spec.widths[0]:
+                x: Var | Sequence[Var]) -> Var:
+    """Apply the net along the last axis of ``x`` (one Var or a list of parts,
+    see :func:`dense`); one dense node per layer."""
+    width = sum(p.shape[-1] for p in as_parts(x))
+    if width != spec.widths[0]:
         raise ValueError(
-            f"input width {x.shape[-1]} does not match spec width {spec.widths[0]}")
+            f"input width {width} does not match spec width {spec.widths[0]}")
     h = x
     for i in range(spec.n_layers):
         act = spec.final_activation if i == spec.n_layers - 1 else spec.activation
         w = tape.param(store, f"{prefix}.W{i}")
         b = tape.param(store, f"{prefix}.b{i}") if spec.has_bias else None
         h = dense(h, w, b, relu=act == "relu")
-        if _ACTIVATIONS[act] is not None:
-            h = _ACTIVATIONS[act](h)
+        if ACTIVATIONS[act] is not None:
+            h = ACTIVATIONS[act](h)
     return h
 
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ACTIVATIONS
 from .errors import InvalidConfigError
 
 # Exact value used for every wavelength/constant derivation. Serialized with
@@ -34,6 +36,20 @@ JSON_KEYS = (
     "speed_of_light_m_s",
     "waveguide_y_mode",
 )
+
+
+def _check_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools, non-finite and non-integral numbers fail."""
+    _check_finite(name, value)
+    if not float(value).is_integer():
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def derive_constants(carrier_freq_hz: float, refractive_index: float,
@@ -74,8 +90,13 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("n_waveguides", "n_pinch_per_wg", "n_users"):
-            if int(getattr(self, name)) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            count = _integer(name, getattr(self, name))
+            if count < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {count}")
+            object.__setattr__(self, name, count)
+        for name in ("region_side_m", "height_m", "carrier_freq_hz", "refractive_index",
+                     "min_gap_m", "power_budget_w", "noise_power_w", "speed_of_light_m_s"):
+            _check_finite(name, getattr(self, name))
         for name in ("region_side_m", "height_m", "carrier_freq_hz", "power_budget_w",
                      "noise_power_w", "speed_of_light_m_s"):
             if getattr(self, name) <= 0:
@@ -204,10 +225,13 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.pbf_layers < 1 or self.tbf_layers < 1:
-            raise InvalidConfigError("layer counts must be >= 1")
-        if self.hidden < 1 or self.message_dim < 1:
-            raise InvalidConfigError("widths must be >= 1")
+        for name in ("pbf_layers", "tbf_layers", "hidden", "message_dim"):
+            count = _integer(name, getattr(self, name))
+            if count < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {count}")
+            object.__setattr__(self, name, count)
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
+            raise InvalidConfigError(f"unknown activation {self.activation!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

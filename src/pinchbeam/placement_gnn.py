@@ -97,44 +97,44 @@ def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
         init_fnn(store, f"pbf.head.{name}", head_spec(model), rng)
 
 
-def nested_pe_map(tape: Tape, z: Var, store: ParameterStore, prefix: str,
+def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
                   names: tuple[str, str, str], specs: dict[str, FnnSpec]) -> Var:
     """Row map equivariant to nested (waveguide, within-waveguide) permutations.
 
-    ``z`` has shape (..., N, M, R, d); R is a free replication axis. Output
-    row (n, m) is main([z_nm, sum_{i != m} same(z_ni), sum_{j != n} sum_i
-    other(z_ji)]); empty index sets contribute exact zeros.
+    ``z`` is one Var or a list of parts, read as their broadcast concat along
+    the last axis; each has shape (B, N, M, R..., d) with any number of free
+    replication axes R. Output row (n, m) is main([z_nm, sum_{i != m}
+    same(z_ni), sum_{j != n} sum_i other(z_ji)]); empty index sets contribute
+    exact zeros. The waveguide context stays at (B, N, 1, R...) resolution.
     """
     main_name, same_name, other_name = names
-    a = fnn_forward(tape, specs[same_name], store, f"{prefix}.{same_name}", z)
-    same_sum = ad.sub(ad.sum_axis(a, -3, keepdims=True), a)
-    b = fnn_forward(tape, specs[other_name], store, f"{prefix}.{other_name}", z)
-    per_wg = ad.sum_axis(b, -3, keepdims=True)
-    total = ad.sum_axis(per_wg, -4, keepdims=True)
-    other_sum = ad.sub(total, per_wg)
-    target = list(other_sum.shape)
-    target[-4], target[-3] = z.shape[-4], z.shape[-3]
-    other_b = ad.broadcast_to(other_sum, tuple(target))
+    zs = ad.as_parts(z)
+    a = fnn_forward(tape, specs[same_name], store, f"{prefix}.{same_name}", zs)
+    same_sum = ad.sub(ad.sum_axis(a, 2, keepdims=True), a)
+    b = fnn_forward(tape, specs[other_name], store, f"{prefix}.{other_name}", zs)
+    per_wg = ad.sum_axis(b, 2, keepdims=True)
+    other_sum = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
     return fnn_forward(tape, specs[main_name], store, f"{prefix}.{main_name}",
-                       ad.concat([z, same_sum, other_b], axis=-1))
+                       zs + [same_sum, other_sum])
 
 
 def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
               in_width: int, model: ModelConfig) -> Var:
-    """One edge-update layer: d (B, N, M, K, w) -> (B, N, M, K, hidden)."""
+    """One edge-update layer: d (B, N, M, K, w) -> (B, N, M, K, hidden).
+
+    The processor sees the pair (d_k, d_j) as two parts at K resolution,
+    (B, N, M, K, 1, w) and (B, N, M, 1, K, w); the K x K pair tensor of their
+    concat is never built.
+    """
     specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape
-    dk = ad.broadcast_to(ad.reshape(d, (bsz, n, m, k, 1, w)), (bsz, n, m, k, k, w))
-    dj = ad.broadcast_to(ad.reshape(d, (bsz, n, m, 1, k, w)), (bsz, n, m, k, k, w))
-    pair = ad.reshape(ad.concat([dk, dj], axis=-1), (bsz, n, m, k * k, 2 * w))
+    pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
     q_out = nested_pe_map(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
-    q_out = ad.reshape(q_out, (bsz, n, m, k, k, model.message_dim))
     # Message for user k sums q(d_k, d_j) over j != k: total minus diagonal.
     eye = tape.constant(np.eye(k)[None, None, None, :, :, None])
     diag = ad.sum_axis(ad.mul(q_out, eye), 4)
     msg = ad.sub(ad.sum_axis(q_out, 4), diag)
-    f_in = ad.concat([d, msg], axis=-1)
-    return nested_pe_map(tape, f_in, store, prefix, ("ff", "qf1", "qf2"), specs)
+    return nested_pe_map(tape, [d, msg], store, prefix, ("ff", "qf1", "qf2"), specs)
 
 
 def _edge_stack(tape: Tape, phi: np.ndarray, s: np.ndarray, store: ParameterStore,

@@ -105,14 +105,20 @@ def tbf_init_edges(tape: Tape, ht: CVar, scale: float) -> Var:
     return ad.scalar_scale(ad.concat([r, i], axis=-1), 1.0 / scale)
 
 
-def waveguide_pe_map(tape: Tape, z: Var, store: ParameterStore, prefix: str,
-                     names: tuple[str, str], specs: dict[str, FnnSpec]) -> Var:
-    """Row map on (..., N, R, d): y_n = main([z_n, sum_{i != n} ctx(z_i)])."""
+def waveguide_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore,
+                     prefix: str, names: tuple[str, str],
+                     specs: dict[str, FnnSpec]) -> Var:
+    """Row map on (B, N, R, d): y_n = main([z_n, sum_{i != n} ctx(z_i)]).
+
+    ``z`` is one Var or a list of parts (see :func:`ad.dense`); the sum runs
+    over the waveguide axis 1.
+    """
     main_name, ctx_name = names
-    a = fnn_forward(tape, specs[ctx_name], store, f"{prefix}.{ctx_name}", z)
-    ctx = ad.sub(ad.sum_axis(a, -3, keepdims=True), a)
+    zs = ad.as_parts(z)
+    a = fnn_forward(tape, specs[ctx_name], store, f"{prefix}.{ctx_name}", zs)
+    ctx = ad.sub(ad.sum_axis(a, 1, keepdims=True), a)
     return fnn_forward(tape, specs[main_name], store, f"{prefix}.{main_name}",
-                       ad.concat([z, ctx], axis=-1))
+                       zs + [ctx])
 
 
 def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
@@ -121,8 +127,7 @@ def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     specs = layer_specs(in_width, model)
     q_out = waveguide_pe_map(tape, d, store, prefix, ("fq", "qq"), specs)
     msg = ad.sub(ad.sum_axis(q_out, -2, keepdims=True), q_out)
-    f_in = ad.concat([d, msg], axis=-1)
-    return waveguide_pe_map(tape, f_in, store, prefix, ("ff", "qf"), specs)
+    return waveguide_pe_map(tape, [d, msg], store, prefix, ("ff", "qf"), specs)
 
 
 def output_powers(tape: Tape, d_last: Var, store: ParameterStore,

@@ -219,17 +219,20 @@ class Checkpoint:
     model: ModelConfig
 
 
-def expected_parameter_names(cfg: SystemConfig, model: ModelConfig) -> list[str]:
+def expected_parameter_shapes(cfg: SystemConfig,
+                              model: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every checkpoint entry the architecture needs, sorted."""
     from . import placement_gnn, precoder_gnn
     probe = ParameterStore()
     rng = np.random.default_rng(0)
     placement_gnn.init_params(probe, cfg, model, rng)
     precoder_gnn.init_params(probe, cfg, model, rng)
     probe.add("tbf.input_scale", np.zeros(()))
-    return probe.names()
+    return {name: probe.values[name].shape for name in probe.names()}
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; every entry must have its architecture shape and be finite."""
     path = Path(path)
     if not path.exists():
         raise IncompatibleCheckpointError(f"checkpoint not found: {path}")
@@ -244,9 +247,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         cfg = SystemConfig.from_json_dict(doc["config"])
         model = ModelConfig.from_json_dict(doc["arch"])
         store = ParameterStore.from_entries(doc["entries"], frozen=FROZEN_PARAMETERS)
-    except (KeyError, TypeError, InvalidConfigError) as exc:
+        seed = int(doc["seed"])
+    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise IncompatibleCheckpointError(f"malformed checkpoint: {exc}") from exc
-    if store.names() != expected_parameter_names(cfg, model):
+    expected = expected_parameter_shapes(cfg, model)
+    if store.names() != list(expected):
         raise IncompatibleCheckpointError(
             "checkpoint entries do not match the declared architecture")
-    return Checkpoint(store, cfg, int(doc["seed"]), model)
+    for name, shape in expected.items():
+        value = store.values[name]
+        if value.shape != shape:
+            raise IncompatibleCheckpointError(
+                f"checkpoint entry {name} has shape {value.shape}, "
+                f"the declared architecture needs {shape}")
+        if not np.all(np.isfinite(value)):
+            raise IncompatibleCheckpointError(
+                f"checkpoint entry {name} holds non-finite values")
+    return Checkpoint(store, cfg, seed, model)

@@ -341,6 +341,21 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
                 p, lambda t, s, relu=relu: ad.dense(
                     t.param(s, "x"), t.param(s, "w"),
                     t.param(s, "b") if "b" in s else None, relu=relu), (2, 3, 5))
+    # dense on a part list, read as the broadcast concat of the parts: two
+    # parts broadcast across each other, then a full part next to one at
+    # reduced resolution.
+    for layout, shapes in (("cross", ((2, 3, 1, 4), (2, 1, 3, 2))),
+                           ("reduced", ((2, 3, 3, 4), (1, 1, 3, 2)))):
+        for relu in (False, True):
+            while True:
+                p = {"x0": u(shapes[0]), "x1": u(shapes[1]), "w": u((6, 5)), "b": u((5,))}
+                pre = p["x0"] @ p["w"][:4] + p["x1"] @ p["w"][4:] + p["b"]
+                if np.min(np.abs(pre)) > 0.05:
+                    break
+            run(f"dense_parts_{layout}_" + ("relu" if relu else "identity") + "_bias",
+                p, lambda t, s, relu=relu: ad.dense(
+                    [t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"),
+                    t.param(s, "b"), relu=relu), (2, 3, 3, 5))
     return results
 
 

@@ -330,6 +330,65 @@ class TestDense:
         fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
         assert kink_distance(tape) == 0.25
 
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    def test_parts_match_materialised_concat(self, act):
+        rng = np.random.default_rng(4)
+        shapes = ((2, 3, 1, 4), (2, 1, 3, 2), (1, 1, 3, 3))
+        inputs = [rng.standard_normal(s) for s in shapes]
+        w_b = (rng.standard_normal((9, 5)), rng.standard_normal(5))
+        weights = rng.standard_normal((2, 3, 3, 5))
+        runs = []
+        for virtual in (True, False):
+            tape = Tape()
+            xs = [tape.constant(v) for v in inputs]
+            w, b = (tape.constant(v) for v in w_b)
+            if virtual:
+                y = ad.dense(xs, w, b, relu=act == "relu")
+            else:
+                full = [ad.broadcast_to(x, (2, 3, 3, x.shape[-1])) for x in xs]
+                y = ad.dense(ad.concat(full, axis=-1), w, b, relu=act == "relu")
+            grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
+                                              (0, 1, 2, 3)))
+            runs.append((y.value, [grads[v.idx] for v in xs + [w, b]]))
+        (y_virtual, g_virtual), (y_full, g_full) = runs
+        np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
+        for gv, gf in zip(g_virtual, g_full):
+            assert gv.shape == gf.shape
+            np.testing.assert_allclose(gv, gf, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("act", ["relu", "identity"])
+    def test_single_var_bit_identical(self, act):
+        # The one-part case runs the flat-GEMM formula of a plain dense layer.
+        rng = np.random.default_rng(5)
+        xv, wv, bv = (rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
+                      rng.standard_normal(5))
+        weights = rng.standard_normal((2, 3, 5))
+        tape = Tape()
+        x, w, b = (tape.constant(v) for v in (xv, wv, bv))
+        y = ad.dense(x, w, b, relu=act == "relu")
+        grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1, 2)))
+        y2 = xv.reshape(-1, 4) @ wv
+        y2 += bv
+        g2 = weights.reshape(-1, 5)
+        if act == "relu":
+            np.maximum(y2, 0.0, out=y2)
+            g2 = g2 * (y2 > 0.0)
+        np.testing.assert_array_equal(y.value, y2.reshape(2, 3, 5))
+        np.testing.assert_array_equal(grads[x.idx], (g2 @ wv.T).reshape(2, 3, 4))
+        np.testing.assert_array_equal(grads[w.idx], xv.reshape(-1, 4).T @ g2)
+        np.testing.assert_array_equal(grads[b.idx], g2.sum(axis=0))
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (2, 3, 3)),        # widths sum to 7, W has 6 rows
+        ((2, 3, 4), (3, 2)),           # parts differ in ndim
+        ((2, 3, 4), (2, 2, 2)),        # leading shapes do not broadcast
+    ])
+    def test_bad_parts_rejected(self, shapes):
+        tape = Tape()
+        parts = [tape.constant(np.ones(s)) for s in shapes]
+        with pytest.raises(ValueError):
+            ad.dense(parts, tape.constant(np.ones((6, 2))))
+
     def test_identity_layer_has_no_kink(self):
         spec = FnnSpec((2, 2), final_activation="identity")
         store = ParameterStore()

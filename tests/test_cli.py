@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from pinchbeam import pipeline, training
 from pinchbeam.cli import main
-from pinchbeam.config import default_config
+from pinchbeam.config import ModelConfig, default_config
 
 TRAIN_ARGS = ["--seed", "3", "--n-train", "32", "--n-test", "4", "--batch-size",
               "16", "--epochs", "2", "--layers", "1", "--hidden", "6",
@@ -53,6 +54,18 @@ class TestTrainCommand:
                                       "--out", str(out), "--lr", "nan"] + TRAIN_ARGS)
         assert result.exit_code == 2, result.output
         assert "learning_rate" in result.output
+        assert not out.exists()
+
+    def test_nan_config_exit_2(self, runner, tmp_path):
+        doc = default_config(1, 1, 1).to_json_dict()
+        doc["region_side_m"] = float("nan")
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(doc))  # written as the bare token NaN
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--config", str(config),
+                                      "--out", str(out)] + TRAIN_ARGS)
+        assert result.exit_code == 2, result.output
+        assert "region_side_m" in result.output
         assert not out.exists()
 
     def test_writes_three_files(self, runner, config_file, tmp_path):
@@ -117,6 +130,25 @@ class TestEvalCommand:
         result = runner.invoke(main, ["eval", "--checkpoint", str(bad),
                                       "--out", str(tmp_path / "eval")])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("corruption", ["nan_weight", "transposed_weight"])
+    def test_bad_checkpoint_weights_exit_4(self, runner, tmp_path, corruption):
+        cfg = default_config(1, 1, 1)
+        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=6, message_dim=6)
+        ckpt = tmp_path / "checkpoint.json"
+        training.save_checkpoint(ckpt, pipeline.init_parameters(cfg, model, 0),
+                                 cfg, 0, model)
+        doc = json.loads(ckpt.read_text())
+        entry = next(e for e in doc["entries"] if e["name"] == "pbf.head.gap.W0")
+        if corruption == "nan_weight":
+            entry["values"][0] = float("nan")
+        else:
+            entry["shape"] = entry["shape"][::-1]
+        ckpt.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--n-test",
+                                      "2", "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 4, result.output
+        assert "pbf.head.gap.W0" in result.output
 
 
 class TestSweepCommand:

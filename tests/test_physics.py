@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pinchbeam.config import SystemConfig, default_config, derive_constants
+from pinchbeam.config import (ModelConfig, SystemConfig, default_config,
+                              derive_constants)
 from pinchbeam.errors import (ConstraintViolationError, InvalidConfigError,
                               SingularityError)
 from pinchbeam.physics import (AntennaLayout, ComplexMatrix, UserPositions,
@@ -74,6 +75,24 @@ class TestSystemConfig:
         with pytest.raises(InvalidConfigError):
             SystemConfig(n_waveguides=0, n_pinch_per_wg=1, n_users=1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("region_side_m", math.nan), ("power_budget_w", math.inf),
+        ("min_gap_m", math.nan), ("n_users", 2.7), ("n_waveguides", True),
+        ("height_m", "3.0"),
+    ])
+    def test_json_values_validated(self, key, value):
+        doc = default_config(2, 1, 2).to_json_dict()
+        doc[key] = value
+        with pytest.raises(InvalidConfigError, match=key):
+            SystemConfig.from_json_dict(doc)
+
+    def test_integral_float_count_accepted(self):
+        doc = default_config(2, 1, 2).to_json_dict()
+        doc["n_users"] = 2.0
+        cfg = SystemConfig.from_json_dict(doc)
+        assert cfg == default_config(2, 1, 2)
+        assert type(cfg.n_users) is int
+
     def test_waveguide_y_uniform(self):
         cfg = default_config(4, 1, 1)
         np.testing.assert_allclose(cfg.waveguide_y(), [1.25, 3.75, 6.25, 8.75])
@@ -82,6 +101,16 @@ class TestSystemConfig:
         with pytest.raises(InvalidConfigError):
             SystemConfig(n_waveguides=1, n_pinch_per_wg=1, n_users=1,
                          waveguide_y_mode="custom")
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("hidden", 2.5), ("hidden", True), ("pbf_layers", 1.5),
+        ("message_dim", math.nan), ("activation", "foo"),
+    ])
+    def test_values_validated(self, key, value):
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(**{key: value})
 
 
 class TestLayout:

@@ -247,3 +247,23 @@ class TestPbfForward:
             return ad.mean_axis(out.gaps, (0, 1, 2))
 
         assert grad_check(f, store) <= 1e-4
+
+
+class TestPairTensorNotBuilt:
+    def test_no_broadcast_or_wide_pair_node(self):
+        # The processor reads (d_k, d_j) as two K-resolution parts of one dense
+        # node, so no node repeats an edge tensor across users, and every node
+        # at pair resolution (B*N*M*K^2 rows) is a subnet output, at most
+        # max(hidden, message_dim) wide.
+        b, n, m, k = 2, 4, 2, 4
+        cfg = default_config(n, m, k)
+        store = params_for(cfg)
+        phi = np.random.default_rng(15).uniform(0, cfg.D, (b, k, 2))
+        tape = Tape()
+        pbf.pbf_forward(tape, phi, store, cfg, MICRO)
+        assert "broadcast_to" not in tape.ops
+        limit = max(MICRO.hidden, MICRO.message_dim)
+        pair_rows = b * n * m * k * k
+        for op, value in zip(tape.ops, tape.values):
+            if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]:
+                assert value.shape[-1] <= limit, (op, value.shape)
