@@ -7,7 +7,9 @@ non-holomorphic op the pipeline needs is ``|z|^2 = re^2 + im^2``.
 
 Gradient conventions: ``max_with_scalar``, ``relu`` and the relu fused into
 ``dense`` use subgradient 0 at the kink. Tests and gradient checks keep
-inputs away from kinks.
+inputs away from kinks. An adjoint handed to a VJP may be a read-only
+broadcast view (``sum_axis`` and ``mean_axis`` return one), so no VJP
+writes into its ``g``.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     # reference cycle and keep it alive until the cyclic collector runs.
     def vjp(g):
         if relu:
-            g = g * (y > 0.0)
+            g = np.sign(y) * g  # y >= 0, so sign(y) is the 0/1 mask y > 0
         gxs, gws = [], []
         for xv, wb in zip(xvs, blocks):
             g2 = _unbroadcast(g, xv.shape[:-1] + (n_out,)).reshape(-1, n_out)
@@ -382,6 +384,30 @@ def broadcast_to(a: Var, shape: tuple[int, ...]) -> Var:
                         "broadcast_to")
 
 
+def diagonal(a: Var, axis1: int, axis2: int) -> Var:
+    """Entries of ``a`` with equal indices on ``axis1`` and ``axis2``.
+
+    The diagonal takes the place of ``axis1`` and ``axis2`` is dropped, so
+    for a (B, K, K) input and axes (1, 2) the result is (B, K) with
+    ``out[b, k] = a[b, k, k]``.
+    """
+    shape = a.value.shape
+    a1, a2 = axis1 % len(shape), axis2 % len(shape)
+    if a1 == a2 or shape[a1] != shape[a2]:
+        raise ValueError(f"diagonal needs two distinct axes of equal length, got "
+                         f"axes ({axis1}, {axis2}) of shape {shape}")
+    pos = a1 if a1 < a2 else a1 - 1
+    idx = np.arange(shape[a1])
+
+    def vjp(g):
+        full = np.zeros(shape)
+        np.moveaxis(full, (a1, a2), (-2, -1))[..., idx, idx] = np.moveaxis(g, pos, -1)
+        return (full,)
+
+    out = np.moveaxis(np.diagonal(a.value, axis1=a1, axis2=a2), -1, pos)
+    return a.tape._push(np.ascontiguousarray(out), (a.idx,), vjp, "diagonal")
+
+
 def _norm_axis(axis) -> tuple[int, ...]:
     return (axis,) if isinstance(axis, int) else tuple(axis)
 
@@ -393,7 +419,7 @@ def sum_axis(a: Var, axis, keepdims: bool = False) -> Var:
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(g, shape),)
 
     return a.tape._push(a.value.sum(axis=axes, keepdims=keepdims), (a.idx,), vjp,
                         "sum_axis")
@@ -409,7 +435,7 @@ def mean_axis(a: Var, axis, keepdims: bool = False) -> Var:
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, shape).copy(),)
+        return (np.broadcast_to(g / count, shape),)
 
     return a.tape._push(a.value.mean(axis=axes, keepdims=keepdims), (a.idx,), vjp,
                         "mean_axis")
@@ -676,6 +702,12 @@ def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
             store.add(f"{prefix}.b{i}", np.zeros(fan_out))
 
 
+def fnn_layer(x: Var | Sequence[Var], w: Var, b: Var | None, act: str) -> Var:
+    """One FNN layer ``act(x @ W + b)``: a dense node, relu fused into it."""
+    h = dense(x, w, b, relu=act == "relu")
+    return h if ACTIVATIONS[act] is None else ACTIVATIONS[act](h)
+
+
 def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
                 x: Var | Sequence[Var]) -> Var:
     """Apply the net along the last axis of ``x`` (one Var or a list of parts,
@@ -689,9 +721,7 @@ def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
         act = spec.final_activation if i == spec.n_layers - 1 else spec.activation
         w = tape.param(store, f"{prefix}.W{i}")
         b = tape.param(store, f"{prefix}.b{i}") if spec.has_bias else None
-        h = dense(h, w, b, relu=act == "relu")
-        if ACTIVATIONS[act] is not None:
-            h = ACTIVATIONS[act](h)
+        h = fnn_layer(h, w, b, act)
     return h
 
 

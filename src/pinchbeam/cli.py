@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, baselines, training
 from ._alloc import tune_allocator
-from .config import ModelConfig, SystemConfig
+from .config import ModelConfig, SystemConfig, positive_integer
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError, OracleIneligibleError)
 from .physics import UserPositions
@@ -43,6 +44,13 @@ def _fail(code: int, message: str):
 def _load_config(path: str) -> SystemConfig:
     try:
         return SystemConfig.load(path)
+    except InvalidConfigError as exc:
+        _fail(EXIT_INVALID_CONFIG, str(exc))
+
+
+def _count(flag: str, value) -> int:
+    try:
+        return positive_integer(flag, value)
     except InvalidConfigError as exc:
         _fail(EXIT_INVALID_CONFIG, str(exc))
 
@@ -123,8 +131,8 @@ def cmd_train(config_path, out_dir, seed, n_train, n_test, batch_size, epochs,
               lr, snr_db, grad_clip, layers, hidden, message_dim):
     """Train both sub-GNNs; writes checkpoint.json, report.json, manifest.json."""
     cfg = _load_config(config_path)
-    model = _make_model(layers, hidden, message_dim)
     try:
+        model = _make_model(layers, hidden, message_dim)
         train_cfg = TrainConfig(n_train=n_train, n_test=n_test, batch_size=batch_size,
                                 epochs=epochs, learning_rate=lr, seed=seed,
                                 snr_db=snr_db, grad_clip=grad_clip)
@@ -163,6 +171,7 @@ def _load_checkpoint_or_exit(path: str) -> training.Checkpoint:
 @click.option("--out", "out_dir", required=True)
 def cmd_eval(ckpt_path, config_path, n_test, seed, out_dir):
     """Evaluate a checkpoint on a fresh test stream; writes SE list and summary."""
+    n_test = _count("--n-test", n_test)
     ckpt = _load_checkpoint_or_exit(ckpt_path)
     if config_path is not None:
         cfg = _load_config(config_path)
@@ -199,13 +208,16 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     Noise power is pinned to 1 W and the budget set to 10^(SNR/10) W per row.
     The baseline column stays empty unless M = 1.
     """
+    n_samples = _count("--n-samples", n_samples)
     ckpt = _load_checkpoint_or_exit(ckpt_path)
     try:
         snrs = [float(s) for s in snr_list.split(",") if s.strip() != ""]
     except ValueError:
         _fail(EXIT_INVALID_CONFIG, f"cannot parse SNR list {snr_list!r}")
-    if not snrs or any(b <= a for a, b in zip(snrs, snrs[1:])):
-        _fail(EXIT_INVALID_CONFIG, "SNR list must be non-empty and strictly increasing")
+    if not snrs or not all(map(math.isfinite, snrs)) \
+            or any(b <= a for a, b in zip(snrs, snrs[1:])):
+        _fail(EXIT_INVALID_CONFIG,
+              "SNR list must be non-empty, finite and strictly increasing")
     if config_path is not None:
         cfg = _load_config(config_path)
         ours = {k: v for k, v in cfg.to_json_dict().items()
@@ -248,6 +260,7 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
 @click.option("--out", "out_dir", required=True)
 def cmd_baseline(config_path, n_samples, seed, out_dir):
     """Closest-user + zero-forcing baseline on a fresh test stream (M = 1)."""
+    n_samples = _count("--n-samples", n_samples)
     cfg = _load_config(config_path)
     if cfg.M != 1:
         _fail(EXIT_INVALID_CONFIG, "baseline is defined for M = 1 only")
@@ -334,6 +347,7 @@ def cmd_verify(config_path, seed, out_dir, skip_gradients):
 @click.option("--out", "out_dir", required=True)
 def cmd_gen_data(config_path, n_samples, seed, train_stream, out_dir):
     """Materialize a user-position dataset as CSV."""
+    n_samples = _count("--n", n_samples)
     cfg = _load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

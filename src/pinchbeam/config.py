@@ -52,6 +52,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def positive_integer(name: str, value) -> int:
+    """``value`` as an int >= 1; anything else raises InvalidConfigError."""
+    count = _integer(name, value)
+    if count < 1:
+        raise InvalidConfigError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def derive_constants(carrier_freq_hz: float, refractive_index: float,
                      c: float = SPEED_OF_LIGHT) -> tuple[float, float, float]:
     """Free-space wavelength, guide wavelength and path-gain constant.
@@ -90,10 +98,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("n_waveguides", "n_pinch_per_wg", "n_users"):
-            count = _integer(name, getattr(self, name))
-            if count < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {count}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         for name in ("region_side_m", "height_m", "carrier_freq_hz", "refractive_index",
                      "min_gap_m", "power_budget_w", "noise_power_w", "speed_of_light_m_s"):
             _check_finite(name, getattr(self, name))
@@ -226,10 +231,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("pbf_layers", "tbf_layers", "hidden", "message_dim"):
-            count = _integer(name, getattr(self, name))
-            if count < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {count}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise InvalidConfigError(f"unknown activation {self.activation!r}")
 

@@ -75,11 +75,9 @@ def effective_channel_on_tape(tape: Tape, positions_x: Var, phi: np.ndarray,
 
 def se_on_tape(tape: Tape, ht: CVar, w: CVar, noise_power: float) -> Var:
     """Per-sample sum spectral efficiency, shape (B,)."""
-    k = ht.shape[-1]
     cross = cx.matmul(cx.htranspose(ht), w)
     power = cx.abs2(cross)
-    eye = tape.constant(np.eye(k))
-    signal = ad.sum_axis(ad.mul(power, eye), -1)
+    signal = ad.diagonal(power, -2, -1)
     interference = ad.add(ad.sub(ad.sum_axis(power, -1), signal), noise_power)
     return ad.scalar_scale(
         ad.sum_axis(ad.log1p(ad.div(signal, interference)), -1), 1.0 / math.log(2.0))

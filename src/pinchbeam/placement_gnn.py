@@ -97,6 +97,64 @@ def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
         init_fnn(store, f"pbf.head.{name}", head_spec(model), rng)
 
 
+def _hidden_spec(spec: FnnSpec) -> FnnSpec:
+    """``spec`` without its linear output layer."""
+    return FnnSpec(spec.widths[:-1], spec.activation, spec.activation, spec.has_bias)
+
+
+def _output_params(tape: Tape, spec: FnnSpec, store: ParameterStore,
+                   prefix: str) -> tuple[Var, Var]:
+    last = spec.n_layers - 1
+    return tape.param(store, f"{prefix}.W{last}"), tape.param(store, f"{prefix}.b{last}")
+
+
+def _output_layer(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
+                  h: Var, count: int) -> Var:
+    """A subnet's identity output layer applied to a sum of ``count`` hidden
+    states: sum_i (r_i W + b) = (sum_i r_i) W + count * b."""
+    w, b = _output_params(tape, spec, store, prefix)
+    return ad.dense(h, w, b if count == 1 else ad.scalar_scale(b, count))
+
+
+def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
+                     names: tuple[str, str, str], specs: dict[str, FnnSpec]) -> Var:
+    """Hidden state of the main net of :func:`nested_pe_map`.
+
+    Every subnet has one hidden layer and an identity output layer
+    (:func:`layer_specs`), and a linear layer commutes with a sum. So
+    ``same`` and ``other`` run to their hidden states r_a, r_b only, the
+    sums are taken over those, ``same_h = sum_{i != m} r_a`` and ``other_h =
+    sum_{j != n} sum_i r_b``, and main's first layer reads ``[z, same_h,
+    other_h]`` with folded weights ``[W0_z; W_a W0_s; W_b W0_o]`` and bias
+    ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
+    tape from the stored parameters and touches only weight-sized arrays.
+    """
+    main_name, same_name, other_name = names
+    zs = ad.as_parts(z)
+    r_a = fnn_forward(tape, _hidden_spec(specs[same_name]), store,
+                      f"{prefix}.{same_name}", zs)
+    same_h = ad.sub(ad.sum_axis(r_a, 2, keepdims=True), r_a)
+    r_b = fnn_forward(tape, _hidden_spec(specs[other_name]), store,
+                      f"{prefix}.{other_name}", zs)
+    per_wg = ad.sum_axis(r_b, 2, keepdims=True)
+    other_h = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
+    n, m = r_b.shape[1], r_b.shape[2]
+
+    w_a, b_a = _output_params(tape, specs[same_name], store, f"{prefix}.{same_name}")
+    w_b, b_b = _output_params(tape, specs[other_name], store, f"{prefix}.{other_name}")
+    w0 = tape.param(store, f"{prefix}.{main_name}.W0")
+    b0 = tape.param(store, f"{prefix}.{main_name}.b0")
+    md = w_a.shape[1]
+    zw = w0.shape[0] - 2 * md
+    w0_s = ad.slice_axis(w0, 0, zw, zw + md)
+    w0_o = ad.slice_axis(w0, 0, zw + md, zw + 2 * md)
+    w = ad.concat([ad.slice_axis(w0, 0, 0, zw), ad.matmul(w_a, w0_s),
+                   ad.matmul(w_b, w0_o)], axis=0)
+    b = ad.dense(ad.scalar_scale(b_a, m - 1), w0_s,
+                 ad.dense(ad.scalar_scale(b_b, (n - 1) * m), w0_o, b0))
+    return ad.fnn_layer(zs + [same_h, other_h], w, b, specs[main_name].activation)
+
+
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
                   names: tuple[str, str, str], specs: dict[str, FnnSpec]) -> Var:
     """Row map equivariant to nested (waveguide, within-waveguide) permutations.
@@ -106,34 +164,34 @@ def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix:
     replication axes R. Output row (n, m) is main([z_nm, sum_{i != m}
     same(z_ni), sum_{j != n} sum_i other(z_ji)]); empty index sets contribute
     exact zeros. The waveguide context stays at (B, N, 1, R...) resolution.
+    The output layers of ``same`` and ``other`` are folded into main's first
+    layer (:func:`nested_pe_hidden`), so they never run at row resolution.
     """
-    main_name, same_name, other_name = names
-    zs = ad.as_parts(z)
-    a = fnn_forward(tape, specs[same_name], store, f"{prefix}.{same_name}", zs)
-    same_sum = ad.sub(ad.sum_axis(a, 2, keepdims=True), a)
-    b = fnn_forward(tape, specs[other_name], store, f"{prefix}.{other_name}", zs)
-    per_wg = ad.sum_axis(b, 2, keepdims=True)
-    other_sum = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
-    return fnn_forward(tape, specs[main_name], store, f"{prefix}.{main_name}",
-                       zs + [same_sum, other_sum])
+    h = nested_pe_hidden(tape, z, store, prefix, names, specs)
+    return _output_layer(tape, specs[names[0]], store, f"{prefix}.{names[0]}", h, 1)
 
 
 def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
               in_width: int, model: ModelConfig) -> Var:
     """One edge-update layer: d (B, N, M, K, w) -> (B, N, M, K, hidden).
 
-    The processor sees the pair (d_k, d_j) as two parts at K resolution,
-    (B, N, M, K, 1, w) and (B, N, M, 1, K, w); the K x K pair tensor of their
-    concat is never built.
+    The message of user k is sum_{j != k} q(d_k, d_j) with the processor q
+    of (fq, qq1, qq2); the update is the nested map of (ff, qf1, qf2) over
+    [d, message]. The processor sees the pair (d_k, d_j) as two parts at K
+    resolution, (B, N, M, K, 1, w) and (B, N, M, 1, K, w), so the K x K pair
+    tensor of their concat is never built. ``fq``'s identity output layer
+    runs after the sum over j: the sum minus the diagonal is taken over its
+    hidden state r_q, and the layer then applies at K resolution with bias
+    (K-1) b. With the folds of :func:`nested_pe_hidden`, three dense nodes
+    per layer run at pair resolution, one hidden layer of each of fq, qq1
+    and qq2.
     """
     specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape
     pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
-    q_out = nested_pe_map(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
-    # Message for user k sums q(d_k, d_j) over j != k: total minus diagonal.
-    eye = tape.constant(np.eye(k)[None, None, None, :, :, None])
-    diag = ad.sum_axis(ad.mul(q_out, eye), 4)
-    msg = ad.sub(ad.sum_axis(q_out, 4), diag)
+    r_q = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
+    msg_h = ad.sub(ad.sum_axis(r_q, 4), ad.diagonal(r_q, 3, 4))
+    msg = _output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1)
     return nested_pe_map(tape, [d, msg], store, prefix, ("ff", "qf1", "qf2"), specs)
 
 

@@ -356,6 +356,12 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
                 p, lambda t, s, relu=relu: ad.dense(
                     [t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"),
                     t.param(s, "b"), relu=relu), (2, 3, 3, 5))
+    # diagonal over two inner axes, as the placement message uses it, and over
+    # the last two, as the SE signal term does.
+    run("diagonal", {"x": u((2, 3, 4, 4, 5))},
+        lambda t, s: ad.diagonal(t.param(s, "x"), 2, 3), (2, 3, 4, 5))
+    run("diagonal_last2", {"x": u((3, 4, 4))},
+        lambda t, s: ad.diagonal(t.param(s, "x"), -2, -1), (3, 4))
     return results
 
 

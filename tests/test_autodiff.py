@@ -162,6 +162,39 @@ class TestPrimitives:
         assert (-a).value.item() == -2.0
 
 
+class TestDiagonal:
+    @pytest.mark.parametrize("shape,axes,subscripts", [
+        ((2, 3, 4, 4, 5), (2, 3), "abiic->abic"),
+        ((2, 3, 4, 4, 5), (-3, -2), "abiic->abic"),
+        ((2, 3, 4, 4, 5), (3, 2), "abiic->abic"),
+        ((2, 4, 3, 4, 5), (1, 3), "aibic->aibc"),
+    ])
+    def test_matches_einsum(self, shape, axes, subscripts):
+        x = np.random.default_rng(20).standard_normal(shape)
+        out = ad.diagonal(Tape().constant(x), *axes)
+        np.testing.assert_array_equal(out.value, np.einsum(subscripts, x))
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4, 4, 5), (2, 3)),
+                                            ((3, 4, 4), (-2, -1)),
+                                            ((4, 2, 4), (0, 2))])
+    def test_adjoint_identity(self, shape, axes):
+        # <G, D x> == <D^T G, x> for the diagonal map D and its VJP D^T.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(shape)
+        tape = Tape()
+        y = ad.diagonal(tape.constant(x), *axes)
+        g = rng.standard_normal(y.shape)
+        (gx,) = tape.vjps[y.idx](g)
+        assert gx.shape == x.shape
+        assert np.sum(g * y.value) == pytest.approx(np.sum(gx * x), rel=1e-13)
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4), (1, 2)), ((3, 3), (1, 1)),
+                                            ((3, 3), (0, -2))])
+    def test_bad_axes_rejected(self, shape, axes):
+        with pytest.raises(ValueError):
+            ad.diagonal(Tape().constant(np.zeros(shape)), *axes)
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         store = ParameterStore()

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,14 @@ class TestTrainCommand:
                                       "--out", str(out), "--lr", "nan"] + TRAIN_ARGS)
         assert result.exit_code == 2, result.output
         assert "learning_rate" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--layers", "--batch-size"])
+    def test_zero_count_flag_exit_2(self, runner, config_file, tmp_path, flag):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--config", str(config_file),
+                                      "--out", str(out)] + TRAIN_ARGS + [flag, "0"])
+        assert result.exit_code == 2, result.output
         assert not out.exists()
 
     def test_nan_config_exit_2(self, runner, tmp_path):
@@ -113,6 +125,15 @@ class TestEvalCommand:
         summary = json.loads((tmp_path / "eval" / "eval.json").read_text())
         per_sample = [float(r["se_bits_per_hz"]) for r in rows]
         assert summary["mean_se"] == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+    def test_zero_n_test_exit_2(self, runner, config_file, tmp_path):
+        out = train_once(runner, config_file, tmp_path / "run")
+        result = runner.invoke(main, ["eval", "--checkpoint",
+                                      str(out / "checkpoint.json"),
+                                      "--n-test", "0", "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 2, result.output
+        assert "--n-test" in result.output
+        assert not (tmp_path / "eval").exists()
 
     def test_config_mismatch_exit_4(self, runner, config_file, tmp_path):
         out = train_once(runner, config_file, tmp_path / "run")
@@ -178,6 +199,27 @@ class TestSweepCommand:
                                           "--out", str(tmp_path / "s")])
             assert result.exit_code == 2, bad
 
+    @pytest.mark.parametrize("snrs", ["nan", "10,inf", "-inf,0"])
+    def test_non_finite_snr_exit_2(self, runner, config_file, tmp_path, snrs):
+        out = train_once(runner, config_file, tmp_path / "run")
+        result = runner.invoke(main, ["sweep", "--checkpoint",
+                                      str(out / "checkpoint.json"),
+                                      "--snr-db", snrs, "--n-samples", "2",
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+        assert not (tmp_path / "s").exists()
+
+    def test_zero_samples_exit_2(self, runner, config_file, tmp_path):
+        out = train_once(runner, config_file, tmp_path / "run")
+        result = runner.invoke(main, ["sweep", "--checkpoint",
+                                      str(out / "checkpoint.json"),
+                                      "--snr-db", "0,10", "--n-samples", "0",
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 2, result.output
+        assert "--n-samples" in result.output
+        assert not (tmp_path / "s").exists()
+
     def test_incompatible_geometry_exit_4(self, runner, config_file, tmp_path):
         out = train_once(runner, config_file, tmp_path / "run")
         other = tmp_path / "other.json"
@@ -219,6 +261,13 @@ class TestBaselineCommand:
         assert len(rows) == 5
         summary = json.loads((tmp_path / "b" / "baseline.json").read_text())
         assert summary["mean_se"] > 0
+
+    def test_zero_samples_exit_2(self, runner, config_file_k2, tmp_path):
+        result = runner.invoke(main, ["baseline", "--config", str(config_file_k2),
+                                      "--n-samples", "0", "--out", str(tmp_path / "b")])
+        assert result.exit_code == 2, result.output
+        assert "--n-samples" in result.output
+        assert not (tmp_path / "b").exists()
 
     def test_m2_rejected(self, runner, tmp_path):
         path = tmp_path / "m2.json"
@@ -299,6 +348,13 @@ class TestGenDataCommand:
         xs = np.array([float(r["x_m"]) for r in rows])
         assert np.all((xs >= 0) & (xs <= 10))
 
+    def test_negative_count_exit_2(self, runner, config_file_k2, tmp_path):
+        result = runner.invoke(main, ["gen-data", "--config", str(config_file_k2),
+                                      "--n", "-3", "--out", str(tmp_path / "d")])
+        assert result.exit_code == 2, result.output
+        assert "--n" in result.output
+        assert not (tmp_path / "d").exists()
+
     def test_streams_differ(self, runner, config_file, tmp_path):
         for flag, name in (("--train-stream", "tr"), ("--test-stream", "te")):
             result = runner.invoke(main, ["gen-data", "--config", str(config_file),
@@ -320,3 +376,12 @@ class TestManifest:
             assert actual == digest
         assert manifest["seed"] == 3
         assert manifest["config"]["n_users"] == 1
+
+
+def test_python_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-m", "pinchbeam", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "Usage: pinchbeam" in result.stdout

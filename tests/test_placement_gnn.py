@@ -267,3 +267,75 @@ class TestPairTensorNotBuilt:
         for op, value in zip(tape.ops, tape.values):
             if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]:
                 assert value.shape[-1] <= limit, (op, value.shape)
+
+
+def _unfolded_pbf_layer(tape, d, store, prefix, in_width, model):
+    """pbf_layer with every subnet run in full at row resolution: the qq1/qq2
+    outputs are summed after their output layers, q_out is materialised at
+    pair resolution and its diagonal taken with an eye mask."""
+    specs = pbf.layer_specs(in_width, model)
+
+    def nested(zs, names):
+        main, same, other = names
+        a = ad.fnn_forward(tape, specs[same], store, f"{prefix}.{same}", zs)
+        same_sum = ad.sub(ad.sum_axis(a, 2, keepdims=True), a)
+        b = ad.fnn_forward(tape, specs[other], store, f"{prefix}.{other}", zs)
+        per_wg = ad.sum_axis(b, 2, keepdims=True)
+        other_sum = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
+        return ad.fnn_forward(tape, specs[main], store, f"{prefix}.{main}",
+                              zs + [same_sum, other_sum])
+
+    bsz, n, m, k, w = d.shape
+    pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
+    q_out = nested(pair, ("fq", "qq1", "qq2"))
+    eye = tape.constant(np.eye(k)[None, None, None, :, :, None])
+    msg = ad.sub(ad.sum_axis(q_out, 4), ad.sum_axis(ad.mul(q_out, eye), 4))
+    return nested([d, msg], ("ff", "qf1", "qf2"))
+
+
+class TestFoldedOutputLayers:
+    @pytest.mark.parametrize("in_width", [3, MICRO.hidden])
+    def test_matches_unfolded_reference(self, in_width):
+        # Random weights and biases (init_fnn leaves biases at zero, which
+        # would hide the folded bias terms) at N=3, M=2, K=4.
+        rng = np.random.default_rng(16)
+        specs = pbf.layer_specs(in_width, MICRO)
+        store = ParameterStore()
+        for name in pbf.SUBNET_NAMES:
+            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+        for name in store.names():
+            store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
+        d = rng.standard_normal((2, 3, 2, 4, in_width))
+        weights = rng.uniform(0.5, 1.5, (2, 3, 2, 4, MICRO.hidden))
+
+        def run(layer_fn):
+            tape = Tape()
+            out = layer_fn(tape, tape.constant(d), store, "pbf.layer1", in_width, MICRO)
+            loss = ad.sum_axis(ad.mul(out, tape.constant(weights)), tuple(range(5)))
+            ad.backward_into(store, loss)
+            return out.value, {n: g.copy() for n, g in store.grads.items()}
+
+        value, grads = run(pbf.pbf_layer)
+        ref_value, ref_grads = run(_unfolded_pbf_layer)
+        scale = np.max(np.abs(ref_value))
+        assert np.max(np.abs(value - ref_value)) <= 1e-12 * scale
+        for name, ref in ref_grads.items():
+            assert np.max(np.abs(ref)) > 0.0, name
+            err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, (name, err)
+
+    def test_three_pair_resolution_dense_nodes_per_layer(self):
+        # Only the hidden layers of fq, qq1 and qq2 run at pair resolution
+        # (B*N*M*K^2 rows); their output layers run after the sums, and the
+        # diagonal is taken without a pair-resolution product.
+        b, n, m, k = 2, 4, 2, 4
+        cfg = default_config(n, m, k)
+        store = params_for(cfg)
+        phi = np.random.default_rng(17).uniform(0, cfg.D, (b, k, 2))
+        tape = Tape()
+        pbf.pbf_forward(tape, phi, store, cfg, MICRO)
+        pair_rows = b * n * m * k * k
+        at_pair = [op for op, value in zip(tape.ops, tape.values)
+                   if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]]
+        assert at_pair.count("dense") == 3 * MICRO.pbf_layers
+        assert "mul" not in at_pair

@@ -142,6 +142,17 @@ class TestTrain:
         with pytest.raises(InvalidConfigError):
             TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("field,value", [("batch_size", 2.5), ("epochs", True),
+                                             ("n_train", math.nan), ("n_test", "4"),
+                                             ("epochs", -1)])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_integral_float_count_stored_as_int(self):
+        batch = TrainConfig(batch_size=16.0).batch_size
+        assert batch == 16 and isinstance(batch, int)
+
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
     def test_learning_rate_must_be_finite_nonnegative(self, lr):
         with pytest.raises(InvalidConfigError):
