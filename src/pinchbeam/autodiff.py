@@ -7,9 +7,13 @@ non-holomorphic op the pipeline needs is ``|z|^2 = re^2 + im^2``.
 
 Gradient conventions: ``max_with_scalar``, ``relu`` and the relu fused into
 ``dense`` use subgradient 0 at the kink. Tests and gradient checks keep
-inputs away from kinks. An adjoint handed to a VJP may be a read-only
-broadcast view (``sum_axis`` and ``mean_axis`` return one), so no VJP
-writes into its ``g``.
+inputs away from kinks; ``verify.kink_distance`` recomputes a fused relu's
+pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. An
+adjoint handed to a VJP may be a read-only broadcast view (``sum_axis`` and
+``mean_axis`` return one), so no VJP writes into its ``g``. ``Tape.backward``
+releases each interior adjoint once its VJP has run; only leaf adjoints
+outlive the sweep. The GNNs' leave-one-out sums are single nodes,
+``sum_others`` and ``off_diagonal_sum``.
 """
 
 from __future__ import annotations
@@ -125,7 +129,14 @@ class Tape:
         return v
 
     def backward(self, loss: Var) -> list[np.ndarray | None]:
-        """Adjoint of ``loss`` w.r.t. every node; None for unreachable nodes."""
+        """Adjoint of ``loss`` w.r.t. every leaf (const and param) node.
+
+        An interior node's adjoint is released as soon as its VJP has passed
+        it to the parents, so the sweep never holds more than the adjoints
+        still waiting to be propagated. The returned list therefore holds
+        the leaf adjoints, and None for interior nodes and for leaves the
+        loss does not reach.
+        """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.size != 1:
@@ -133,10 +144,11 @@ class Tape:
         grads: list[np.ndarray | None] = [None] * len(self.values)
         grads[loss.idx] = np.ones_like(self.values[loss.idx])
         for i in range(loss.idx, -1, -1):
-            g = grads[i]
-            if g is None or self.vjps[i] is None:
+            g, vjp = grads[i], self.vjps[i]
+            if g is None or vjp is None:
                 continue
-            for p, pg in zip(self.parents[i], self.vjps[i](g)):
+            grads[i] = None
+            for p, pg in zip(self.parents[i], vjp(g)):
                 if pg is None:
                     continue
                 if grads[p] is None:
@@ -239,18 +251,50 @@ def as_parts(x: Var | Sequence[Var]) -> list[Var]:
     return [x] if isinstance(x, Var) else list(x)
 
 
+def _row_blocks(xvs: Sequence[np.ndarray], wv: np.ndarray) -> list[np.ndarray]:
+    """The row block of ``W`` that each :func:`dense` part multiplies."""
+    rows = np.cumsum([0] + [v.shape[-1] for v in xvs])
+    return [wv[r0:r1] for r0, r1 in zip(rows[:-1], rows[1:])]
+
+
+def dense_preactivation(xvs: Sequence[np.ndarray], wv: np.ndarray,
+                        bv: np.ndarray | None) -> np.ndarray:
+    """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
+
+    Each part runs one 2-D GEMM against its row block of ``W`` and the
+    products are broadcast-added. ``dense`` and ``verify.kink_distance``
+    share this, so a relu's kink distance is measured on the exact values
+    the node clamped.
+    """
+    n_out = wv.shape[1]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in xvs))
+    y = None
+    for xv, wb in zip(xvs, _row_blocks(xvs, wv)):
+        p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
+        if y is None:
+            y = p
+        elif y.shape[:-1] == lead:
+            y += p
+        else:
+            y = y + p  # the running sum grows to the broadcast shape
+    if bv is not None:
+        y += bv
+    return y
+
+
 def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
           relu: bool = False) -> Var:
     """``act(concat(xs, -1) @ W + b)`` along the last axis as one node.
 
     ``x`` is one Var or a sequence of parts whose leading shapes broadcast.
     Their concat is never built: each part multiplies its own row block of
-    ``W`` at its own resolution and the products are broadcast-added. ``act``
-    is relu or the identity. Leading axes are flattened, so every product and
-    adjoint is one 2-D GEMM. The relu has subgradient 0 at the kink, like
-    ``max_with_scalar``; its mask ``pre > 0`` equals ``out > 0`` and is taken
-    from the output. With relu the node's meta is the smallest
-    |pre-activation|, its distance to the kink.
+    ``W`` at its own resolution and the products are broadcast-added
+    (:func:`dense_preactivation`). ``act`` is relu or the identity. Leading
+    axes are flattened, so every product and adjoint is one 2-D GEMM. The
+    relu has subgradient 0 at the kink, like ``max_with_scalar``; its mask
+    ``pre > 0`` equals ``out > 0`` and is taken from the output. The node's
+    meta is ``(relu, has_bias)``, from which ``verify.kink_distance``
+    recomputes the pre-activation.
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -260,29 +304,13 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     if wv.ndim != 2 or not shapes[0] or sum(s[-1] for s in shapes) != wv.shape[0]:
         raise ValueError(f"dense needs (..., n) parts @ (n, m), got {shapes} @ {wv.shape}")
     n_out = wv.shape[1]
-    lead = np.broadcast_shapes(*(s[:-1] for s in shapes))
-    rows = np.cumsum([0] + [s[-1] for s in shapes])
-    blocks = [wv[r0:r1] for r0, r1 in zip(rows[:-1], rows[1:])]
-    y = None
-    for xv, wb in zip(xvs, blocks):
-        p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
-        if y is None:
-            y = p
-        elif y.shape[:-1] == lead:
-            y += p
-        else:
-            y = y + p  # the running sum grows to the broadcast shape
-    y2 = y.reshape(-1, n_out)
     has_bias = b is not None
-    if has_bias:
-        if b.value.shape != (n_out,):
-            raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
-        y2 += b.value
-    kink = None
+    if has_bias and b.value.shape != (n_out,):
+        raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
+    y = dense_preactivation(xvs, wv, b.value if has_bias else None)
     if relu:
-        kink = float(np.min(np.abs(y2), initial=math.inf))
-        np.maximum(y2, 0.0, out=y2)
-    y = y2.reshape(lead + (n_out,))
+        np.maximum(y, 0.0, out=y)
+    blocks = _row_blocks(xvs, wv)
 
     # Captures arrays and flags only: a Var here would tie the tape into a
     # reference cycle and keep it alive until the cyclic collector runs.
@@ -300,7 +328,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
         return (*gxs, gw)
 
     parents = tuple(p.idx for p in parts) + (w.idx,) + ((b.idx,) if has_bias else ())
-    return w.tape._push(y, parents, vjp, "dense", meta=kink)
+    return w.tape._push(y, parents, vjp, "dense", meta=(relu, has_bias))
 
 
 def solve(a: Var, b: Var) -> Var:
@@ -384,6 +412,17 @@ def broadcast_to(a: Var, shape: tuple[int, ...]) -> Var:
                         "broadcast_to")
 
 
+def _diagonal_axes(shape: tuple[int, ...], axis1: int,
+                   axis2: int) -> tuple[int, int, int]:
+    """Normalised (axis1, axis2) of a square pair of axes, and where axis1
+    lands once axis2 is dropped."""
+    a1, a2 = axis1 % len(shape), axis2 % len(shape)
+    if a1 == a2 or shape[a1] != shape[a2]:
+        raise ValueError(f"need two distinct axes of equal length, got "
+                         f"axes ({axis1}, {axis2}) of shape {shape}")
+    return a1, a2, a1 if a1 < a2 else a1 - 1
+
+
 def diagonal(a: Var, axis1: int, axis2: int) -> Var:
     """Entries of ``a`` with equal indices on ``axis1`` and ``axis2``.
 
@@ -392,11 +431,7 @@ def diagonal(a: Var, axis1: int, axis2: int) -> Var:
     ``out[b, k] = a[b, k, k]``.
     """
     shape = a.value.shape
-    a1, a2 = axis1 % len(shape), axis2 % len(shape)
-    if a1 == a2 or shape[a1] != shape[a2]:
-        raise ValueError(f"diagonal needs two distinct axes of equal length, got "
-                         f"axes ({axis1}, {axis2}) of shape {shape}")
-    pos = a1 if a1 < a2 else a1 - 1
+    a1, a2, pos = _diagonal_axes(shape, axis1, axis2)
     idx = np.arange(shape[a1])
 
     def vjp(g):
@@ -406,6 +441,41 @@ def diagonal(a: Var, axis1: int, axis2: int) -> Var:
 
     out = np.moveaxis(np.diagonal(a.value, axis1=a1, axis2=a2), -1, pos)
     return a.tape._push(np.ascontiguousarray(out), (a.idx,), vjp, "diagonal")
+
+
+def off_diagonal_sum(a: Var, axis1: int, axis2: int) -> Var:
+    """Sum over ``axis2`` that skips the entry whose index equals ``axis1``'s.
+
+    For a (B, K, K) input and axes (1, 2), ``out[b, i] = sum_{j != i}
+    a[b, i, j]``; ``axis2`` is dropped as in :func:`diagonal`. One node for
+    the sum minus the diagonal: its adjoint is ``g`` broadcast along
+    ``axis2`` with the diagonal set to 0.
+    """
+    shape = a.value.shape
+    a1, a2, pos = _diagonal_axes(shape, axis1, axis2)
+    idx = np.arange(shape[a1])
+
+    def vjp(g):
+        full = np.broadcast_to(np.expand_dims(g, a2), shape).copy()
+        np.moveaxis(full, (a1, a2), (-2, -1))[..., idx, idx] = 0.0
+        return (full,)
+
+    av = a.value
+    out = av.sum(axis=a2) - np.moveaxis(np.diagonal(av, axis1=a1, axis2=a2), -1, pos)
+    return a.tape._push(out, (a.idx,), vjp, "off_diagonal_sum")
+
+
+def sum_others(a: Var, axis: int) -> Var:
+    """Leave-one-out sum along ``axis``: ``out[.., i, ..] = sum_{j != i} a[.., j, ..]``.
+
+    Same shape as ``a``; one node for ``sum(a, axis, keepdims) - a``, whose
+    adjoint has the same form. A length-1 axis gives exact zeros.
+    """
+    def vjp(g):
+        return (g.sum(axis, keepdims=True) - g,)
+
+    av = a.value
+    return a.tape._push(av.sum(axis, keepdims=True) - av, (a.idx,), vjp, "sum_others")
 
 
 def _norm_axis(axis) -> tuple[int, ...]:

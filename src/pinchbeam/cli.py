@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import __version__, baselines, training
 from ._alloc import tune_allocator
-from .config import ModelConfig, SystemConfig, positive_integer
+from .config import (ModelConfig, SystemConfig, non_negative_integer,
+                     positive_integer)
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError, OracleIneligibleError)
 from .physics import UserPositions
@@ -48,11 +50,20 @@ def _load_config(path: str) -> SystemConfig:
         _fail(EXIT_INVALID_CONFIG, str(exc))
 
 
-def _count(flag: str, value) -> int:
+def _checked(check, flag: str, value) -> int:
     try:
-        return positive_integer(flag, value)
+        return check(flag, value)
     except InvalidConfigError as exc:
         _fail(EXIT_INVALID_CONFIG, str(exc))
+
+
+def _count(flag: str, value) -> int:
+    return _checked(positive_integer, flag, value)
+
+
+def _seed(value: int | None) -> int | None:
+    """A ``--seed`` flag: None (the command's default) or an integer >= 0."""
+    return None if value is None else _checked(non_negative_integer, "--seed", value)
 
 
 def _sha256(path: Path) -> str:
@@ -76,6 +87,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     os.replace(tmp, path)
 
 
+def _numeric_environment() -> dict:
+    """Python, numpy and BLAS versions: last-bit results depend on all three."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without the dict mode
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def write_manifest(out_dir: Path, cfg: SystemConfig | None, seed: int,
                    outputs: list[Path]) -> Path:
     doc = {
@@ -84,6 +105,7 @@ def write_manifest(out_dir: Path, cfg: SystemConfig | None, seed: int,
         "config": cfg.to_json_dict() if cfg is not None else None,
         "seed": int(seed),
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "environment": _numeric_environment(),
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     path = out_dir / "manifest.json"
@@ -172,6 +194,7 @@ def _load_checkpoint_or_exit(path: str) -> training.Checkpoint:
 def cmd_eval(ckpt_path, config_path, n_test, seed, out_dir):
     """Evaluate a checkpoint on a fresh test stream; writes SE list and summary."""
     n_test = _count("--n-test", n_test)
+    seed = _seed(seed)
     ckpt = _load_checkpoint_or_exit(ckpt_path)
     if config_path is not None:
         cfg = _load_config(config_path)
@@ -209,6 +232,7 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     The baseline column stays empty unless M = 1.
     """
     n_samples = _count("--n-samples", n_samples)
+    seed = _seed(seed)
     ckpt = _load_checkpoint_or_exit(ckpt_path)
     try:
         snrs = [float(s) for s in snr_list.split(",") if s.strip() != ""]
@@ -261,6 +285,7 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
 def cmd_baseline(config_path, n_samples, seed, out_dir):
     """Closest-user + zero-forcing baseline on a fresh test stream (M = 1)."""
     n_samples = _count("--n-samples", n_samples)
+    seed = _seed(seed)
     cfg = _load_config(config_path)
     if cfg.M != 1:
         _fail(EXIT_INVALID_CONFIG, "baseline is defined for M = 1 only")
@@ -287,6 +312,9 @@ def cmd_baseline(config_path, n_samples, seed, out_dir):
 @click.option("--out", "out_dir", required=True)
 def cmd_oracle(config_path, grid_n, power_grid_n, seed, out_dir):
     """Brute-force best placement/precoder for one sampled user draw."""
+    grid_n = _count("--grid-n", grid_n)
+    power_grid_n = _count("--power-grid-n", power_grid_n)
+    seed = _seed(seed)
     cfg = _load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,6 +348,7 @@ def cmd_oracle(config_path, grid_n, power_grid_n, seed, out_dir):
 @click.option("--skip-gradients", is_flag=True, help="Skip the slow gradient suites.")
 def cmd_verify(config_path, seed, out_dir, skip_gradients):
     """Run every module property suite; non-zero exit on any failure."""
+    seed = _seed(seed)
     cfg = _load_config(config_path) if config_path else None
     checks = run_verification(cfg, seed, include_gradients=not skip_gradients)
     for c in checks:
@@ -348,6 +377,7 @@ def cmd_verify(config_path, seed, out_dir, skip_gradients):
 def cmd_gen_data(config_path, n_samples, seed, train_stream, out_dir):
     """Materialize a user-position dataset as CSV."""
     n_samples = _count("--n", n_samples)
+    seed = _seed(seed)
     cfg = _load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -44,20 +44,25 @@ def _check_finite(name: str, value) -> None:
         raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; bools, non-finite and non-integral numbers fail."""
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int >= ``low``; bools, non-finite and non-integral
+    numbers fail."""
     _check_finite(name, value)
     if not float(value).is_integer():
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if int(value) < low:
+        raise InvalidConfigError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
 
 
 def positive_integer(name: str, value) -> int:
-    """``value`` as an int >= 1; anything else raises InvalidConfigError."""
-    count = _integer(name, value)
-    if count < 1:
-        raise InvalidConfigError(f"{name} must be >= 1, got {count}")
-    return count
+    """``value`` as an int >= 1 (a count); anything else raises InvalidConfigError."""
+    return _integer(name, value, 1)
+
+
+def non_negative_integer(name: str, value) -> int:
+    """``value`` as an int >= 0 (a seed); anything else raises InvalidConfigError."""
+    return _integer(name, value, 0)
 
 
 def derive_constants(carrier_freq_hz: float, refractive_index: float,

@@ -124,7 +124,8 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     (:func:`layer_specs`), and a linear layer commutes with a sum. So
     ``same`` and ``other`` run to their hidden states r_a, r_b only, the
     sums are taken over those, ``same_h = sum_{i != m} r_a`` and ``other_h =
-    sum_{j != n} sum_i r_b``, and main's first layer reads ``[z, same_h,
+    sum_{j != n} sum_i r_b`` (each leave-one-out sum one
+    :func:`ad.sum_others` node), and main's first layer reads ``[z, same_h,
     other_h]`` with folded weights ``[W0_z; W_a W0_s; W_b W0_o]`` and bias
     ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
     tape from the stored parameters and touches only weight-sized arrays.
@@ -133,11 +134,10 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     zs = ad.as_parts(z)
     r_a = fnn_forward(tape, _hidden_spec(specs[same_name]), store,
                       f"{prefix}.{same_name}", zs)
-    same_h = ad.sub(ad.sum_axis(r_a, 2, keepdims=True), r_a)
+    same_h = ad.sum_others(r_a, 2)
     r_b = fnn_forward(tape, _hidden_spec(specs[other_name]), store,
                       f"{prefix}.{other_name}", zs)
-    per_wg = ad.sum_axis(r_b, 2, keepdims=True)
-    other_h = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
+    other_h = ad.sum_others(ad.sum_axis(r_b, 2, keepdims=True), 1)
     n, m = r_b.shape[1], r_b.shape[2]
 
     w_a, b_a = _output_params(tape, specs[same_name], store, f"{prefix}.{same_name}")
@@ -180,9 +180,9 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     [d, message]. The processor sees the pair (d_k, d_j) as two parts at K
     resolution, (B, N, M, K, 1, w) and (B, N, M, 1, K, w), so the K x K pair
     tensor of their concat is never built. ``fq``'s identity output layer
-    runs after the sum over j: the sum minus the diagonal is taken over its
-    hidden state r_q, and the layer then applies at K resolution with bias
-    (K-1) b. With the folds of :func:`nested_pe_hidden`, three dense nodes
+    runs after the sum over j: the off-diagonal sum is taken over its hidden
+    state r_q (:func:`ad.off_diagonal_sum`, one node), and the layer then
+    applies at K resolution with bias (K-1) b. With the folds of :func:`nested_pe_hidden`, three dense nodes
     per layer run at pair resolution, one hidden layer of each of fq, qq1
     and qq2.
     """
@@ -190,7 +190,7 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     bsz, n, m, k, w = d.shape
     pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
     r_q = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
-    msg_h = ad.sub(ad.sum_axis(r_q, 4), ad.diagonal(r_q, 3, 4))
+    msg_h = ad.off_diagonal_sum(r_q, 3, 4)
     msg = _output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1)
     return nested_pe_map(tape, [d, msg], store, prefix, ("ff", "qf1", "qf2"), specs)
 

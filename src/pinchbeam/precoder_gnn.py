@@ -116,7 +116,7 @@ def waveguide_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore,
     main_name, ctx_name = names
     zs = ad.as_parts(z)
     a = fnn_forward(tape, specs[ctx_name], store, f"{prefix}.{ctx_name}", zs)
-    ctx = ad.sub(ad.sum_axis(a, 1, keepdims=True), a)
+    ctx = ad.sum_others(a, 1)
     return fnn_forward(tape, specs[main_name], store, f"{prefix}.{main_name}",
                        zs + [ctx])
 
@@ -126,7 +126,7 @@ def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     """One edge-update layer: d (B, N, K, w) -> (B, N, K, hidden)."""
     specs = layer_specs(in_width, model)
     q_out = waveguide_pe_map(tape, d, store, prefix, ("fq", "qq"), specs)
-    msg = ad.sub(ad.sum_axis(q_out, -2, keepdims=True), q_out)
+    msg = ad.sum_others(q_out, -2)
     return waveguide_pe_map(tape, [d, msg], store, prefix, ("ff", "qf"), specs)
 
 

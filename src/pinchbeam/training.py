@@ -19,7 +19,7 @@ import numpy as np
 from . import pipeline
 from ._alloc import tune_allocator
 from .autodiff import AdamState, ParameterStore, Tape, Var, adam_step, backward_into
-from .config import ModelConfig, SystemConfig, positive_integer
+from .config import ModelConfig, SystemConfig, non_negative_integer, positive_integer
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError)
 from .physics import (UserPositions, build_pinching_matrix, compute_channel,
@@ -51,6 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("n_train", "n_test", "batch_size", "epochs"):
             object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", non_negative_integer("seed", self.seed))
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise InvalidConfigError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}")

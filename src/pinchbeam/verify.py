@@ -362,6 +362,19 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
         lambda t, s: ad.diagonal(t.param(s, "x"), 2, 3), (2, 3, 4, 5))
     run("diagonal_last2", {"x": u((3, 4, 4))},
         lambda t, s: ad.diagonal(t.param(s, "x"), -2, -1), (3, 4))
+    # The leave-one-out sums, over an inner and a negative axis, and the
+    # off-diagonal sum as the placement message uses it. A diagonal entry
+    # enters the sum and is subtracted again, so its exact derivative 0 reads
+    # as rounding noise of ~1e-11 in a central difference, a relative error
+    # of 1; adding the diagonal back gives those entries derivative 1, which
+    # a VJP that leaves the diagonal in (2) or zeroes too much (0) misses.
+    run("sum_others", {"x": u((2, 3, 4))},
+        lambda t, s: ad.sum_others(t.param(s, "x"), 1), (2, 3, 4))
+    run("sum_others_negative_axis", {"x": u((2, 3, 4, 5))},
+        lambda t, s: ad.sum_others(t.param(s, "x"), -2), (2, 3, 4, 5))
+    run("off_diagonal_sum", {"x": u((2, 3, 4, 4, 5))},
+        lambda t, s: ad.add(ad.off_diagonal_sum(t.param(s, "x"), 2, 3),
+                            ad.diagonal(t.param(s, "x"), 2, 3)), (2, 3, 4, 5))
     return results
 
 
@@ -375,9 +388,10 @@ def check_primitive_gradients(seed: int = 0) -> PropertyCheck:
 def kink_distance(tape: Tape) -> float:
     """Distance of recorded values to the nearest non-smooth point.
 
-    Covers max_with_scalar thresholds, the relus fused into dense nodes and
-    the sqrt/log domains; used to resample gradient-check inputs that would
-    straddle a kink during probing.
+    Covers max_with_scalar thresholds, the relus fused into dense nodes
+    (their pre-activation recomputed from the node's parents with the GEMM
+    code of ``dense``) and the sqrt/log domains; used to resample
+    gradient-check inputs that would straddle a kink during probing.
     """
     worst = math.inf
     for i, op in enumerate(tape.ops):
@@ -385,8 +399,11 @@ def kink_distance(tape: Tape) -> float:
             parent = tape.values[tape.parents[i][0]]
             thresh = tape.meta[i]
             worst = min(worst, float(np.min(np.abs(parent - thresh))))
-        elif op == "dense" and tape.meta[i] is not None:
-            worst = min(worst, tape.meta[i])
+        elif op == "dense" and tape.meta[i][0]:
+            vals = [tape.values[p] for p in tape.parents[i]]
+            bias = vals.pop() if tape.meta[i][1] else None
+            pre = ad.dense_preactivation(vals[:-1], vals[-1], bias)
+            worst = min(worst, float(np.min(np.abs(pre))))
         elif op in ("sqrt", "log"):
             parent = tape.values[tape.parents[i][0]]
             worst = min(worst, float(np.min(np.abs(parent))))

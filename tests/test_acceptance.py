@@ -252,6 +252,10 @@ def test_c7_inference_latency():
 
 # ---------------------------------------------------------------------------
 # 8. byte-level determinism
+#
+# Both runs share one build. Across builds (Python, numpy, BLAS; recorded in
+# every manifest.json) last-bit summation changes alone move the trained
+# weights, so the bytes are not expected to match there.
 
 
 def test_c8_determinism(tmp_path):

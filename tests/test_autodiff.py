@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchbeam import autodiff as ad
 from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
@@ -195,6 +197,177 @@ class TestDiagonal:
             ad.diagonal(Tape().constant(np.zeros(shape)), *axes)
 
 
+def _backward_keeping_all(tape, loss):
+    """The reverse sweep without adjoint release: every node's adjoint."""
+    grads = [None] * len(tape)
+    grads[loss.idx] = np.ones_like(loss.value)
+    for i in range(loss.idx, -1, -1):
+        if grads[i] is None or tape.vjps[i] is None:
+            continue
+        for p, pg in zip(tape.parents[i], tape.vjps[i](grads[i])):
+            if pg is not None:
+                grads[p] = pg if grads[p] is None else grads[p] + pg
+    return grads
+
+
+class TestBackwardRelease:
+    def _loss(self):
+        rng = np.random.default_rng(30)
+        tape = Tape()
+        x = tape.constant(rng.standard_normal((2, 3, 3, 4)))
+        w = tape.constant(rng.standard_normal((4, 5)))
+        b = tape.constant(rng.standard_normal(5))
+        unused = tape.constant(np.ones(2))
+        h = ad.dense([x, ad.sum_others(x, 1)], ad.concat([w, w], axis=0), b, relu=True)
+        y = ad.off_diagonal_sum(ad.tanh(h), 1, 2)
+        loss = ad.sum_axis(ad.mul(y, tape.constant(rng.standard_normal((2, 3, 5)))),
+                           (0, 1, 2))
+        return tape, loss, (x, w, b, unused)
+
+    def test_leaf_adjoints_unchanged_interior_released(self):
+        tape, loss, (x, w, b, unused) = self._loss()
+        kept = _backward_keeping_all(tape, loss)
+        grads = tape.backward(loss)
+        assert len(grads) == len(tape)
+        for i, (g, ref) in enumerate(zip(grads, kept)):
+            if tape.vjps[i] is None:  # a leaf keeps its adjoint, bit for bit
+                assert (g is None) == (ref is None), tape.ops[i]
+                if ref is not None:
+                    np.testing.assert_array_equal(g, ref)
+            else:
+                assert g is None, tape.ops[i]
+        assert grads[unused.idx] is None
+        assert all(grads[v.idx] is not None for v in (x, w, b))
+
+    def test_backward_into_unchanged(self):
+        store = ParameterStore()
+        rng = np.random.default_rng(31)
+        store.add("w", rng.standard_normal((3, 2)))
+        tape = Tape()
+        w = tape.param(store, "w")
+        x = tape.constant(rng.standard_normal((4, 3)))
+        loss = ad.sum_axis(ad.square(ad.sum_others(ad.dense(x, w), 0)), (0, 1))
+        ref = _backward_keeping_all(tape, loss)[w.idx]
+        backward_into(store, loss)
+        np.testing.assert_array_equal(store.grads["w"], ref)
+
+
+def _loop_sum_others(a, axis):
+    a = np.moveaxis(a, axis, 0)
+    out = np.zeros_like(a)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[0]):
+            if j != i:
+                out[i] += a[j]
+    return np.moveaxis(out, 0, axis)
+
+
+def _loop_off_diagonal_sum(a, axis1, axis2):
+    a1, a2 = axis1 % a.ndim, axis2 % a.ndim
+    moved = np.moveaxis(a, (a1, a2), (0, 1))
+    out = np.zeros(moved.shape[:1] + moved.shape[2:])
+    for i in range(moved.shape[0]):
+        for j in range(moved.shape[1]):
+            if j != i:
+                out[i] += moved[i, j]
+    return np.moveaxis(out, 0, a1 if a1 < a2 else a1 - 1)
+
+
+def _loop_off_diagonal_adjoint(g, shape, axis1, axis2):
+    a1, a2 = axis1 % len(shape), axis2 % len(shape)
+    gx = np.zeros(shape)
+    moved = np.moveaxis(gx, (a1, a2), (0, 1))
+    gm = np.moveaxis(g, a1 if a1 < a2 else a1 - 1, 0)
+    for i in range(shape[a1]):
+        for j in range(shape[a2]):
+            if j != i:
+                moved[i, j] = gm[i]
+    return gx
+
+
+class TestLeaveOneOutSums:
+    @pytest.mark.parametrize("shape,axis", [((2, 3, 4), 1), ((2, 3, 4, 5), -2),
+                                            ((3, 1, 2), 1), ((4,), 0)])
+    def test_sum_others_matches_composition(self, shape, axis):
+        # Value and adjoint equal sub(sum_axis(x, keepdims), x) bit for bit.
+        rng = np.random.default_rng(32)
+        xv, wv = rng.standard_normal(shape), rng.standard_normal(shape)
+        runs = []
+        for fused in (True, False):
+            tape = Tape()
+            x = tape.constant(xv)
+            y = ad.sum_others(x, axis) if fused else \
+                ad.sub(ad.sum_axis(x, axis, keepdims=True), x)
+            grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(wv)),
+                                              tuple(range(len(shape)))))
+            runs.append((y.value, grads[x.idx]))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4, 5, 5, 3), (3, 4)),
+                                            ((2, 3, 4, 4, 5), (2, 3)),
+                                            ((4, 2, 4), (2, 0)),
+                                            ((3, 3), (-2, -1))])
+    def test_off_diagonal_sum_matches_composition(self, shape, axes):
+        # Value and adjoint equal sub(sum_axis(x, axis2), diagonal(x, axes))
+        # bit for bit.
+        rng = np.random.default_rng(33)
+        xv = rng.standard_normal(shape)
+        runs = []
+        for fused in (True, False):
+            tape = Tape()
+            x = tape.constant(xv)
+            y = ad.off_diagonal_sum(x, *axes) if fused else \
+                ad.sub(ad.sum_axis(x, axes[1]), ad.diagonal(x, *axes))
+            wv = np.random.default_rng(34).standard_normal(y.shape)
+            grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(wv)),
+                                              tuple(range(y.ndim))))
+            runs.append((y.value, grads[x.idx]))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4), (1, 2)), ((3, 3), (1, 1)),
+                                            ((3, 3), (0, -2))])
+    def test_off_diagonal_sum_bad_axes_rejected(self, shape, axes):
+        with pytest.raises(ValueError):
+            ad.off_diagonal_sum(Tape().constant(np.zeros(shape)), *axes)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_sum_others_matches_loop(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xv, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        tape = Tape()
+        y = ad.sum_others(tape.constant(xv), axis)
+        # The loop sums in another order, so the two agree to rounding.
+        np.testing.assert_allclose(y.value, _loop_sum_others(xv, axis), rtol=0, atol=1e-13)
+        (gx,) = tape.vjps[y.idx](g)
+        np.testing.assert_allclose(gx, _loop_sum_others(g, axis), rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_off_diagonal_sum_matches_loop(self, data):
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+        ndim = len(shape)
+        axis1 = data.draw(st.integers(-ndim, ndim - 1))
+        axis2 = data.draw(st.integers(-ndim, ndim - 1).filter(
+            lambda a: a % ndim != axis1 % ndim))
+        shape[axis2] = shape[axis1]
+        shape = tuple(shape)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xv = rng.standard_normal(shape)
+        tape = Tape()
+        y = ad.off_diagonal_sum(tape.constant(xv), axis1, axis2)
+        np.testing.assert_allclose(y.value, _loop_off_diagonal_sum(xv, axis1, axis2),
+                                   rtol=0, atol=1e-13)
+        g = rng.standard_normal(y.shape)
+        (gx,) = tape.vjps[y.idx](g)
+        # The adjoint only copies entries, so it is exact.
+        np.testing.assert_array_equal(gx, _loop_off_diagonal_adjoint(g, shape, axis1, axis2))
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         store = ParameterStore()
@@ -361,6 +534,19 @@ class TestDense:
         store.values["net.b0"][0] = 0.25
         tape = Tape()
         fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
+        assert kink_distance(tape) == 0.25
+
+    def test_kink_distance_sees_relu_on_part_list(self):
+        # The node stores only (relu, has_bias); kink_distance recomputes the
+        # pre-activation 2 + b0 from both parts, W and b.
+        tape = Tape()
+        parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
+        w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
+        b = tape.constant(np.array([-2.0 + 1e-6, 0.5]))
+        y = ad.dense(parts, w, b, relu=True)
+        assert tape.meta[y.idx] == (True, True)
+        assert 0.99e-6 <= kink_distance(tape) <= 1.01e-6
+        tape.values[b.idx][0] = -2.25
         assert kink_distance(tape) == 0.25
 
     @pytest.mark.parametrize("act", ["relu", "identity"])

@@ -366,7 +366,63 @@ class TestGenDataCommand:
         assert a != b
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    config = tmp / "config.json"
+    default_config(1, 1, 1).save(config)
+    return train_once(CliRunner(), config, tmp / "run") / "checkpoint.json"
+
+
+class TestSeedAndGridFlags:
+    """Bad seeds and oracle grid sizes exit 2 before any output is made."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "baseline",
+                                         "oracle", "verify", "gen-data"])
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exit_2(self, runner, config_file, config_file_k2,
+                                  checkpoint_file, tmp_path, command, seed):
+        out = tmp_path / "out"
+        args = {
+            "train": ["--config", str(config_file)] + TRAIN_ARGS,
+            "eval": ["--checkpoint", str(checkpoint_file), "--n-test", "2"],
+            "sweep": ["--checkpoint", str(checkpoint_file), "--snr-db", "0,10",
+                      "--n-samples", "2"],
+            "baseline": ["--config", str(config_file_k2), "--n-samples", "2"],
+            "oracle": ["--config", str(config_file), "--grid-n", "11"],
+            "verify": ["--skip-gradients"],
+            "gen-data": ["--config", str(config_file), "--n", "2"],
+        }[command]
+        result = runner.invoke(main, [command] + args
+                               + ["--seed", seed, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be >= 0" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--grid-n", "0"), ("--grid-n", "-5"),
+                                             ("--power-grid-n", "0")])
+    def test_oracle_grid_flags_exit_2(self, runner, config_file, tmp_path, flag, value):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["oracle", "--config", str(config_file),
+                                      flag, value, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output
+        assert not out.exists()
+
+
 class TestManifest:
+    def test_records_numeric_environment(self, runner, config_file, tmp_path):
+        import platform
+        result = runner.invoke(main, ["gen-data", "--config", str(config_file),
+                                      "--n", "2", "--out", str(tmp_path / "d")])
+        assert result.exit_code == 0, result.output
+        env = json.loads((tmp_path / "d" / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["blas"]["name"] and env["blas"]["version"]
+
     def test_digests_match_outputs(self, runner, config_file, tmp_path):
         import hashlib
         train_once(runner, config_file, tmp_path / "run")

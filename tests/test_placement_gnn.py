@@ -339,3 +339,24 @@ class TestFoldedOutputLayers:
                    if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]]
         assert at_pair.count("dense") == 3 * MICRO.pbf_layers
         assert "mul" not in at_pair
+
+    def test_no_pair_resolution_sub_or_diagonal(self):
+        # The leave-one-out sums are one sum_others node each and the message
+        # one off_diagonal_sum node, so no sub or diagonal node reads or
+        # writes a pair-resolution tensor.
+        b, n, m, k = 2, 4, 2, 4
+        cfg = default_config(n, m, k)
+        store = params_for(cfg)
+        phi = np.random.default_rng(18).uniform(0, cfg.D, (b, k, 2))
+        tape = Tape()
+        pbf.pbf_forward(tape, phi, store, cfg, MICRO)
+        pair_rows = b * n * m * k * k
+
+        def at_pair(v):
+            return v.ndim >= 2 and v.size == pair_rows * v.shape[-1]
+
+        for i, op in enumerate(tape.ops):
+            if op in ("sub", "diagonal"):
+                touched = [tape.values[i]] + [tape.values[p] for p in tape.parents[i]]
+                assert not any(at_pair(v) for v in touched), (op, tape.values[i].shape)
+        assert tape.ops.count("off_diagonal_sum") == MICRO.pbf_layers

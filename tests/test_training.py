@@ -149,6 +149,14 @@ class TestTrain:
         with pytest.raises(InvalidConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, math.nan])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            TrainConfig(seed=seed)
+
+    def test_zero_seed_accepted(self):
+        assert TrainConfig(seed=0).seed == 0
+
     def test_integral_float_count_stored_as_int(self):
         batch = TrainConfig(batch_size=16.0).batch_size
         assert batch == 16 and isinstance(batch, int)
