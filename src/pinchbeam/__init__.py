@@ -8,15 +8,13 @@ negative sum spectral efficiency on a small hand-rolled reverse-mode tape.
 __version__ = "0.1.0"
 
 from .config import ModelConfig, SystemConfig, default_config, derive_constants
-from .physics import (AntennaLayout, ComplexMatrix, UserPositions,
-                      build_pinching_matrix, check_feasibility, compute_channel,
-                      compute_se, effective_channel, layout_positions,
-                      sample_users)
+from .physics import (AntennaLayout, UserPositions, build_pinching_matrix,
+                      check_feasibility, compute_channel, compute_se,
+                      effective_channel, layout_positions, sample_users)
 from .training import TrainConfig, TrainReport, evaluate, train
 
 __all__ = [
     "AntennaLayout",
-    "ComplexMatrix",
     "ModelConfig",
     "SystemConfig",
     "TrainConfig",

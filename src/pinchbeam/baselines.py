@@ -15,9 +15,9 @@ import numpy as np
 from .config import SystemConfig
 from .errors import (DegenerateInputError, InvalidConfigError,
                      OracleIneligibleError, RankDeficientError)
-from .physics import (AntennaLayout, ComplexMatrix, UserPositions, as_complex,
-                      build_pinching_matrix, compute_channel, compute_se,
-                      effective_channel, layout_positions)
+from .physics import (AntennaLayout, UserPositions, build_pinching_matrix,
+                      compute_channel, compute_se, effective_channel,
+                      layout_positions)
 from .precoder_gnn import normalize_power_np
 
 # Condition-number guard for the zero-forcing Gram matrix.
@@ -30,7 +30,7 @@ def zero_forcing(h_tilde, p_max: float) -> np.ndarray:
     Directions follow H (H^H H)^{-1}; each column is normalized, then scaled
     by sqrt(p_max / K). Requires K <= N and full column rank.
     """
-    ht = as_complex(h_tilde)
+    ht = np.asarray(h_tilde, dtype=np.complex128)
     n, k = ht.shape
     if k > n:
         raise RankDeficientError(f"zero-forcing needs K <= N, got K={k}, N={n}")
@@ -45,9 +45,11 @@ def zero_forcing(h_tilde, p_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BaselineResult:
+    """One sample's baseline: plain complex128 (N, K) arrays, no batch axes."""
+
     layout: AntennaLayout
     w: np.ndarray        # (N, K) complex
-    h_tilde: ComplexMatrix
+    h_tilde: np.ndarray  # (N, K) complex
     used_pinv: bool      # True when ZF fell back to a pseudo-inverse
 
 
@@ -73,7 +75,7 @@ def baseline_closest_user(users: UserPositions, cfg: SystemConfig) -> BaselineRe
     try:
         w = zero_forcing(ht, cfg.power_budget_w)
     except RankDeficientError:
-        w = np.linalg.pinv(ht.to_complex().conj().T)
+        w = np.linalg.pinv(ht.conj().T)
         norms = np.linalg.norm(w, axis=0, keepdims=True)
         if np.any(norms == 0.0):
             raise DegenerateInputError("pseudo-inverse produced a zero column")
@@ -108,7 +110,7 @@ def structure_power_sweep(h_tilde, p_max: float, noise_power: float,
     candidate precoder and normalizes it to the power budget. Returns
     (best SE, best precoder).
     """
-    ht = as_complex(h_tilde)
+    ht = np.asarray(h_tilde, dtype=np.complex128)
     n, k = ht.shape
     if k == 1:
         w = np.sqrt(p_max) * ht / np.linalg.norm(ht)
@@ -145,7 +147,7 @@ def structure_power_sweep(h_tilde, p_max: float, noise_power: float,
 def random_precoder_search(h_tilde, p_max: float, noise_power: float,
                            n_draws: int, seed: int) -> float:
     """Best SE over random precoders drawn on the power sphere ||W||^2 = p_max."""
-    ht = as_complex(h_tilde)
+    ht = np.asarray(h_tilde, dtype=np.complex128)
     n, k = ht.shape
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_draws, n, k)) + 1j * rng.standard_normal((n_draws, n, k))
@@ -193,7 +195,7 @@ def grid_search_oracle(users: UserPositions, cfg: SystemConfig, grid_n: int = 10
         layout = layout_positions(cfg, first_x, np.zeros((cfg.N, 0)))
         h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g).to_complex()
+        ht = effective_channel(h, g)
         w = np.sqrt(p_max) * ht / np.linalg.norm(ht)
         return OracleResult(float(compute_se(ht, w, noise)), layout, w, grid_n)
 

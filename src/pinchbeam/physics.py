@@ -1,9 +1,13 @@
 """Physical model: geometry, LoS channel, pinching matrix, spectral efficiency.
 
-Everything here is a pure function of its inputs (complex128 numpy under the
-hood), usable as the reference path against which the differentiable pipeline
-is checked. Antenna rows are stacked waveguide-major: row index = n*M + m for
-waveguide n (0-based) and antenna m on it.
+Everything here is a pure function of its inputs, usable as the reference
+path against which the differentiable pipeline is checked. Channels and
+matrices are plain complex128 arrays. Positions, layouts, the channel, the
+pinching matrix, the effective channel and the SE take optional leading
+batch axes (...); a batched call equals the stack of its per-sample calls
+bit for bit. ``check_feasibility`` checks one sample. Antenna rows are stacked
+waveguide-major: row index = n*M + m for waveguide n (0-based) and antenna m
+on it.
 """
 
 from __future__ import annotations
@@ -21,77 +25,33 @@ MIN_DISTANCE_M = 1e-6
 
 
 @dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix stored as paired real row-major arrays."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.float64)
-        im = np.asarray(self.im, dtype=np.float64)
-        if re.shape != im.shape or re.ndim != 2:
-            raise ValueError(f"re/im must be equal-shape 2-D arrays, got {re.shape} vs {im.shape}")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def rows(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.re.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.re.shape
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexMatrix":
-        z = np.asarray(z)
-        return cls(np.ascontiguousarray(z.real, dtype=np.float64),
-                   np.ascontiguousarray(z.imag, dtype=np.float64))
-
-
-def as_complex(x) -> np.ndarray:
-    """Coerce ComplexMatrix or array-like to a complex128 ndarray."""
-    if isinstance(x, ComplexMatrix):
-        return x.to_complex()
-    return np.asarray(x, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
 class UserPositions:
-    """K user positions on the ground plane; third column identically zero."""
+    """User positions on the ground plane, (..., K, 3); third column identically zero."""
 
-    positions: np.ndarray  # (K, 3) meters
+    positions: np.ndarray  # (..., K, 3) meters
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must be (K, 3), got {pos.shape}")
-        if np.any(pos[:, 2] != 0.0):
+        if pos.ndim < 2 or pos.shape[-1] != 3:
+            raise ValueError(f"positions must be (..., K, 3), got {pos.shape}")
+        if np.any(pos[..., 2] != 0.0):
             raise ValueError("user z-coordinates must be exactly 0")
         object.__setattr__(self, "positions", pos)
 
     @classmethod
     def from_xy(cls, xy: np.ndarray) -> "UserPositions":
         xy = np.asarray(xy, dtype=np.float64)
-        pos = np.zeros((xy.shape[0], 3))
-        pos[:, :2] = xy
+        pos = np.zeros(xy.shape[:-1] + (3,))
+        pos[..., :2] = xy
         return cls(pos)
 
     @property
     def xy(self) -> np.ndarray:
-        return self.positions[:, :2]
+        return self.positions[..., :2]
 
     @property
     def n_users(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
 
 def sample_users(seed, config: SystemConfig) -> UserPositions:
@@ -111,18 +71,22 @@ class AntennaLayout:
 
     Positions are derived by cumulative sums: x[n, m] = first_x[n] + sum of
     gaps[n, :m]. The feed point of waveguide n sits at (0, y_n, height).
+    ``first_x`` and ``gaps`` may carry the same leading batch axes; the
+    waveguide rows and the height are shared by every sample.
     """
 
-    first_x: np.ndarray      # (N,) meters
-    gaps: np.ndarray         # (N, M-1) meters
+    first_x: np.ndarray      # (..., N) meters
+    gaps: np.ndarray         # (..., N, M-1) meters
     waveguide_y: np.ndarray  # (N,) meters
     height: float            # meters
 
     def __post_init__(self):
         fx = np.atleast_1d(np.asarray(self.first_x, dtype=np.float64))
-        gaps = np.asarray(self.gaps, dtype=np.float64).reshape(fx.shape[0], -1)
+        gaps = np.asarray(self.gaps, dtype=np.float64)
+        if gaps.shape[:-1] != fx.shape:
+            raise ValueError(f"gaps must be {fx.shape} + (M-1,), got {gaps.shape}")
         wy = np.atleast_1d(np.asarray(self.waveguide_y, dtype=np.float64))
-        if wy.shape != fx.shape:
+        if wy.shape != fx.shape[-1:]:
             raise ValueError("waveguide_y and first_x must have equal length")
         object.__setattr__(self, "first_x", fx)
         object.__setattr__(self, "gaps", gaps)
@@ -130,26 +94,25 @@ class AntennaLayout:
 
     @property
     def n_waveguides(self) -> int:
-        return self.first_x.shape[0]
+        return self.first_x.shape[-1]
 
     @property
     def n_per_waveguide(self) -> int:
-        return self.gaps.shape[1] + 1
+        return self.gaps.shape[-1] + 1
 
     def x_positions(self) -> np.ndarray:
-        """(N, M) antenna x-coordinates."""
-        n = self.n_waveguides
-        offsets = np.concatenate([np.zeros((n, 1)), np.cumsum(self.gaps, axis=1)], axis=1)
-        return self.first_x[:, None] + offsets
+        """(..., N, M) antenna x-coordinates."""
+        start = np.zeros(self.first_x.shape + (1,))
+        offsets = np.concatenate([start, np.cumsum(self.gaps, axis=-1)], axis=-1)
+        return self.first_x[..., None] + offsets
 
     def antenna_positions(self) -> np.ndarray:
-        """(N, M, 3) positions of every pinching antenna."""
+        """(..., N, M, 3) positions of every pinching antenna."""
         x = self.x_positions()
-        n, m = x.shape
-        pos = np.empty((n, m, 3))
-        pos[:, :, 0] = x
-        pos[:, :, 1] = self.waveguide_y[:, None]
-        pos[:, :, 2] = self.height
+        pos = np.empty(x.shape + (3,))
+        pos[..., 0] = x
+        pos[..., 1] = self.waveguide_y[:, None]
+        pos[..., 2] = self.height
         return pos
 
     def feed_points(self) -> np.ndarray:
@@ -161,12 +124,18 @@ class AntennaLayout:
         return pts
 
 
+def _sample(index) -> str:
+    """Error-message prefix naming the offending sample of a batched call."""
+    return f"sample {', '.join(str(int(i)) for i in index)}: " if len(index) else ""
+
+
 def layout_positions(config: SystemConfig, first_x: np.ndarray, gaps: np.ndarray,
                      waveguide_y: np.ndarray | None = None) -> AntennaLayout:
-    """Validated layout from first-antenna positions and gaps.
+    """Validated layout from first-antenna positions (..., N) and gaps (..., N, M-1).
 
     Raises ConstraintViolationError when a gap is below the minimum or any
-    derived position leaves [0, D].
+    derived position leaves [0, D]; in a batch the message names the first
+    offending sample.
     """
     if waveguide_y is None:
         waveguide_y = config.waveguide_y()
@@ -178,32 +147,39 @@ def layout_positions(config: SystemConfig, first_x: np.ndarray, gaps: np.ndarray
     if layout.gaps.size and np.min(layout.gaps) < config.min_gap_m:
         bad = np.argwhere(layout.gaps < config.min_gap_m)[0]
         raise ConstraintViolationError(
-            f"gap {layout.gaps[tuple(bad)]:.6g} m below minimum {config.min_gap_m:.6g} m "
-            f"at waveguide {bad[0]}, slot {bad[1] + 1}")
+            f"{_sample(bad[:-2])}gap {layout.gaps[tuple(bad)]:.6g} m below minimum "
+            f"{config.min_gap_m:.6g} m at waveguide {bad[-2]}, slot {bad[-1] + 1}")
     x = layout.x_positions()
-    if np.min(x) < 0.0 or np.max(x) > config.D:
+    low, high = np.min(x, axis=(-2, -1)), np.max(x, axis=(-2, -1))
+    outside = (low < 0.0) | (high > config.D)
+    if np.any(outside):
+        bad = tuple(np.argwhere(outside)[0])
         raise ConstraintViolationError(
-            f"antenna x-positions must lie in [0, {config.D}], got "
-            f"[{np.min(x):.6g}, {np.max(x):.6g}]")
+            f"{_sample(bad)}antenna x-positions must lie in [0, {config.D}], got "
+            f"[{low[bad]:.6g}, {high[bad]:.6g}]")
     return layout
 
 
 def compute_channel(users: UserPositions, layout: AntennaLayout,
-                    wavelength: float, path_const: float) -> ComplexMatrix:
-    """LoS channel H (M*N x K): entry = sqrt(eta) * exp(-j*2*pi*r/lambda) / r."""
-    ant = layout.antenna_positions().reshape(-1, 3)          # (N*M, 3) waveguide-major
-    diff = users.positions[None, :, :] - ant[:, None, :]     # (N*M, K, 3)
-    r = np.linalg.norm(diff, axis=2)
+                    wavelength: float, path_const: float) -> np.ndarray:
+    """LoS channel H (..., M*N, K): entry = sqrt(eta) * exp(-j*2*pi*r/lambda) / r.
+
+    The leading axes of ``users`` and ``layout`` broadcast against each other.
+    """
+    ant = layout.antenna_positions()
+    ant = ant.reshape(ant.shape[:-3] + (-1, 3))                     # (..., N*M, 3) waveguide-major
+    diff = users.positions[..., None, :, :] - ant[..., :, None, :]  # (..., N*M, K, 3)
+    r = np.linalg.norm(diff, axis=-1)
     if np.min(r) < MIN_DISTANCE_M:
-        a, k = np.unravel_index(np.argmin(r), r.shape)
+        bad = np.unravel_index(np.argmin(r), r.shape)
         raise SingularityError(
-            f"user {k} is {r[a, k]:.3g} m from antenna row {a}; below {MIN_DISTANCE_M} m")
-    h = np.sqrt(path_const) * np.exp(-2j * np.pi * r / wavelength) / r
-    return ComplexMatrix.from_complex(h)
+            f"{_sample(bad[:-2])}user {bad[-1]} is {r[bad]:.3g} m from antenna row "
+            f"{bad[-2]}; below {MIN_DISTANCE_M} m")
+    return np.sqrt(path_const) * np.exp(-2j * np.pi * r / wavelength) / r
 
 
-def build_pinching_matrix(layout: AntennaLayout, guide_wavelength: float) -> ComplexMatrix:
-    """Block-diagonal pinching matrix G (M*N x N).
+def build_pinching_matrix(layout: AntennaLayout, guide_wavelength: float) -> np.ndarray:
+    """Block-diagonal pinching matrix G (..., M*N, N).
 
     Block n holds the phase shifts exp(-j*2*pi*||feed - antenna||/lambda_g)
     of waveguide n, scaled by 1/sqrt(M) so each block has unit norm and
@@ -213,19 +189,19 @@ def build_pinching_matrix(layout: AntennaLayout, guide_wavelength: float) -> Com
     # Feed sits at x = 0 on the waveguide axis, so the travel distance is x.
     x = layout.x_positions()
     g = np.exp(-2j * np.pi * x / guide_wavelength) / np.sqrt(m)
-    full = np.zeros((n * m, n), dtype=np.complex128)
+    full = np.zeros(x.shape[:-2] + (n * m, n), dtype=np.complex128)
     for i in range(n):
-        full[i * m:(i + 1) * m, i] = g[i]
-    return ComplexMatrix.from_complex(full)
+        full[..., i * m:(i + 1) * m, i] = g[..., i, :]
+    return full
 
 
-def effective_channel(h, g) -> ComplexMatrix:
-    """Effective channel H_tilde = G^H @ H (N x K), so h_k^H G w = h_tilde_k^H w."""
-    hc = as_complex(h)
-    gc = as_complex(g)
-    if hc.shape[0] != gc.shape[0]:
+def effective_channel(h, g) -> np.ndarray:
+    """Effective channel H_tilde = G^H @ H (..., N, K), so h_k^H G w = h_tilde_k^H w."""
+    hc = np.asarray(h, dtype=np.complex128)
+    gc = np.asarray(g, dtype=np.complex128)
+    if hc.shape[-2] != gc.shape[-2]:
         raise ValueError(f"row mismatch: H is {hc.shape}, G is {gc.shape}")
-    return ComplexMatrix.from_complex(gc.conj().T @ hc)
+    return gc.conj().swapaxes(-1, -2) @ hc
 
 
 def compute_se(h_tilde, w, noise_power: float) -> float | np.ndarray:
@@ -236,8 +212,8 @@ def compute_se(h_tilde, w, noise_power: float) -> float | np.ndarray:
     """
     if noise_power <= 0:
         raise InvalidConfigError(f"noise power must be > 0, got {noise_power}")
-    ht = as_complex(h_tilde) if isinstance(h_tilde, ComplexMatrix) else np.asarray(h_tilde, dtype=np.complex128)
-    wc = as_complex(w) if isinstance(w, ComplexMatrix) else np.asarray(w, dtype=np.complex128)
+    ht = np.asarray(h_tilde, dtype=np.complex128)
+    wc = np.asarray(w, dtype=np.complex128)
     cross = np.swapaxes(ht, -1, -2).conj() @ wc              # (..., K, K), [k, j] = h_k^H w_j
     p = np.abs(cross) ** 2
     sig = np.diagonal(p, axis1=-2, axis2=-1)
@@ -267,9 +243,13 @@ def check_feasibility(layout: AntennaLayout | None, w, config: SystemConfig) -> 
     """Every violated constraint of the placement/power problem; empty iff feasible.
 
     ``w`` may be None to check geometry only. Violations are data, not errors.
+    Checks one sample: a batched layout raises ValueError.
     """
     out: list[Violation] = []
     if layout is not None:
+        if layout.first_x.ndim != 1:
+            raise ValueError(
+                f"check_feasibility takes one layout, got batch {layout.first_x.shape[:-1]}")
         for n in range(layout.n_waveguides):
             for i, gap in enumerate(layout.gaps[n]):
                 if gap < config.min_gap_m:
@@ -282,18 +262,40 @@ def check_feasibility(layout: AntennaLayout | None, w, config: SystemConfig) -> 
                 elif x[n, m] > config.D:
                     out.append(Violation("position_high", (n, m), x[n, m] - config.D))
     if w is not None:
-        power = float(np.sum(np.abs(as_complex(w)) ** 2))
+        power = float(np.sum(np.abs(np.asarray(w, dtype=np.complex128)) ** 2))
         if power > config.power_budget_w * (1.0 + POWER_RTOL):
             out.append(Violation("power", None, power - config.power_budget_w))
     return out
 
 
+def _layout_from_fractions(config: SystemConfig, gap_u: np.ndarray,
+                           first_u: np.ndarray) -> AntennaLayout:
+    """Validated layout from uniform [0, 1) draws of shapes (..., N, M-1) and (..., N)."""
+    slack = config.D - (config.M - 1) * config.min_gap_m
+    # Keep expected spans well inside the region so first_x has room.
+    gaps = config.min_gap_m + slack / (config.M + 1) * gap_u
+    first_x = (config.D - gaps.sum(axis=-1)) * first_u
+    return layout_positions(config, first_x, gaps)
+
+
 def random_feasible_layout(rng: np.random.Generator, config: SystemConfig) -> AntennaLayout:
     """Uniformly random layout satisfying the gap and region constraints."""
     n, m = config.N, config.M
-    slack = config.D - (m - 1) * config.min_gap_m
-    # Keep expected spans well inside the region so first_x has room.
-    gaps = config.min_gap_m + rng.uniform(0.0, slack / (m + 1), size=(n, max(m - 1, 0)))
-    span = gaps.sum(axis=1)
-    first_x = rng.uniform(0.0, config.D - span)
-    return layout_positions(config, first_x, gaps)
+    gap_u = rng.random((n, m - 1))
+    return _layout_from_fractions(config, gap_u, rng.random(n))
+
+
+def random_scenarios(rng: np.random.Generator, config: SystemConfig,
+                     count: int) -> tuple[UserPositions, AntennaLayout]:
+    """``count`` (users, layout) draws with leading batch axis (count,).
+
+    Draws the same stream, in the same order, as ``count`` alternating calls
+    of ``sample_users(rng, config)`` and ``random_feasible_layout(rng,
+    config)``, so sample i equals the i-th pair of that loop bit for bit
+    (``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``).
+    """
+    n, m, k = config.N, config.M, config.K
+    u = rng.random((count, 2 * k + n * (m - 1) + n))
+    users = UserPositions.from_xy(config.D * u[:, :2 * k].reshape(count, k, 2))
+    gap_u = u[:, 2 * k:2 * k + n * (m - 1)].reshape(count, n, m - 1)
+    return users, _layout_from_fractions(config, gap_u, u[:, 2 * k + n * (m - 1):])

@@ -23,6 +23,8 @@ from .autodiff import FnnSpec, ParameterStore, Tape, Var, fnn_forward, init_fnn
 from .config import ModelConfig, SystemConfig
 from .cplx import CVar
 from .errors import DegenerateInputError, InvalidConfigError
+from .physics import (build_pinching_matrix, compute_channel, effective_channel,
+                      random_scenarios)
 
 SUBNET_NAMES = ("ff", "qf", "fq", "qq")
 HEAD_NAMES = ("p", "lambda")
@@ -68,21 +70,14 @@ def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
 
 @functools.lru_cache(maxsize=16)
 def _input_scale_cached(key: tuple) -> float:
-    from .config import SystemConfig as _SC
-    from .physics import (build_pinching_matrix, compute_channel,
-                          effective_channel, random_feasible_layout, sample_users)
-    cfg = _SC(*key[:-1], path_const_override_m2=key[-1])
+    cfg = SystemConfig(*key[:-1], path_const_override_m2=key[-1])
     rng = np.random.default_rng(INPUT_SCALE_SEED)
-    vals = []
-    for _ in range(INPUT_SCALE_SAMPLES):
-        users = sample_users(rng, cfg)
-        layout = random_feasible_layout(rng, cfg)
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g)
-        vals.append(ht.re.ravel())
-        vals.append(ht.im.ravel())
-    return float(np.std(np.concatenate(vals)))
+    users, layout = random_scenarios(rng, cfg, INPUT_SCALE_SAMPLES)
+    h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+    g = build_pinching_matrix(layout, cfg.guide_wavelength)
+    ht = effective_channel(h, g)
+    # Re and Im of each draw in turn: the element order fixes the float sums.
+    return float(np.std(np.stack([ht.real, ht.imag], axis=1).ravel()))
 
 
 def input_scale(cfg: SystemConfig) -> float:

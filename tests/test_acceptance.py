@@ -214,7 +214,7 @@ def test_c6_structure_check():
         layout = random_feasible_layout(rng, cfg)
         h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g).to_complex()
+        ht = effective_channel(h, g)
         best_struct, _ = structure_power_sweep(ht, cfg.power_budget_w,
                                                cfg.noise_power_w, 50)
         best_rand = random_precoder_search(ht, cfg.power_budget_w,

@@ -332,7 +332,7 @@ class TestLeaveOneOutSums:
         with pytest.raises(ValueError):
             ad.off_diagonal_sum(Tape().constant(np.zeros(shape)), *axes)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_sum_others_matches_loop(self, data):
         shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
@@ -346,7 +346,7 @@ class TestLeaveOneOutSums:
         (gx,) = tape.vjps[y.idx](g)
         np.testing.assert_allclose(gx, _loop_sum_others(g, axis), rtol=0, atol=1e-13)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_off_diagonal_sum_matches_loop(self, data):
         shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))

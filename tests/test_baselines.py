@@ -22,7 +22,7 @@ def physical_channel(cfg, seed):
     layout = random_feasible_layout(rng, cfg)
     h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
     g = build_pinching_matrix(layout, cfg.guide_wavelength)
-    return effective_channel(h, g).to_complex()
+    return effective_channel(h, g)
 
 
 class TestZeroForcing:

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pinchbeam import verify
 from pinchbeam.config import (ModelConfig, SystemConfig, default_config,
                               derive_constants)
 from pinchbeam.errors import (ConstraintViolationError, InvalidConfigError,
                               SingularityError)
-from pinchbeam.physics import (AntennaLayout, ComplexMatrix, UserPositions,
+from pinchbeam.physics import (AntennaLayout, UserPositions,
                                build_pinching_matrix, check_feasibility,
                                compute_channel, compute_se, effective_channel,
                                layout_positions, random_feasible_layout,
-                               sample_users)
+                               random_scenarios, sample_users)
 
 
 def make_layout(cfg, first_x, gaps=None):
@@ -141,6 +144,12 @@ class TestLayout:
         with pytest.raises(ConstraintViolationError):
             make_layout(cfg, [-0.1])
 
+    @pytest.mark.parametrize("gaps_shape", [(4, 2, 1), (2,), (3, 1)])
+    def test_gaps_must_match_first_x(self, gaps_shape):
+        # A batch of gaps under one first_x must not be folded into slots.
+        with pytest.raises(ValueError, match="gaps must be"):
+            AntennaLayout([1.0, 2.0], np.full(gaps_shape, 0.5), [2.5, 7.5], 3.0)
+
 
 class TestChannel:
     def test_overhead_entry(self):
@@ -151,8 +160,8 @@ class TestChannel:
         h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         expected = (math.sqrt(cfg.path_const)
                     * cmath.exp(-2j * math.pi * 3.0 / cfg.wavelength) / 3.0)
-        assert abs(h.to_complex()[0, 0] - expected) < 1e-15
-        assert abs(h.to_complex()[0, 0]) == pytest.approx(1.3765e-2, rel=1e-3)
+        assert abs(h[0, 0] - expected) < 1e-15
+        assert abs(h[0, 0]) == pytest.approx(1.3765e-2, rel=1e-3)
 
     def test_doubling_distance_halves_magnitude(self):
         cfg = default_config(1, 1, 1)
@@ -160,8 +169,8 @@ class TestChannel:
         # r = 3 (directly below) vs r = 6 (y-offset sqrt(27)).
         near = AntennaLayout([0.0], np.zeros((1, 0)), [5.0], cfg.d)
         far = AntennaLayout([0.0], np.zeros((1, 0)), [5.0 + math.sqrt(27.0)], cfg.d)
-        h_near = compute_channel(users, near, cfg.wavelength, cfg.path_const).to_complex()
-        h_far = compute_channel(users, far, cfg.wavelength, cfg.path_const).to_complex()
+        h_near = compute_channel(users, near, cfg.wavelength, cfg.path_const)
+        h_far = compute_channel(users, far, cfg.wavelength, cfg.path_const)
         assert abs(h_far[0, 0]) == pytest.approx(abs(h_near[0, 0]) / 2.0, rel=1e-12)
 
     def test_user_swap_swaps_columns(self):
@@ -170,8 +179,8 @@ class TestChannel:
         layout = random_feasible_layout(rng, cfg)
         users = sample_users(rng, cfg)
         swapped = UserPositions(users.positions[::-1].copy())
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const).to_complex()
-        h2 = compute_channel(swapped, layout, cfg.wavelength, cfg.path_const).to_complex()
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        h2 = compute_channel(swapped, layout, cfg.wavelength, cfg.path_const)
         np.testing.assert_array_equal(h[:, ::-1], h2)
 
     def test_magnitude_law(self):
@@ -180,7 +189,7 @@ class TestChannel:
         for _ in range(10):
             layout = random_feasible_layout(rng, cfg)
             users = sample_users(rng, cfg)
-            h = compute_channel(users, layout, cfg.wavelength, cfg.path_const).to_complex()
+            h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
             ant = layout.antenna_positions().reshape(-1, 3)
             r = np.linalg.norm(users.positions[None] - ant[:, None], axis=2)
             np.testing.assert_allclose(np.abs(h) * r, math.sqrt(cfg.path_const),
@@ -197,7 +206,7 @@ class TestChannel:
         cfg = default_config(2, 2, 1)
         layout = layout_positions(cfg, [1.0, 2.0], np.full((2, 1), 0.5))
         users = sample_users(11, cfg)
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const).to_complex()
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         ant = layout.antenna_positions()  # (N, M, 3)
         # Row n*M + m must match antenna (n, m).
         for n in range(2):
@@ -211,7 +220,7 @@ class TestPinchingMatrix:
     def test_single_antenna_blocks_unit_modulus(self):
         cfg = default_config(3, 1, 1)
         layout = make_layout(cfg, [1.0, 2.0, 3.0])
-        g = build_pinching_matrix(layout, cfg.guide_wavelength).to_complex()
+        g = build_pinching_matrix(layout, cfg.guide_wavelength)
         for n in range(3):
             assert abs(abs(g[n, n]) - 1.0) < 1e-15
         assert np.all(g[~np.eye(3, dtype=bool)] == 0.0)
@@ -220,7 +229,7 @@ class TestPinchingMatrix:
         cfg = default_config(2, 4, 1)
         rng = np.random.default_rng(5)
         layout = random_feasible_layout(rng, cfg)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength).to_complex()
+        g = build_pinching_matrix(layout, cfg.guide_wavelength)
         for n in range(2):
             block = g[n * 4:(n + 1) * 4, n]
             assert np.linalg.norm(block) == pytest.approx(1.0, rel=1e-14)
@@ -229,7 +238,7 @@ class TestPinchingMatrix:
         cfg = default_config(1, 2, 1)
         lam_g = cfg.guide_wavelength
         layout = layout_positions(cfg, [lam_g], np.full((1, 1), lam_g))
-        g = build_pinching_matrix(layout, lam_g).to_complex()
+        g = build_pinching_matrix(layout, lam_g)
         # x = lambda_g: a full guide wavelength from the feed, phase wraps to 1.
         assert g[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert g[1, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -238,7 +247,7 @@ class TestPinchingMatrix:
         cfg = default_config(2, 3, 2)
         rng = np.random.default_rng(9)
         layout = random_feasible_layout(rng, cfg)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength).to_complex()
+        g = build_pinching_matrix(layout, cfg.guide_wavelength)
         for _ in range(10):
             w = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
             assert np.linalg.norm(g @ w) == pytest.approx(np.linalg.norm(w), rel=1e-12)
@@ -253,7 +262,7 @@ class TestEffectiveChannel:
         h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         g = build_pinching_matrix(layout, cfg.guide_wavelength)
         ht = effective_channel(h, g)
-        np.testing.assert_allclose(ht.to_complex(), h.to_complex(), atol=1e-15)
+        np.testing.assert_allclose(ht, h, atol=1e-15)
 
     def test_two_antenna_average(self):
         # g = [1, 1]/sqrt(2) when both antennas sit a multiple of lambda_g
@@ -264,9 +273,8 @@ class TestEffectiveChannel:
         users = sample_users(4, cfg)
         h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
         g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g).to_complex()
-        hc = h.to_complex()
-        np.testing.assert_allclose(ht[0, 0], (hc[0, 0] + hc[1, 0]) / math.sqrt(2),
+        ht = effective_channel(h, g)
+        np.testing.assert_allclose(ht[0, 0], (h[0, 0] + h[1, 0]) / math.sqrt(2),
                                    rtol=1e-10)
 
     def test_consistency_with_direct_product(self):
@@ -275,9 +283,9 @@ class TestEffectiveChannel:
         for _ in range(10):
             layout = random_feasible_layout(rng, cfg)
             users = sample_users(rng, cfg)
-            h = compute_channel(users, layout, cfg.wavelength, cfg.path_const).to_complex()
-            g = build_pinching_matrix(layout, cfg.guide_wavelength).to_complex()
-            ht = effective_channel(h, g).to_complex()
+            h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+            g = build_pinching_matrix(layout, cfg.guide_wavelength)
+            ht = effective_channel(h, g)
             w = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
             for k in range(2):
                 direct = h[:, k].conj() @ (g @ w)
@@ -289,12 +297,12 @@ class TestEffectiveChannel:
         rng = np.random.default_rng(17)
         layout = random_feasible_layout(rng, cfg)
         users = sample_users(rng, cfg)
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const).to_complex()
-        g = build_pinching_matrix(layout, cfg.guide_wavelength).to_complex()
-        ht = effective_channel(h, g).to_complex()
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        g = build_pinching_matrix(layout, cfg.guide_wavelength)
+        ht = effective_channel(h, g)
         perm = [2, 0, 1]
         row_perm = np.concatenate([np.arange(n * 2, n * 2 + 2) for n in perm])
-        ht_p = effective_channel(h[row_perm], g[np.ix_(row_perm, perm)]).to_complex()
+        ht_p = effective_channel(h[row_perm], g[np.ix_(row_perm, perm)])
         np.testing.assert_allclose(ht_p, ht[perm], atol=1e-15)
 
     def test_shape_mismatch(self):
@@ -335,10 +343,6 @@ class TestComputeSe:
         looped = [compute_se(ht[i], w[i], 1.3) for i in range(5)]
         np.testing.assert_allclose(batched, looped, rtol=1e-14)
 
-    def test_accepts_complex_matrix(self):
-        cm = ComplexMatrix.from_complex(np.eye(2))
-        assert compute_se(cm, cm, 1.0) == pytest.approx(2.0)
-
 
 class TestCheckFeasibility:
     def test_feasible_instance(self):
@@ -366,6 +370,12 @@ class TestCheckFeasibility:
         assert len(violations) == 1
         assert violations[0].kind == "power"
         assert violations[0].margin == pytest.approx(cfg.power_budget_w, rel=1e-9)
+
+    def test_batched_layout_rejected(self):
+        cfg = default_config(2, 2, 2)
+        _, layout = random_scenarios(np.random.default_rng(3), cfg, 2)
+        with pytest.raises(ValueError, match="one layout"):
+            check_feasibility(layout, None, cfg)
 
     def test_position_out_of_region(self):
         cfg = default_config(1, 1, 1)
@@ -396,3 +406,119 @@ class TestSampleUsers:
         xs = np.array([sample_users(rng, cfg).positions[0, 0] for _ in range(10000)])
         bound = 5.0 * cfg.D / math.sqrt(12.0 * 10000)
         assert abs(xs.mean() - cfg.D / 2) < bound
+
+
+def _sample_of(users, layout, i):
+    """Sample i of a batched (users, layout) pair, as per-sample objects."""
+    return (UserPositions(users.positions[i]),
+            AntennaLayout(layout.first_x[i], layout.gaps[i], layout.waveguide_y,
+                          layout.height))
+
+
+BATCH_SHAPES = [(1, 1, 1), (2, 3, 2), (3, 2, 4)]
+
+
+class TestBatchedPhysics:
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_random_scenarios_match_per_draw_loop(self, shape):
+        cfg = default_config(*shape)
+        users, layout = random_scenarios(np.random.default_rng(5), cfg, 6)
+        rng = np.random.default_rng(5)
+        for i in range(6):
+            u = sample_users(rng, cfg)
+            lay = random_feasible_layout(rng, cfg)
+            np.testing.assert_array_equal(users.positions[i], u.positions)
+            np.testing.assert_array_equal(layout.first_x[i], lay.first_x)
+            np.testing.assert_array_equal(layout.gaps[i], lay.gaps)
+        # The draw consumed exactly the loop's share of the stream.
+        assert rng.random() == np.random.default_rng(5).random(
+            6 * (2 * cfg.K + cfg.N * cfg.M) + 1)[-1]
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_batched_equals_stack_of_samples(self, shape):
+        cfg = default_config(*shape)
+        users, layout = random_scenarios(np.random.default_rng(7), cfg, 6)
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        g = build_pinching_matrix(layout, cfg.guide_wavelength)
+        ht = effective_channel(h, g)
+        w = np.random.default_rng(8).standard_normal(ht.shape) + 0j
+        se = compute_se(ht, w, cfg.noise_power_w)
+        assert h.dtype == g.dtype == ht.dtype == np.complex128
+        assert ht.shape == (6, cfg.N, cfg.K)
+        for i in range(6):
+            u, lay = _sample_of(users, layout, i)
+            hi = compute_channel(u, lay, cfg.wavelength, cfg.path_const)
+            gi = build_pinching_matrix(lay, cfg.guide_wavelength)
+            np.testing.assert_array_equal(layout.antenna_positions()[i], lay.antenna_positions())
+            np.testing.assert_array_equal(h[i], hi)
+            np.testing.assert_array_equal(g[i], gi)
+            np.testing.assert_array_equal(ht[i], effective_channel(hi, gi))
+            assert se[i] == compute_se(ht[i], w[i], cfg.noise_power_w)
+
+    def test_two_leading_axes_and_broadcast(self):
+        cfg = default_config(3, 2, 4)
+        users, layout = random_scenarios(np.random.default_rng(9), cfg, 6)
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        grid = AntennaLayout(layout.first_x.reshape(2, 3, -1),
+                             layout.gaps.reshape(2, 3, cfg.N, -1), layout.waveguide_y,
+                             layout.height)
+        users_grid = UserPositions(users.positions.reshape(2, 3, cfg.K, 3))
+        h_grid = compute_channel(users_grid, grid, cfg.wavelength, cfg.path_const)
+        np.testing.assert_array_equal(h_grid, h.reshape(2, 3, *h.shape[1:]))
+        # One layout shared by a batch of users broadcasts against it.
+        _, lay0 = _sample_of(users, layout, 0)
+        h_shared = compute_channel(users, lay0, cfg.wavelength, cfg.path_const)
+        for i in range(6):
+            u, _ = _sample_of(users, layout, i)
+            np.testing.assert_array_equal(
+                h_shared[i], compute_channel(u, lay0, cfg.wavelength, cfg.path_const))
+
+    def test_infeasible_sample_named(self):
+        cfg = default_config(2, 2, 2)
+        _, layout = random_scenarios(np.random.default_rng(11), cfg, 5)
+        gaps = layout.gaps.copy()
+        gaps[3, 1, 0] = cfg.min_gap_m / 2
+        with pytest.raises(ConstraintViolationError,
+                           match=r"^sample 3: gap .* waveguide 1, slot 1"):
+            layout_positions(cfg, layout.first_x, gaps)
+        first_x = layout.first_x.copy()
+        first_x[2, 0] = -0.1
+        with pytest.raises(ConstraintViolationError, match=r"^sample 2: antenna x-positions"):
+            layout_positions(cfg, first_x, layout.gaps)
+        with pytest.raises(ConstraintViolationError, match=r"^gap .* waveguide 1, slot 1"):
+            layout_positions(cfg, layout.first_x[3], gaps[3])
+
+    def test_user_on_antenna_sample_named(self):
+        cfg = default_config(2, 1, 2)
+        users, layout = random_scenarios(np.random.default_rng(13), cfg, 4)
+        flat = AntennaLayout(layout.first_x, layout.gaps, layout.waveguide_y, 0.0)
+        pos = users.positions.copy()
+        pos[1, 0, :2] = flat.first_x[1, 1], flat.waveguide_y[1]
+        with pytest.raises(SingularityError, match=r"^sample 1: user 0 .* antenna row 1"):
+            compute_channel(UserPositions(pos), flat, cfg.wavelength, cfg.path_const)
+
+
+@st.composite
+def system_configs(draw):
+    """Valid configs: counts 1..4 and a random region, height and carrier."""
+    return SystemConfig(
+        n_waveguides=draw(st.integers(1, 4)), n_pinch_per_wg=draw(st.integers(1, 4)),
+        n_users=draw(st.integers(1, 4)), region_side_m=draw(st.floats(2.0, 50.0)),
+        height_m=draw(st.floats(0.5, 20.0)), carrier_freq_hz=draw(st.floats(1e9, 1e11)))
+
+
+class TestPhysicsProperties:
+    @settings(max_examples=100)
+    @given(system_configs(), st.integers(0, 2**32 - 1))
+    def test_verify_checks_hold(self, cfg, seed):
+        for check in (verify.check_channel_magnitude, verify.check_pinching_energy,
+                      verify.check_effective_channel, verify.check_se_permutation):
+            result = check(cfg, seed)
+            assert result.passed, result
+
+    @settings(max_examples=100)
+    @given(system_configs(), st.integers(0, 2**32 - 1))
+    def test_random_layout_feasible_by_construction(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            assert check_feasibility(random_feasible_layout(rng, cfg), None, cfg) == []

@@ -7,7 +7,9 @@ from pinchbeam import precoder_gnn as tbf
 from pinchbeam.autodiff import ParameterStore, Tape
 from pinchbeam.config import ModelConfig, default_config
 from pinchbeam.errors import DegenerateInputError, InvalidConfigError
-from pinchbeam.physics import compute_se
+from pinchbeam.physics import (build_pinching_matrix, compute_channel, compute_se,
+                               effective_channel, random_feasible_layout,
+                               sample_users)
 from pinchbeam.pipeline import init_parameters
 
 MICRO = ModelConfig(pbf_layers=2, tbf_layers=2, hidden=8, message_dim=8)
@@ -296,3 +298,24 @@ class TestInputScale:
         cfg = default_config(2, 2, 2, snr_db=0.0)
         cfg2 = cfg.with_snr_db(20.0)
         assert tbf.input_scale(cfg) == tbf.input_scale(cfg2)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 4), (8, 3, 8)])
+    def test_equals_per_draw_loop(self, shape):
+        # The one-pass estimate must reproduce this loop bit for bit.
+        cfg = default_config(*shape)
+        rng = np.random.default_rng(tbf.INPUT_SCALE_SEED)
+        vals = []
+        for _ in range(tbf.INPUT_SCALE_SAMPLES):
+            users = sample_users(rng, cfg)
+            layout = random_feasible_layout(rng, cfg)
+            h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+            ht = effective_channel(h, build_pinching_matrix(layout, cfg.guide_wavelength))
+            vals += [ht.real.ravel(), ht.imag.ravel()]
+        assert tbf.input_scale(cfg) == float(np.std(np.concatenate(vals)))
+
+    @pytest.mark.parametrize("shape,value", [((2, 1, 2), 0.005680715350868684),
+                                             ((8, 3, 8), 0.00571687599874158)])
+    def test_pinned_values(self, shape, value):
+        # Every checkpoint stores this value as tbf.input_scale; a changed
+        # random stream would silently change what those checkpoints mean.
+        assert tbf.input_scale(default_config(*shape)) == value
