@@ -2,8 +2,11 @@
 
 The forward/backward passes allocate many megabyte-sized temporaries. With
 glibc defaults those come from fresh mmap regions, so every op pays page
-faults; raising the mmap/trim thresholds keeps the buffers on the heap and
-roughly quarters end-to-end latency. Best effort: silently does nothing on
+faults; raising the mmap/trim thresholds keeps the buffers on the heap.
+Measured with the benchmark harness (three alternating 20 s pairs per
+workload, 2-CPU x86-64, glibc, OpenBLAS), the 75th-percentile operation time
+without it rose by 33% on single-sample C7 inference, 8% on the C5 training
+step and 16% on the K8 training step. Best effort: silently does nothing on
 non-glibc platforms.
 """
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -251,25 +252,25 @@ def as_parts(x: Var | Sequence[Var]) -> list[Var]:
     return [x] if isinstance(x, Var) else list(x)
 
 
-def _row_blocks(xvs: Sequence[np.ndarray], wv: np.ndarray) -> list[np.ndarray]:
+def row_blocks(xvs: Sequence[np.ndarray], wv: np.ndarray) -> list[np.ndarray]:
     """The row block of ``W`` that each :func:`dense` part multiplies."""
-    rows = np.cumsum([0] + [v.shape[-1] for v in xvs])
-    return [wv[r0:r1] for r0, r1 in zip(rows[:-1], rows[1:])]
+    rows = list(accumulate((v.shape[-1] for v in xvs), initial=0))
+    return [wv[r0:r1] for r0, r1 in zip(rows, rows[1:])]
 
 
-def dense_preactivation(xvs: Sequence[np.ndarray], wv: np.ndarray,
+def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
                         bv: np.ndarray | None) -> np.ndarray:
     """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
 
-    Each part runs one 2-D GEMM against its row block of ``W`` and the
-    products are broadcast-added. ``dense`` and ``verify.kink_distance``
-    share this, so a relu's kink distance is measured on the exact values
-    the node clamped.
+    Each part runs one 2-D GEMM against its row block of ``W``
+    (:func:`row_blocks`) and the products are broadcast-added. ``dense``
+    and ``verify.kink_distance`` share this, so a relu's kink distance is
+    measured on the exact values the node clamped.
     """
-    n_out = wv.shape[1]
+    n_out = blocks[0].shape[1]
     lead = np.broadcast_shapes(*(v.shape[:-1] for v in xvs))
     y = None
-    for xv, wb in zip(xvs, _row_blocks(xvs, wv)):
+    for xv, wb in zip(xvs, blocks):
         p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
         if y is None:
             y = p
@@ -307,10 +308,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     has_bias = b is not None
     if has_bias and b.value.shape != (n_out,):
         raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
-    y = dense_preactivation(xvs, wv, b.value if has_bias else None)
+    blocks = row_blocks(xvs, wv)
+    y = dense_preactivation(xvs, blocks, b.value if has_bias else None)
     if relu:
         np.maximum(y, 0.0, out=y)
-    blocks = _row_blocks(xvs, wv)
 
     # Captures arrays and flags only: a Var here would tie the tape into a
     # reference cycle and keep it alive until the cyclic collector runs.

@@ -97,11 +97,6 @@ def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
         init_fnn(store, f"pbf.head.{name}", head_spec(model), rng)
 
 
-def _hidden_spec(spec: FnnSpec) -> FnnSpec:
-    """``spec`` without its linear output layer."""
-    return FnnSpec(spec.widths[:-1], spec.activation, spec.activation, spec.has_bias)
-
-
 def _output_params(tape: Tape, spec: FnnSpec, store: ParameterStore,
                    prefix: str) -> tuple[Var, Var]:
     last = spec.n_layers - 1
@@ -114,6 +109,18 @@ def _output_layer(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
     states: sum_i (r_i W + b) = (sum_i r_i) W + count * b."""
     w, b = _output_params(tape, spec, store, prefix)
     return ad.dense(h, w, b if count == 1 else ad.scalar_scale(b, count))
+
+
+def _hidden(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
+            zs: list[Var]) -> Var:
+    """A subnet's hidden state act(z W0 + b0). Parts ``zs`` narrower than the
+    subnet's input read the leading rows of W0: the trailing input is an
+    empty message that was skipped, whose rows would multiply exact zeros."""
+    w0 = tape.param(store, f"{prefix}.W0")
+    width = sum(p.shape[-1] for p in zs)
+    if width < w0.shape[0]:
+        w0 = ad.slice_axis(w0, 0, 0, width)
+    return ad.fnn_layer(zs, w0, tape.param(store, f"{prefix}.b0"), spec.activation)
 
 
 def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
@@ -129,30 +136,44 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     other_h]`` with folded weights ``[W0_z; W_a W0_s; W_b W0_o]`` and bias
     ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
     tape from the stored parameters and touches only weight-sized arrays.
+
+    A branch whose index set is empty (``same`` at M = 1, ``other`` at
+    N = 1) would add exact zeros, so it is not built: its part, its row
+    block and its bias term drop out, and its parameters never reach the
+    tape (their gradients stay exactly zero). ``z`` may also lack a
+    trailing empty part (:func:`pbf_layer` at K = 1); every first layer then
+    reads the leading rows of its weights that the parts present cover.
     """
     main_name, same_name, other_name = names
     zs = ad.as_parts(z)
-    r_a = fnn_forward(tape, _hidden_spec(specs[same_name]), store,
-                      f"{prefix}.{same_name}", zs)
-    same_h = ad.sum_others(r_a, 2)
-    r_b = fnn_forward(tape, _hidden_spec(specs[other_name]), store,
-                      f"{prefix}.{other_name}", zs)
-    other_h = ad.sum_others(ad.sum_axis(r_b, 2, keepdims=True), 1)
-    n, m = r_b.shape[1], r_b.shape[2]
+    n, m = np.broadcast_shapes(*(p.shape[:-1] for p in zs))[1:3]
+    sums = {}  # leave-one-out hidden sum of each branch with a non-empty index set
+    if m > 1:
+        r_a = _hidden(tape, specs[same_name], store, f"{prefix}.{same_name}", zs)
+        sums[same_name] = ad.sum_others(r_a, 2)
+    if n > 1:
+        r_b = _hidden(tape, specs[other_name], store, f"{prefix}.{other_name}", zs)
+        sums[other_name] = ad.sum_others(ad.sum_axis(r_b, 2, keepdims=True), 1)
+    counts = {same_name: m - 1, other_name: (n - 1) * m}
 
-    w_a, b_a = _output_params(tape, specs[same_name], store, f"{prefix}.{same_name}")
-    w_b, b_b = _output_params(tape, specs[other_name], store, f"{prefix}.{other_name}")
+    outs = {name: _output_params(tape, specs[name], store, f"{prefix}.{name}")
+            for name in sums}
     w0 = tape.param(store, f"{prefix}.{main_name}.W0")
     b0 = tape.param(store, f"{prefix}.{main_name}.b0")
-    md = w_a.shape[1]
+    md = specs[same_name].widths[-1]
     zw = w0.shape[0] - 2 * md
-    w0_s = ad.slice_axis(w0, 0, zw, zw + md)
-    w0_o = ad.slice_axis(w0, 0, zw + md, zw + 2 * md)
-    w = ad.concat([ad.slice_axis(w0, 0, 0, zw), ad.matmul(w_a, w0_s),
-                   ad.matmul(w_b, w0_o)], axis=0)
-    b = ad.dense(ad.scalar_scale(b_a, m - 1), w0_s,
-                 ad.dense(ad.scalar_scale(b_b, (n - 1) * m), w0_o, b0))
-    return ad.fnn_layer(zs + [same_h, other_h], w, b, specs[main_name].activation)
+    first_row = {same_name: zw, other_name: zw + md}
+    w0_rows = {name: ad.slice_axis(w0, 0, first_row[name], first_row[name] + md)
+               for name in sums}
+    w = ad.slice_axis(w0, 0, 0, sum(p.shape[-1] for p in zs))
+    if sums:
+        w = ad.concat([w] + [ad.matmul(outs[name][0], w0_rows[name]) for name in sums],
+                      axis=0)
+    scaled = {name: ad.scalar_scale(outs[name][1], counts[name]) for name in sums}
+    b = b0
+    for name in reversed(sums):
+        b = ad.dense(scaled[name], w0_rows[name], b)
+    return ad.fnn_layer(zs + list(sums.values()), w, b, specs[main_name].activation)
 
 
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
@@ -162,8 +183,9 @@ def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix:
     ``z`` is one Var or a list of parts, read as their broadcast concat along
     the last axis; each has shape (B, N, M, R..., d) with any number of free
     replication axes R. Output row (n, m) is main([z_nm, sum_{i != m}
-    same(z_ni), sum_{j != n} sum_i other(z_ji)]); empty index sets contribute
-    exact zeros. The waveguide context stays at (B, N, 1, R...) resolution.
+    same(z_ni), sum_{j != n} sum_i other(z_ji)]); an empty index set would
+    contribute exact zeros, so its branch is not built. The waveguide context
+    stays at (B, N, 1, R...) resolution.
     The output layers of ``same`` and ``other`` are folded into main's first
     layer (:func:`nested_pe_hidden`), so they never run at row resolution.
     """
@@ -182,17 +204,21 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     tensor of their concat is never built. ``fq``'s identity output layer
     runs after the sum over j: the off-diagonal sum is taken over its hidden
     state r_q (:func:`ad.off_diagonal_sum`, one node), and the layer then
-    applies at K resolution with bias (K-1) b. With the folds of :func:`nested_pe_hidden`, three dense nodes
-    per layer run at pair resolution, one hidden layer of each of fq, qq1
-    and qq2.
+    applies at K resolution with bias (K-1) b. With the folds of
+    :func:`nested_pe_hidden`, three dense nodes per layer run at pair
+    resolution, one hidden layer of each of fq, qq1 and qq2. At K = 1 the
+    message is an empty sum, so the processor is not built and the update
+    reads d alone through the leading rows of its first-layer weights.
     """
     specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape
-    pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
-    r_q = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
-    msg_h = ad.off_diagonal_sum(r_q, 3, 4)
-    msg = _output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1)
-    return nested_pe_map(tape, [d, msg], store, prefix, ("ff", "qf1", "qf2"), specs)
+    z = [d]
+    if k > 1:
+        pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
+        r_q = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
+        msg_h = ad.off_diagonal_sum(r_q, 3, 4)
+        z.append(_output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1))
+    return nested_pe_map(tape, z, store, prefix, ("ff", "qf1", "qf2"), specs)
 
 
 def _edge_stack(tape: Tape, phi: np.ndarray, s: np.ndarray, store: ParameterStore,

@@ -404,7 +404,7 @@ def kink_distance(tape: Tape) -> float:
         elif op == "dense" and tape.meta[i][0]:
             vals = [tape.values[p] for p in tape.parents[i]]
             bias = vals.pop() if tape.meta[i][1] else None
-            pre = ad.dense_preactivation(vals[:-1], vals[-1], bias)
+            pre = ad.dense_preactivation(vals[:-1], ad.row_blocks(vals[:-1], vals[-1]), bias)
             worst = min(worst, float(np.min(np.abs(pre))))
         elif op in ("sqrt", "log"):
             parent = tape.values[tape.parents[i][0]]

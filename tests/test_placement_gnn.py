@@ -293,11 +293,25 @@ def _unfolded_pbf_layer(tape, d, store, prefix, in_width, model):
     return nested([d, msg], ("ff", "qf1", "qf2"))
 
 
+def _skipped_subnets(n, m, k):
+    """Subnets of a pbf layer whose leave-one-out set is empty at (N, M, K)."""
+    skipped = set()
+    if m == 1:
+        skipped |= {"qq1", "qf1"}
+    if n == 1:
+        skipped |= {"qq2", "qf2"}
+    if k == 1:
+        skipped |= {"fq", "qq1", "qq2"}
+    return skipped
+
+
 class TestFoldedOutputLayers:
     @pytest.mark.parametrize("in_width", [3, MICRO.hidden])
     def test_matches_unfolded_reference(self, in_width):
         # Random weights and biases (init_fnn leaves biases at zero, which
-        # would hide the folded bias terms) at N=3, M=2, K=4.
+        # would hide the folded bias terms). (3, 2, 4) builds every branch;
+        # the other shapes each empty one or more leave-one-out sets, which
+        # pbf_layer skips while the reference still builds them.
         rng = np.random.default_rng(16)
         specs = pbf.layer_specs(in_width, MICRO)
         store = ParameterStore()
@@ -305,24 +319,29 @@ class TestFoldedOutputLayers:
             ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
         for name in store.names():
             store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
-        d = rng.standard_normal((2, 3, 2, 4, in_width))
-        weights = rng.uniform(0.5, 1.5, (2, 3, 2, 4, MICRO.hidden))
 
-        def run(layer_fn):
+        def run(layer_fn, d, weights):
             tape = Tape()
             out = layer_fn(tape, tape.constant(d), store, "pbf.layer1", in_width, MICRO)
             loss = ad.sum_axis(ad.mul(out, tape.constant(weights)), tuple(range(5)))
             ad.backward_into(store, loss)
             return out.value, {n: g.copy() for n, g in store.grads.items()}
 
-        value, grads = run(pbf.pbf_layer)
-        ref_value, ref_grads = run(_unfolded_pbf_layer)
-        scale = np.max(np.abs(ref_value))
-        assert np.max(np.abs(value - ref_value)) <= 1e-12 * scale
-        for name, ref in ref_grads.items():
-            assert np.max(np.abs(ref)) > 0.0, name
-            err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-12, (name, err)
+        for n, m, k in [(3, 2, 4), (3, 1, 4), (1, 2, 4), (3, 2, 1), (1, 1, 1)]:
+            d = rng.standard_normal((2, n, m, k, in_width))
+            weights = rng.uniform(0.5, 1.5, (2, n, m, k, MICRO.hidden))
+            value, grads = run(pbf.pbf_layer, d, weights)
+            ref_value, ref_grads = run(_unfolded_pbf_layer, d, weights)
+            scale = np.max(np.abs(ref_value))
+            assert np.max(np.abs(value - ref_value)) <= 1e-12 * scale, (n, m, k)
+            skipped = _skipped_subnets(n, m, k)
+            for name, ref in ref_grads.items():
+                if name.split(".")[2] in skipped:
+                    assert not np.any(ref) and not np.any(grads[name]), (n, m, k, name)
+                    continue
+                assert np.max(np.abs(ref)) > 0.0, (n, m, k, name)
+                err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, (n, m, k, name, err)
 
     def test_three_pair_resolution_dense_nodes_per_layer(self):
         # Only the hidden layers of fq, qq1 and qq2 run at pair resolution
@@ -360,3 +379,55 @@ class TestFoldedOutputLayers:
                 touched = [tape.values[i]] + [tape.values[p] for p in tape.parents[i]]
                 assert not any(at_pair(v) for v in touched), (op, tape.values[i].shape)
         assert tape.ops.count("off_diagonal_sum") == MICRO.pbf_layers
+
+
+class TestEmptyBranchesSkipped:
+    def test_single_slot_tape_has_no_same_branch(self):
+        # At M = 1 the within-waveguide sums are empty: qq1 and qf1 never
+        # reach the tape, and the only leave-one-out sums left at pair
+        # resolution are the waveguide ones, one per layer (none at N = 1).
+        for n in (2, 1):
+            b, m, k = 2, 1, 3
+            cfg = default_config(n, m, k)
+            store = params_for(cfg)
+            phi = np.random.default_rng(19).uniform(0, cfg.D, (b, k, 2))
+            tape = Tape()
+            pbf.pbf_forward(tape, phi, store, cfg, MICRO)
+            subnets = {name.split(".")[2] for name, _ in tape.param_slots
+                       if name.startswith("pbf.layer")}
+            assert subnets == set(pbf.SUBNET_NAMES) - _skipped_subnets(n, m, k)
+            pair_rows = b * n * m * k * k
+            at_pair = [op for op, v in zip(tape.ops, tape.values)
+                       if v.ndim >= 2 and v.size == pair_rows * v.shape[-1]]
+            assert at_pair.count("sum_others") == (n > 1) * MICRO.pbf_layers
+
+    def test_single_user_tape_has_no_processor(self):
+        cfg = default_config(2, 2, 1)
+        tape = Tape()
+        pbf.pbf_forward(tape, np.full((3, 1, 2), 4.0), params_for(cfg), cfg, MICRO)
+        subnets = {name.split(".")[2] for name, _ in tape.param_slots
+                   if name.startswith("pbf.layer")}
+        assert subnets == {"ff", "qf1", "qf2"}
+        assert "off_diagonal_sum" not in tape.ops
+
+    def test_adam_leaves_skipped_parameters_bit_unchanged(self):
+        # C5 (N = K = 2, M = 1): qq1 and qf1 keep their stored shapes and
+        # their exactly-zero gradients, so an Adam step leaves them as they
+        # were while the rest of the placement GNN moves.
+        from pinchbeam.training import expected_parameter_shapes, loss_on_tape
+        cfg = default_config(2, 1, 2)
+        store = params_for(cfg)
+        assert expected_parameter_shapes(cfg, MICRO) == {
+            name: store.values[name].shape for name in store.names()}
+        before = {name: v.copy() for name, v in store.values.items()}
+        phi = np.random.default_rng(20).uniform(0, cfg.D, (8, cfg.K, 2))
+        tape = Tape()
+        ad.backward_into(store, loss_on_tape(tape, phi, store, cfg, MICRO))
+        ad.adam_step(store, ad.AdamState.for_store(store), 1e-3)
+        skipped = [name for name in store.names()
+                   if name.startswith("pbf.layer") and name.split(".")[2] in ("qq1", "qf1")]
+        assert len(skipped) == 8 * MICRO.pbf_layers
+        for name in skipped:
+            assert np.array_equal(store.values[name], before[name]), name
+        assert not np.array_equal(store.values["pbf.layer1.qq2.W0"],
+                                  before["pbf.layer1.qq2.W0"])
