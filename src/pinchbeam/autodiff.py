@@ -1,9 +1,16 @@
-"""Reverse-mode automatic differentiation on float64 numpy arrays.
+"""Reverse-mode automatic differentiation on float64 and complex128 numpy arrays.
 
 A :class:`Tape` records every primitive application; append order is
-execution order, so one reverse sweep computes all adjoints. Complex values
-are carried as paired real tensors (see :mod:`pinchbeam.cplx`); the only
-non-holomorphic op the pipeline needs is ``|z|^2 = re^2 + im^2``.
+execution order, so one reverse sweep computes all adjoints.
+
+Complex values: a node's value is float64 or complex128, and a complex
+node's adjoint is ``dL/dRe + j dL/dIm``. With that convention the
+holomorphic primitives take complex operands as they are: the VJPs of
+``mul``, ``div``, ``matmul`` and ``solve`` conjugate their operands, which
+leaves a real operand unchanged (``ndarray.conj()`` of a real array is the
+array itself), and ``Tape.backward`` keeps only the real part of an adjoint
+that flows into a real node. The ops that cross between real and complex
+live in :mod:`pinchbeam.cplx`.
 
 Gradient conventions: ``max_with_scalar``, ``relu`` and the relu fused into
 ``dense`` use subgradient 0 at the kink. Tests and gradient checks keep
@@ -26,6 +33,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, SingularityError
+
+
+def _tape_array(value) -> np.ndarray:
+    """``value`` as complex128 if it is complex, else as float64."""
+    return np.asarray(value, dtype=np.complex128 if np.iscomplexobj(value) else np.float64)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -60,34 +72,6 @@ class Var:
     def ndim(self) -> int:
         return self.value.ndim
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Var(idx={self.idx}, shape={self.shape})"
 
@@ -112,7 +96,7 @@ class Tape:
 
     def _push(self, value: np.ndarray, parents: tuple[int, ...],
               vjp: Callable | None, op: str, meta=None) -> Var:
-        self.values.append(np.asarray(value, dtype=np.float64))
+        self.values.append(_tape_array(value))
         self.parents.append(parents)
         self.vjps.append(vjp)
         self.ops.append(op)
@@ -121,7 +105,7 @@ class Tape:
 
     def constant(self, value) -> Var:
         """Leaf node; receives an adjoint but propagates nowhere."""
-        return self._push(np.asarray(value, dtype=np.float64), (), None, "const")
+        return self._push(value, (), None, "const")
 
     def param(self, store: "ParameterStore", name: str) -> Var:
         """Leaf bound to a named parameter; ``backward_into`` routes its adjoint."""
@@ -136,7 +120,8 @@ class Tape:
         it to the parents, so the sweep never holds more than the adjoints
         still waiting to be propagated. The returned list therefore holds
         the leaf adjoints, and None for interior nodes and for leaves the
-        loss does not reach.
+        loss does not reach. An adjoint that flows into a real node keeps
+        only its real part, ``dL/dRe``.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
@@ -152,6 +137,8 @@ class Tape:
             for p, pg in zip(self.parents[i], vjp(g)):
                 if pg is None:
                     continue
+                if pg.dtype.kind == "c" and self.values[p].dtype.kind != "c":
+                    pg = pg.real
                 if grads[p] is None:
                     grads[p] = pg
                 else:
@@ -204,7 +191,8 @@ def mul(a, b) -> Var:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv.conj(), av.shape),
+                _unbroadcast(g * av.conj(), bv.shape))
 
     return tape._push(av * bv, (a.idx, b.idx), vjp, "mul")
 
@@ -214,14 +202,10 @@ def div(a, b) -> Var:
     av, bv = a.value, b.value
 
     def vjp(g):
-        ga = g / bv
-        return _unbroadcast(ga, av.shape), _unbroadcast(-ga * av / bv, bv.shape)
+        ga = g / bv.conj()
+        return _unbroadcast(ga, av.shape), _unbroadcast(-ga * av.conj() / bv.conj(), bv.shape)
 
     return tape._push(av / bv, (a.idx, b.idx), vjp, "div")
-
-
-def neg(a: Var) -> Var:
-    return scalar_scale(a, -1.0)
 
 
 def scalar_scale(a: Var, c: float) -> Var:
@@ -240,8 +224,8 @@ def matmul(a, b) -> Var:
         raise ValueError(f"matmul needs >= 2-D operands, got {av.shape} @ {bv.shape}")
 
     def vjp(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        gb = np.swapaxes(av, -1, -2) @ g
+        ga = g @ np.swapaxes(bv, -1, -2).conj()
+        gb = np.swapaxes(av, -1, -2).conj() @ g
         return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
     return tape._push(av @ bv, (a.idx, b.idx), vjp, "matmul")
@@ -333,7 +317,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
 
 
 def solve(a: Var, b: Var) -> Var:
-    """X with A @ X = B for square A (stacked); differentiable in A and B."""
+    """X with A @ X = B for square A (stacked); differentiable in A and B.
+
+    The adjoints are ``A^{-H} G`` for B and ``-A^{-H} G X^H`` for A.
+    """
     av, bv = a.value, b.value
     if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != av.shape[-2] \
             or av.shape[-1] != bv.shape[-2]:
@@ -342,11 +329,11 @@ def solve(a: Var, b: Var) -> Var:
         x = np.linalg.solve(av, bv)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"singular linear system: {exc}") from exc
-    at = np.swapaxes(av, -1, -2)
+    ah = np.swapaxes(av, -1, -2).conj()
 
     def vjp(g):
-        gb = np.linalg.solve(at, g)
-        ga = -gb @ np.swapaxes(x, -1, -2)
+        gb = np.linalg.solve(ah, g)
+        ga = -gb @ np.swapaxes(x, -1, -2).conj()
         return ga, gb
 
     return a.tape._push(x, (a.idx, b.idx), vjp, "solve")
@@ -372,21 +359,6 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
         return (g.reshape(old),)
 
     return a.tape._push(a.value.reshape(shape), (a.idx,), vjp, "reshape")
-
-
-def transpose(a: Var, axes: tuple[int, ...]) -> Var:
-    inv = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inv),)
-
-    return a.tape._push(a.value.transpose(axes), (a.idx,), vjp, "transpose")
-
-
-def transpose_last2(a: Var) -> Var:
-    nd = a.ndim
-    axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
-    return transpose(a, axes)
 
 
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
@@ -562,17 +534,6 @@ def softplus(a: Var) -> Var:
     return a.tape._push(np.logaddexp(0.0, av), (a.idx,), vjp, "softplus")
 
 
-def log(a: Var) -> Var:
-    av = a.value
-    if np.any(av <= 0.0):
-        raise ValueError("log of non-positive value")
-
-    def vjp(g):
-        return (g / av,)
-
-    return a.tape._push(np.log(av), (a.idx,), vjp, "log")
-
-
 def log1p(a: Var) -> Var:
     av = a.value
     if np.any(av <= -1.0):
@@ -603,33 +564,6 @@ def sqrt(a: Var) -> Var:
         return (0.5 * g / y,)
 
     return a.tape._push(y, (a.idx,), vjp, "sqrt")
-
-
-def sin(a: Var) -> Var:
-    av = a.value
-
-    def vjp(g):
-        return (g * np.cos(av),)
-
-    return a.tape._push(np.sin(av), (a.idx,), vjp, "sin")
-
-
-def cos(a: Var) -> Var:
-    av = a.value
-
-    def vjp(g):
-        return (-g * np.sin(av),)
-
-    return a.tape._push(np.cos(av), (a.idx,), vjp, "cos")
-
-
-def complex_abs2(re: Var, im: Var) -> Var:
-    rv, iv = re.value, im.value
-
-    def vjp(g):
-        return 2.0 * rv * g, 2.0 * iv * g
-
-    return re.tape._push(rv * rv + iv * iv, (re.idx, im.idx), vjp, "complex_abs2")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,8 @@ class SystemConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemConfig":
+        if not isinstance(data, dict):
+            raise InvalidConfigError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(JSON_KEYS)
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")

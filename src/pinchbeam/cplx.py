@@ -1,80 +1,59 @@
-"""Complex arithmetic over paired real tape variables."""
+"""Tape ops that cross between real and complex values, or conjugate.
+
+Complex tensors are complex128 tape values (see :mod:`pinchbeam.autodiff`);
+the holomorphic arithmetic (``add``, ``mul``, ``div``, ``matmul``,
+``solve``, ``sum_axis``, ``reshape`` ...) is the real primitives applied to
+them. A complex node's adjoint is ``dL/dRe + j dL/dIm``.
+"""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 
 
-class CVar(NamedTuple):
-    """Complex tensor as (re, im) tape variables of identical shape."""
+def expj(a: Var) -> Var:
+    """``e^{j a}`` of a real tensor, as cos a + j sin a."""
+    av = a.value
+    y = np.empty(av.shape, dtype=np.complex128)
+    y.real = np.cos(av)
+    y.imag = np.sin(av)
 
-    re: Var
-    im: Var
+    def vjp(g):
+        return ((g * y.conj()).imag,)
 
-    @property
-    def shape(self):
-        return self.re.shape
-
-    def value(self) -> np.ndarray:
-        return self.re.value + 1j * self.im.value
-
-
-def constant(tape: Tape, z: np.ndarray) -> CVar:
-    z = np.asarray(z, dtype=np.complex128)
-    return CVar(tape.constant(z.real.copy()), tape.constant(z.imag.copy()))
+    return a.tape._push(y, (a.idx,), vjp, "expj")
 
 
-def add(a: CVar, b: CVar) -> CVar:
-    return CVar(ad.add(a.re, b.re), ad.add(a.im, b.im))
+def abs2(a: Var) -> Var:
+    """``|z|^2`` elementwise, a real tensor of the same shape."""
+    av = a.value
+    re, im = av.real, av.imag
+
+    def vjp(g):
+        return (2.0 * av * g,)
+
+    return a.tape._push(re * re + im * im, (a.idx,), vjp, "abs2")
 
 
-def mul(a: CVar, b: CVar) -> CVar:
-    return CVar(ad.sub(ad.mul(a.re, b.re), ad.mul(a.im, b.im)),
-                ad.add(ad.mul(a.re, b.im), ad.mul(a.im, b.re)))
-
-
-def conj(a: CVar) -> CVar:
-    return CVar(a.re, ad.neg(a.im))
-
-
-def scale_real(a: CVar, s: Var) -> CVar:
-    """Elementwise multiply by a real (broadcastable) factor."""
-    return CVar(ad.mul(a.re, s), ad.mul(a.im, s))
-
-
-def matmul(a: CVar, b: CVar) -> CVar:
-    return CVar(ad.sub(ad.matmul(a.re, b.re), ad.matmul(a.im, b.im)),
-                ad.add(ad.matmul(a.re, b.im), ad.matmul(a.im, b.re)))
-
-
-def htranspose(a: CVar) -> CVar:
+def htranspose(a: Var) -> Var:
     """Conjugate transpose of the last two axes."""
-    return CVar(ad.transpose_last2(a.re), ad.neg(ad.transpose_last2(a.im)))
+    def vjp(g):
+        return (np.swapaxes(g, -1, -2).conj(),)
+
+    return a.tape._push(np.swapaxes(a.value, -1, -2).conj(), (a.idx,), vjp, "htranspose")
 
 
-def abs2(a: CVar) -> Var:
-    return ad.complex_abs2(a.re, a.im)
+def real_imag(a: Var) -> Var:
+    """``[Re z, Im z]`` stacked on a new last axis, shape (..., 2)."""
+    shape = a.value.shape
 
+    def vjp(g):
+        gz = np.empty(shape, dtype=np.complex128)
+        gz.real = g[..., 0]
+        gz.imag = g[..., 1]
+        return (gz,)
 
-def sum_axis(a: CVar, axis, keepdims: bool = False) -> CVar:
-    return CVar(ad.sum_axis(a.re, axis, keepdims), ad.sum_axis(a.im, axis, keepdims))
-
-
-def solve(a: CVar, b: CVar) -> CVar:
-    """X with A X = B for complex square A, via the equivalent real block system.
-
-    [[Ar, -Ai], [Ai, Ar]] [Xr; Xi] = [Br; Bi] is the same K x K complex solve
-    written over reals, and stays on the tape through a single `solve` node.
-    """
-    k = a.shape[-1]
-    top = ad.concat([a.re, ad.neg(a.im)], axis=-1)
-    bot = ad.concat([a.im, a.re], axis=-1)
-    block = ad.concat([top, bot], axis=-2)
-    rhs = ad.concat([b.re, b.im], axis=-2)
-    x = ad.solve(block, rhs)
-    return CVar(ad.slice_axis(x, -2, 0, k), ad.slice_axis(x, -2, k, 2 * k))
+    return a.tape._push(np.stack([a.value.real, a.value.imag], axis=-1), (a.idx,), vjp,
+                        "real_imag")

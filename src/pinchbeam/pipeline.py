@@ -18,7 +18,6 @@ from . import placement_gnn as pbf
 from . import precoder_gnn as tbf
 from .autodiff import ParameterStore, Tape, Var
 from .config import ModelConfig, SystemConfig
-from .cplx import CVar
 from .errors import SingularityError
 from .physics import MIN_DISTANCE_M, AntennaLayout
 from .placement_gnn import PbfOut
@@ -39,8 +38,8 @@ def init_parameters(cfg: SystemConfig, model: ModelConfig, seed) -> ParameterSto
 
 
 def effective_channel_on_tape(tape: Tape, positions_x: Var, phi: np.ndarray,
-                              cfg: SystemConfig) -> CVar:
-    """Effective channel (B, N, K) from antenna x-positions (B, N, M).
+                              cfg: SystemConfig) -> Var:
+    """Effective channel (B, N, K), complex, from antenna x-positions (B, N, M).
 
     Composes the LoS channel sqrt(eta) e^{-j 2 pi r / lambda} / r with the
     conjugated pinching phases e^{+j 2 pi x / lambda_g} / sqrt(M) and sums
@@ -57,26 +56,16 @@ def effective_channel_on_tape(tape: Tape, positions_x: Var, phi: np.ndarray,
     r = ad.sqrt(ad.add(ad.square(dx), tape.constant(c2[:, :, None, :])))
     if float(np.min(r.value)) < MIN_DISTANCE_M:
         raise SingularityError("a user coincides with a pinching antenna")
-    amp = ad.div(math.sqrt(cfg.path_const), r)
-    theta = ad.scalar_scale(r, 2.0 * math.pi / cfg.wavelength)
-    h_re = ad.mul(amp, ad.cos(theta))
-    h_im = ad.neg(ad.mul(amp, ad.sin(theta)))
-
-    phase_g = ad.scalar_scale(positions_x, 2.0 * math.pi / cfg.guide_wavelength)
-    inv_sqrt_m = 1.0 / math.sqrt(cfg.M)
-    g_re = ad.reshape(ad.scalar_scale(ad.cos(phase_g), inv_sqrt_m),
-                      positions_x.shape + (1,))
-    g_im = ad.reshape(ad.scalar_scale(ad.sin(phase_g), inv_sqrt_m),
-                      positions_x.shape + (1,))
-    ht_re = ad.sum_axis(ad.sub(ad.mul(g_re, h_re), ad.mul(g_im, h_im)), 2)
-    ht_im = ad.sum_axis(ad.add(ad.mul(g_re, h_im), ad.mul(g_im, h_re)), 2)
-    return CVar(ht_re, ht_im)
+    h = ad.mul(ad.div(math.sqrt(cfg.path_const), r),
+               cx.expj(ad.scalar_scale(r, -2.0 * math.pi / cfg.wavelength)))
+    g = ad.scalar_scale(cx.expj(ad.scalar_scale(
+        positions_x, 2.0 * math.pi / cfg.guide_wavelength)), 1.0 / math.sqrt(cfg.M))
+    return ad.sum_axis(ad.mul(ad.reshape(g, g.shape + (1,)), h), 2)
 
 
-def se_on_tape(tape: Tape, ht: CVar, w: CVar, noise_power: float) -> Var:
+def se_on_tape(tape: Tape, ht: Var, w: Var, noise_power: float) -> Var:
     """Per-sample sum spectral efficiency, shape (B,)."""
-    cross = cx.matmul(cx.htranspose(ht), w)
-    power = cx.abs2(cross)
+    power = cx.abs2(ad.matmul(cx.htranspose(ht), w))  # [k, j] = |h_k^H w_j|^2
     signal = ad.diagonal(power, -2, -1)
     interference = ad.add(ad.sub(ad.sum_axis(power, -1), signal), noise_power)
     return ad.scalar_scale(
@@ -86,8 +75,8 @@ def se_on_tape(tape: Tape, ht: CVar, w: CVar, noise_power: float) -> Var:
 @dataclass(frozen=True)
 class ForwardOut:
     placement: PbfOut
-    h_tilde: CVar
-    w: CVar
+    h_tilde: Var  # (B, N, K) complex
+    w: Var        # (B, N, K) complex
     se: Var
 
 
@@ -116,5 +105,4 @@ def policy_forward(phi: np.ndarray, store: ParameterStore, cfg: SystemConfig,
     layout = AntennaLayout(out.placement.first_x.value[0],
                            out.placement.gaps.value[0],
                            cfg.waveguide_y(), cfg.d)
-    w = out.w.re.value[0] + 1j * out.w.im.value[0]
-    return PolicyResult(layout, w, float(out.se.value[0]))
+    return PolicyResult(layout, out.w.value[0], float(out.se.value[0]))

@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import cplx as cx
 from .autodiff import FnnSpec, ParameterStore, Tape, Var, fnn_forward, init_fnn
 from .config import ModelConfig, SystemConfig
-from .cplx import CVar
 from .errors import DegenerateInputError, InvalidConfigError
 from .physics import (build_pinching_matrix, compute_channel, effective_channel,
                       random_scenarios)
@@ -93,11 +92,9 @@ def input_scale(cfg: SystemConfig) -> float:
     return _input_scale_cached(key)
 
 
-def tbf_init_edges(tape: Tape, ht: CVar, scale: float) -> Var:
+def tbf_init_edges(tape: Tape, ht: Var, scale: float) -> Var:
     """Edge features [Re, Im]/scale, shape (B, N, K, 2)."""
-    r = ad.reshape(ht.re, ht.re.shape + (1,))
-    i = ad.reshape(ht.im, ht.im.shape + (1,))
-    return ad.scalar_scale(ad.concat([r, i], axis=-1), 1.0 / scale)
+    return ad.scalar_scale(cx.real_imag(ht), 1.0 / scale)
 
 
 def waveguide_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore,
@@ -144,8 +141,8 @@ def output_powers(tape: Tape, d_last: Var, store: ParameterStore,
     return p, lam
 
 
-def recover_precoder(tape: Tape, ht: CVar, p: Var, lam: Var,
-                     noise_power: float) -> CVar:
+def recover_precoder(tape: Tape, ht: Var, p: Var, lam: Var,
+                     noise_power: float) -> Var:
     """W = H (diag(lam) H^H H + noise I)^{-1} diag(sqrt(p)).
 
     ht is (B, N, K); p, lam are (B, K) and nonnegative, which makes the K x K
@@ -155,24 +152,22 @@ def recover_precoder(tape: Tape, ht: CVar, p: Var, lam: Var,
     if noise_power <= 0:
         raise InvalidConfigError(f"noise power must be > 0, got {noise_power}")
     k = ht.shape[-1]
-    hth = cx.matmul(cx.htranspose(ht), ht)
-    lam_col = ad.reshape(lam, lam.shape + (1,))
-    a = CVar(ad.add(ad.mul(lam_col, hth.re), tape.constant(noise_power * np.eye(k))),
-             ad.mul(lam_col, hth.im))
-    sq = ad.mul(ad.reshape(ad.sqrt(p), p.shape + (1,)), tape.constant(np.eye(k)))
-    p_sqrt = CVar(sq, ad.scalar_scale(sq, 0.0))
-    return cx.matmul(ht, cx.solve(a, p_sqrt))
+    hth = ad.matmul(cx.htranspose(ht), ht)
+    a = ad.add(ad.mul(ad.reshape(lam, lam.shape + (1,)), hth),
+               tape.constant(noise_power * np.eye(k)))
+    rhs = ad.mul(ad.reshape(ad.sqrt(p), p.shape + (1,)), tape.constant(np.eye(k)))
+    return ad.matmul(ht, ad.solve(a, rhs))
 
 
-def normalize_power(tape: Tape, w: CVar, p_max: float) -> CVar:
+def normalize_power(tape: Tape, w: Var, p_max: float) -> Var:
     """Scale to the exact power budget: ||W'||_F^2 = p_max."""
     n2 = ad.sum_axis(cx.abs2(w), (-2, -1), keepdims=True)
     if np.any(n2.value <= 0.0):
         raise DegenerateInputError("cannot normalize a zero precoder")
-    return cx.scale_real(w, ad.sqrt(ad.div(p_max, n2)))
+    return ad.mul(w, ad.sqrt(ad.div(p_max, n2)))
 
 
-def tbf_powers(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
+def tbf_powers(tape: Tape, ht: Var, store: ParameterStore, cfg: SystemConfig,
                model: ModelConfig) -> tuple[Var, Var]:
     """The learned (p, lam) alone; the surface of the permutation property."""
     scale = float(store.values["tbf.input_scale"])
@@ -184,8 +179,8 @@ def tbf_powers(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
     return output_powers(tape, d, store, model, cfg.power_budget_w)
 
 
-def tbf_forward(tape: Tape, ht: CVar, store: ParameterStore, cfg: SystemConfig,
-                model: ModelConfig) -> CVar:
+def tbf_forward(tape: Tape, ht: Var, store: ParameterStore, cfg: SystemConfig,
+                model: ModelConfig) -> Var:
     """Effective channel (B, N, K) -> power-exact precoder (B, N, K)."""
     p, lam = tbf_powers(tape, ht, store, cfg, model)
     w = recover_precoder(tape, ht, p, lam, cfg.noise_power_w)

@@ -240,6 +240,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise IncompatibleCheckpointError(f"checkpoint {path} is not valid JSON") from exc
+    if not isinstance(doc, dict):
+        raise IncompatibleCheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise IncompatibleCheckpointError(
             f"unsupported checkpoint format {doc.get('format_version')!r}")
@@ -247,7 +249,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         cfg = SystemConfig.from_json_dict(doc["config"])
         model = ModelConfig.from_json_dict(doc["arch"])
         store = ParameterStore.from_entries(doc["entries"], frozen=FROZEN_PARAMETERS)
-        seed = int(doc["seed"])
+        seed = non_negative_integer("checkpoint seed", doc["seed"])
     except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise IncompatibleCheckpointError(f"malformed checkpoint: {exc}") from exc
     expected = expected_parameter_shapes(cfg, model)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchbeam import autodiff as ad
+from pinchbeam import cplx as cx
 from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
                                 adam_step, backward_into, fnn_forward,
                                 grad_check, init_fnn)
@@ -18,6 +19,24 @@ class TestTapeBasics:
         tape = Tape()
         v = tape.constant(np.ones((2, 2), dtype=np.float32))
         assert v.value.dtype == np.float64
+
+    def test_complex_values_are_complex128(self):
+        tape = Tape()
+        v = tape.constant(np.ones((2, 2), dtype=np.complex64))
+        assert v.value.dtype == np.complex128
+        assert ad.mul(tape.constant(np.ones(2)), 1j).value.dtype == np.complex128
+
+    def test_real_node_keeps_real_part_of_adjoint(self):
+        # L = |x z|^2 with x real and z complex: dL/dx = 2 x |z|^2, real,
+        # while z's adjoint is 2 x^2 z, complex.
+        tape = Tape()
+        x = tape.constant(np.array([1.5]))
+        z = tape.constant(np.array([2.0 - 1.0j]))
+        grads = tape.backward(ad.sum_axis(cx.abs2(ad.mul(x, z)), 0))
+        assert grads[x.idx].dtype == np.float64
+        np.testing.assert_allclose(grads[x.idx], [2.0 * 1.5 * 5.0], rtol=1e-15)
+        np.testing.assert_allclose(grads[z.idx], [2.0 * 1.5 ** 2 * (2.0 - 1.0j)],
+                                   rtol=1e-15)
 
     def test_append_order_is_topological(self):
         tape = Tape()
@@ -84,9 +103,10 @@ class TestTapeBasics:
 
 
 class TestPrimitives:
-    def test_complex_abs2(self):
+    def test_abs2(self):
         tape = Tape()
-        out = ad.complex_abs2(tape.constant(3.0), tape.constant(4.0))
+        out = cx.abs2(tape.constant(3.0 + 4.0j))
+        assert out.value.dtype == np.float64
         assert float(out.value) == 25.0
 
     def test_softplus_at_zero(self):
@@ -108,11 +128,6 @@ class TestPrimitives:
         tape = Tape()
         out = ad.relu(tape.constant(np.array([-1.0, 2.0])))
         np.testing.assert_array_equal(out.value, [0.0, 2.0])
-
-    def test_log_domain(self):
-        tape = Tape()
-        with pytest.raises(ValueError):
-            ad.log(tape.constant(np.array([1.0, 0.0])))
 
     def test_sqrt_domain(self):
         tape = Tape()
@@ -152,16 +167,6 @@ class TestPrimitives:
         loss = ad.sum_axis(ad.add(x, tape.param(store, "b")), (0, 1))
         backward_into(store, loss)
         np.testing.assert_array_equal(store.grads["b"], [4.0, 4.0, 4.0])
-
-    def test_operator_sugar(self):
-        tape = Tape()
-        a = tape.constant(np.array([2.0]))
-        b = tape.constant(np.array([3.0]))
-        assert (a + b).value.item() == 5.0
-        assert (a - b).value.item() == -1.0
-        assert (a * b).value.item() == 6.0
-        assert (a / b).value.item() == pytest.approx(2.0 / 3.0)
-        assert (-a).value.item() == -2.0
 
 
 class TestDiagonal:

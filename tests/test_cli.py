@@ -152,6 +152,30 @@ class TestEvalCommand:
                                       "--out", str(tmp_path / "eval")])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_non_object_checkpoint_exit_4(self, runner, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        result = runner.invoke(main, ["eval", "--checkpoint", str(bad),
+                                      "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 4, result.output
+        assert "JSON object" in result.output
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, "7"])
+    def test_bad_checkpoint_seed_exit_4(self, runner, tmp_path, seed):
+        cfg = default_config(1, 1, 1)
+        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=6, message_dim=6)
+        ckpt = tmp_path / "checkpoint.json"
+        training.save_checkpoint(ckpt, pipeline.init_parameters(cfg, model, 0),
+                                 cfg, 0, model)
+        doc = json.loads(ckpt.read_text())
+        doc["seed"] = seed
+        ckpt.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--n-test",
+                                      "2", "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 4, result.output
+        assert "checkpoint seed" in result.output
+
     @pytest.mark.parametrize("corruption", ["nan_weight", "transposed_weight"])
     def test_bad_checkpoint_weights_exit_4(self, runner, tmp_path, corruption):
         cfg = default_config(1, 1, 1)
@@ -269,6 +293,15 @@ class TestBaselineCommand:
         assert "--n-samples" in result.output
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_non_object_config_exit_2(self, runner, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["baseline", "--config", str(path),
+                                      "--n-samples", "2", "--out", str(tmp_path / "b")])
+        assert result.exit_code == 2, result.output
+        assert "JSON object" in result.output
+
     def test_m2_rejected(self, runner, tmp_path):
         path = tmp_path / "m2.json"
         default_config(1, 2, 1).save(path)
@@ -328,7 +361,7 @@ class TestVerifyCommand:
 
         def bad_normalize(tape, w, p_max):
             n2 = ad.sum_axis(cx.abs2(w), (-2, -1), keepdims=True)
-            return cx.scale_real(w, ad.div(p_max, n2))  # missing sqrt
+            return ad.mul(w, ad.div(p_max, n2))  # missing sqrt
 
         monkeypatch.setattr(tbf, "normalize_power", bad_normalize)
         result = runner.invoke(main, ["verify", "--skip-gradients"])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pinchbeam import cplx as cx
 from pinchbeam import pipeline
 from pinchbeam.autodiff import Tape
 from pinchbeam.config import ModelConfig, default_config
@@ -31,7 +30,7 @@ class TestEffectiveChannelOnTape:
                                 cfg.wavelength, cfg.path_const)
             g = build_pinching_matrix(layout, cfg.guide_wavelength)
             expected = effective_channel(h, g)
-            np.testing.assert_allclose(ht.value()[b], expected, rtol=1e-12,
+            np.testing.assert_allclose(ht.value[b], expected, rtol=1e-12,
                                        atol=1e-15)
 
     def test_user_on_antenna_raises(self):
@@ -55,8 +54,8 @@ class TestSeOnTape:
         ht = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         tape = Tape()
-        se = pipeline.se_on_tape(tape, cx.constant(tape, ht),
-                                 cx.constant(tape, w), cfg.noise_power_w)
+        se = pipeline.se_on_tape(tape, tape.constant(ht),
+                                 tape.constant(w), cfg.noise_power_w)
         np.testing.assert_allclose(se.value, compute_se(ht, w, cfg.noise_power_w),
                                    rtol=1e-12)
 
@@ -83,3 +82,21 @@ class TestPolicyForward:
             single = pipeline.policy_forward(phi[i], store, cfg, MICRO)
             assert single.se == pytest.approx(float(batched.se.value[i]),
                                               rel=1e-12)
+
+
+class TestComplexTape:
+    def test_one_complex_solve_and_no_pairing_after_channel(self):
+        # The K x K system is one complex solve node, not a real 2K x 2K block
+        # system assembled from concats and read back through slices.
+        cfg = default_config(3, 2, 3)
+        phi = np.random.default_rng(4).uniform(0, cfg.D, (2, cfg.K, 2))
+        tape = Tape()
+        out = pipeline.forward_on_tape(tape, phi, pipeline.init_parameters(
+            cfg, ModelConfig(), 0), cfg, ModelConfig())
+        solves = [i for i, op in enumerate(tape.ops) if op == "solve"]
+        assert len(solves) == 1
+        x = tape.values[solves[0]]
+        assert x.dtype == np.complex128 and x.shape == (2, cfg.K, cfg.K)
+        after = tape.ops[out.h_tilde.idx + 1:]
+        assert "concat" not in after and "slice_axis" not in after
+        assert out.h_tilde.value.dtype == out.w.value.dtype == np.complex128

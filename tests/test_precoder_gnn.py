@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pinchbeam import autodiff as ad
-from pinchbeam import cplx as cx
 from pinchbeam import precoder_gnn as tbf
 from pinchbeam.autodiff import ParameterStore, Tape
 from pinchbeam.config import ModelConfig, default_config
@@ -23,7 +22,7 @@ class TestInitEdges:
     def test_real_channel_zero_imag_feature(self):
         ht = np.ones((1, 2, 3), dtype=complex)
         tape = Tape()
-        d = tbf.tbf_init_edges(tape, cx.constant(tape, ht), 2.0)
+        d = tbf.tbf_init_edges(tape, tape.constant(ht), 2.0)
         np.testing.assert_array_equal(d.value[..., 0], 0.5)
         np.testing.assert_array_equal(d.value[..., 1], 0.0)
 
@@ -31,14 +30,14 @@ class TestInitEdges:
         rng = np.random.default_rng(0)
         ht = random_cplx(rng, (1, 3, 2))
         tape = Tape()
-        d = tbf.tbf_init_edges(tape, cx.constant(tape, ht), 1.0)
+        d = tbf.tbf_init_edges(tape, tape.constant(ht), 1.0)
         tape = Tape()
-        d_p = tbf.tbf_init_edges(tape, cx.constant(tape, ht[:, [2, 0, 1]]), 1.0)
+        d_p = tbf.tbf_init_edges(tape, tape.constant(ht[:, [2, 0, 1]]), 1.0)
         np.testing.assert_array_equal(d.value[:, [2, 0, 1]], d_p.value)
 
     def test_zero_channel_zero_features(self):
         tape = Tape()
-        d = tbf.tbf_init_edges(tape, cx.constant(tape, np.zeros((1, 2, 2))), 1.0)
+        d = tbf.tbf_init_edges(tape, tape.constant(np.zeros((1, 2, 2))), 1.0)
         assert np.all(d.value == 0.0)
 
 
@@ -141,10 +140,10 @@ class TestOutputPowers:
         rng = np.random.default_rng(7)
         ht = random_cplx(rng, (1, 2, 3), 0.01)
         tape = Tape()
-        p, lam = tbf.tbf_powers(tape, cx.constant(tape, ht), store, cfg, MICRO)
+        p, lam = tbf.tbf_powers(tape, tape.constant(ht), store, cfg, MICRO)
         perm = rng.permutation(3)
         tape = Tape()
-        p2, lam2 = tbf.tbf_powers(tape, cx.constant(tape, ht[:, :, perm]), store,
+        p2, lam2 = tbf.tbf_powers(tape, tape.constant(ht[:, :, perm]), store,
                                   cfg, MICRO)
         np.testing.assert_allclose(p2.value, p.value[:, perm], atol=1e-9)
         np.testing.assert_allclose(lam2.value, lam.value[:, perm], atol=1e-9)
@@ -157,9 +156,9 @@ class TestRecoverPrecoder:
         tape = Tape()
         p = tape.constant(np.array([[2.0]]))
         lam = tape.constant(np.array([[0.7]]))
-        w = tbf.recover_precoder(tape, cx.constant(tape, ht), p, lam, 0.5)
+        w = tbf.recover_precoder(tape, tape.constant(ht), p, lam, 0.5)
         expected = ht[0] * np.sqrt(2.0) / (0.7 * np.linalg.norm(ht) ** 2 + 0.5)
-        np.testing.assert_allclose(w.value()[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(w.value[0], expected, rtol=1e-12)
 
     def test_zero_lambda_is_scaled_mrt(self):
         rng = np.random.default_rng(9)
@@ -167,9 +166,9 @@ class TestRecoverPrecoder:
         tape = Tape()
         p = tape.constant(np.array([[1.0, 4.0]]))
         lam = tape.constant(np.zeros((1, 2)))
-        w = tbf.recover_precoder(tape, cx.constant(tape, ht), p, lam, 2.0)
+        w = tbf.recover_precoder(tape, tape.constant(ht), p, lam, 2.0)
         expected = ht[0] @ np.diag([1.0, 2.0]) / 2.0
-        np.testing.assert_allclose(w.value()[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(w.value[0], expected, rtol=1e-12)
 
     def test_matches_numpy_twin(self):
         rng = np.random.default_rng(10)
@@ -177,10 +176,10 @@ class TestRecoverPrecoder:
         p = rng.uniform(0.5, 2.0, (4, 3))
         lam = rng.uniform(0.0, 2.0, (4, 3))
         tape = Tape()
-        w = tbf.recover_precoder(tape, cx.constant(tape, ht), tape.constant(p),
+        w = tbf.recover_precoder(tape, tape.constant(ht), tape.constant(p),
                                  tape.constant(lam), 0.8)
         w_np = tbf.recover_precoder_np(ht, p, lam, 0.8)
-        np.testing.assert_allclose(w.value(), w_np, rtol=1e-11, atol=1e-14)
+        np.testing.assert_allclose(w.value, w_np, rtol=1e-11, atol=1e-14)
 
     def test_solve_residual(self):
         rng = np.random.default_rng(11)
@@ -197,7 +196,7 @@ class TestRecoverPrecoder:
 
     def test_invalid_noise(self):
         tape = Tape()
-        ht = cx.constant(tape, np.ones((1, 2, 2), dtype=complex))
+        ht = tape.constant(np.ones((1, 2, 2), dtype=complex))
         p = tape.constant(np.ones((1, 2)))
         with pytest.raises(InvalidConfigError):
             tbf.recover_precoder(tape, ht, p, p, 0.0)
@@ -206,46 +205,46 @@ class TestRecoverPrecoder:
 class TestNormalizePower:
     def test_known_scaling(self):
         tape = Tape()
-        w = cx.constant(tape, np.array([[[3.0 + 0j], [4.0 + 0j]]]))
+        w = tape.constant(np.array([[[3.0 + 0j], [4.0 + 0j]]]))
         out = tbf.normalize_power(tape, w, 4.0)
-        np.testing.assert_allclose(out.value()[0].ravel(), [1.2, 1.6], rtol=1e-14)
+        np.testing.assert_allclose(out.value[0].ravel(), [1.2, 1.6], rtol=1e-14)
 
     def test_already_normalized_fixed_point(self):
         rng = np.random.default_rng(12)
         w = random_cplx(rng, (1, 2, 2))
         tape = Tape()
-        once = tbf.normalize_power(tape, cx.constant(tape, w), 5.0)
+        once = tbf.normalize_power(tape, tape.constant(w), 5.0)
         tape2 = Tape()
-        twice = tbf.normalize_power(tape2, cx.constant(tape2, once.value()), 5.0)
-        np.testing.assert_allclose(once.value(), twice.value(), atol=1e-14)
+        twice = tbf.normalize_power(tape2, tape2.constant(once.value), 5.0)
+        np.testing.assert_allclose(once.value, twice.value, atol=1e-14)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
         w = random_cplx(rng, (1, 3, 2))
         tape = Tape()
-        a = tbf.normalize_power(tape, cx.constant(tape, w), 2.0)
+        a = tbf.normalize_power(tape, tape.constant(w), 2.0)
         tape2 = Tape()
-        b = tbf.normalize_power(tape2, cx.constant(tape2, 7.3 * w), 2.0)
-        np.testing.assert_allclose(a.value(), b.value(), rtol=1e-12)
+        b = tbf.normalize_power(tape2, tape2.constant(7.3 * w), 2.0)
+        np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
 
     def test_zero_precoder_rejected(self):
         tape = Tape()
         with pytest.raises(DegenerateInputError):
-            tbf.normalize_power(tape, cx.constant(tape, np.zeros((1, 2, 2))), 1.0)
+            tbf.normalize_power(tape, tape.constant(np.zeros((1, 2, 2))), 1.0)
 
     def test_numpy_twin_agrees(self):
         rng = np.random.default_rng(14)
         w = random_cplx(rng, (5, 3, 2))
         tape = Tape()
-        out = tbf.normalize_power(tape, cx.constant(tape, w), 3.0)
-        np.testing.assert_allclose(out.value(), tbf.normalize_power_np(w, 3.0),
+        out = tbf.normalize_power(tape, tape.constant(w), 3.0)
+        np.testing.assert_allclose(out.value, tbf.normalize_power_np(w, 3.0),
                                    rtol=1e-14)
 
 
 class TestTbfForward:
     def _forward(self, ht, cfg, store):
         tape = Tape()
-        return tbf.tbf_forward(tape, cx.constant(tape, ht), store, cfg, MICRO).value()
+        return tbf.tbf_forward(tape, tape.constant(ht), store, cfg, MICRO).value
 
     def test_power_exact(self):
         cfg = default_config(3, 1, 2)
