@@ -19,8 +19,18 @@ pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. An
 adjoint handed to a VJP may be a read-only broadcast view (``sum_axis`` and
 ``mean_axis`` return one), so no VJP writes into its ``g``. ``Tape.backward``
 releases each interior adjoint once its VJP has run; only leaf adjoints
-outlive the sweep. The GNNs' leave-one-out sums are single nodes,
-``sum_others`` and ``off_diagonal_sum``.
+outlive the sweep.
+
+Sums over a layer's output: a relu or identity layer whose output only feeds
+a sum takes the sum into its ``dense`` node (``reduce``), which stores the
+summed value and, for its VJP, a boolean mask of the summed entries instead
+of the full-resolution output. The placement GNN sums its other-waveguide
+branch over slots and its processor over the other users this way, and
+takes its leave-one-out sums as total minus own inside the weight fold
+(``placement_gnn.nested_pe_hidden``). ``sum_others`` and
+``off_diagonal_sum`` are the leave-one-out sums as single nodes: the
+precoder GNN uses the first, and a layer with another activation sums
+through ``sum_axis`` or the second (:func:`fnn_layer`).
 """
 
 from __future__ import annotations
@@ -247,18 +257,19 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
     """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
 
     Each part runs one 2-D GEMM against its row block of ``W``
-    (:func:`row_blocks`) and the products are broadcast-added. ``dense``
-    and ``verify.kink_distance`` share this, so a relu's kink distance is
+    (:func:`row_blocks`) and the products are broadcast-added, the parts
+    with the fewest rows first, so that the reduced-resolution products are
+    summed before the running sum grows. ``dense`` and
+    ``verify.kink_distance`` share this, so a relu's kink distance is
     measured on the exact values the node clamped.
     """
     n_out = blocks[0].shape[1]
-    lead = np.broadcast_shapes(*(v.shape[:-1] for v in xvs))
     y = None
-    for xv, wb in zip(xvs, blocks):
+    for xv, wb in sorted(zip(xvs, blocks), key=lambda part: math.prod(part[0].shape[:-1])):
         p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
         if y is None:
             y = p
-        elif y.shape[:-1] == lead:
+        elif np.broadcast_shapes(y.shape, p.shape) == y.shape:
             y += p
         else:
             y = y + p  # the running sum grows to the broadcast shape
@@ -268,18 +279,27 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
 
 
 def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
-          relu: bool = False) -> Var:
-    """``act(concat(xs, -1) @ W + b)`` along the last axis as one node.
+          relu: bool = False, reduce: int | tuple[int, int] | None = None) -> Var:
+    """``act(concat(xs, -1) @ W + b)`` along the last axis as one node, summed
+    if ``reduce`` says so.
 
     ``x`` is one Var or a sequence of parts whose leading shapes broadcast.
     Their concat is never built: each part multiplies its own row block of
     ``W`` at its own resolution and the products are broadcast-added
     (:func:`dense_preactivation`). ``act`` is relu or the identity. Leading
     axes are flattened, so every product and adjoint is one 2-D GEMM. The
-    relu has subgradient 0 at the kink, like ``max_with_scalar``; its mask
-    ``pre > 0`` equals ``out > 0`` and is taken from the output. The node's
-    meta is ``(relu, has_bias)``, from which ``verify.kink_distance``
-    recomputes the pre-activation.
+    relu has subgradient 0 at the kink, like ``max_with_scalar``.
+
+    ``reduce`` sums the activation inside the node, so the full-resolution
+    output is never stored. An int axis is summed over and kept with length
+    1, as ``sum_axis(..., keepdims=True)``. A pair ``(axis1, axis2)`` is
+    summed over ``axis2``, which is dropped, leaving out the entries whose
+    indices on the two axes are equal, as :func:`off_diagonal_sum`. The VJP
+    of a reduced relu keeps a boolean mask of the entries that reach the
+    sum (1 byte each) in place of the output; an unreduced relu takes its
+    mask ``pre > 0`` from the output. The node's meta is ``(relu,
+    has_bias)``, from which ``verify.kink_distance`` recomputes the
+    pre-activation.
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -294,17 +314,43 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
         raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
     blocks = row_blocks(xvs, wv)
     y = dense_preactivation(xvs, blocks, b.value if has_bias else None)
+    full = y.shape
+    mask = y > 0.0 if relu and reduce is not None else None
     if relu:
         np.maximum(y, 0.0, out=y)
+    if reduce is not None:
+        if isinstance(reduce, int):
+            axis, diag = reduce % len(full), None
+            y = y.sum(axis=axis, keepdims=True)
+        else:
+            # The sum minus the diagonal, rounded as off_diagonal_sum does.
+            diag, axis, pos = _diagonal_axes(full, *reduce)
+            off = ~np.eye(full[axis], dtype=bool).reshape(
+                [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
+            if mask is None:
+                mask = off
+            else:
+                mask &= off
+            y = y.sum(axis=axis) - np.moveaxis(np.diagonal(y, axis1=diag, axis2=axis), -1, pos)
 
     # Captures arrays and flags only: a Var here would tie the tape into a
     # reference cycle and keep it alive until the cyclic collector runs.
     def vjp(g):
-        if relu:
+        if reduce is not None:
+            g = np.broadcast_to(g if diag is None else np.expand_dims(g, axis), full)
+            if mask is not None:
+                g = g * mask
+        elif relu:
             g = np.sign(y) * g  # y >= 0, so sign(y) is the 0/1 mask y > 0
+        # g summed down to each part's resolution; parts at one resolution
+        # share the sum.
+        sums = {g.shape: g}
         gxs, gws = [], []
         for xv, wb in zip(xvs, blocks):
-            g2 = _unbroadcast(g, xv.shape[:-1] + (n_out,)).reshape(-1, n_out)
+            shape = xv.shape[:-1] + (n_out,)
+            if shape not in sums:
+                sums[shape] = _unbroadcast(g, shape)
+            g2 = sums[shape].reshape(-1, n_out)
             gxs.append((g2 @ wb.T).reshape(xv.shape))
             gws.append(xv.reshape(-1, wb.shape[0]).T @ g2)
         gw = gws[0] if len(gws) == 1 else np.concatenate(gws)
@@ -368,7 +414,7 @@ def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
     shape = a.value.shape
 
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=g.dtype)
         full[sl] = g
         return (full,)
 
@@ -408,7 +454,7 @@ def diagonal(a: Var, axis1: int, axis2: int) -> Var:
     idx = np.arange(shape[a1])
 
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=g.dtype)
         np.moveaxis(full, (a1, a2), (-2, -1))[..., idx, idx] = np.moveaxis(g, pos, -1)
         return (full,)
 
@@ -707,10 +753,20 @@ def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
             store.add(f"{prefix}.b{i}", np.zeros(fan_out))
 
 
-def fnn_layer(x: Var | Sequence[Var], w: Var, b: Var | None, act: str) -> Var:
-    """One FNN layer ``act(x @ W + b)``: a dense node, relu fused into it."""
-    h = dense(x, w, b, relu=act == "relu")
-    return h if ACTIVATIONS[act] is None else ACTIVATIONS[act](h)
+def fnn_layer(x: Var | Sequence[Var], w: Var, b: Var | None, act: str,
+              reduce: int | tuple[int, int] | None = None) -> Var:
+    """One FNN layer ``act(x @ W + b)``, summed as :func:`dense`'s ``reduce``
+    says. Relu and the identity are fused into the dense node together with
+    the sum; any other activation is its own node, and the sum
+    (``sum_axis`` or :func:`off_diagonal_sum`) one more after it."""
+    if ACTIVATIONS[act] is None:
+        return dense(x, w, b, relu=act == "relu", reduce=reduce)
+    h = ACTIVATIONS[act](dense(x, w, b))
+    if reduce is None:
+        return h
+    if isinstance(reduce, int):
+        return sum_axis(h, reduce, keepdims=True)
+    return off_diagonal_sum(h, *reduce)
 
 
 def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
@@ -776,17 +832,23 @@ def grad_check(fn: Callable[[ParameterStore], Var], store: ParameterStore,
                eps: float = 1e-5) -> float:
     """Worst relative error of reverse-mode vs central finite differences.
 
-    ``fn`` must build a fresh tape and return the scalar loss Var. Relative
+    ``fn`` must build a fresh tape and return the scalar loss Var, reading
+    every trainable parameter it uses through :meth:`Tape.param`. Relative
     error uses denominator max(|analytic|, |numeric|, 1e-12) per coordinate.
+    Only the parameters the loss's tape binds are probed: the loss does not
+    read the others, so their difference and their gradient are both
+    exactly 0.
     """
     if not (1e-7 <= eps <= 1e-4):
         raise InvalidConfigError(f"eps must be in [1e-7, 1e-4], got {eps}")
     loss = fn(store)
+    bound = {name for name, _ in loss.tape.param_slots}
     backward_into(store, loss)
-    analytic = {n: store.grads[n].copy() for n in store.trainable_names()}
+    names = [n for n in store.trainable_names() if n in bound]
+    analytic = {n: store.grads[n].copy() for n in names}
 
     worst = 0.0
-    for name in store.trainable_names():
+    for name in names:
         theta = store.values[name]
         flat = theta.ravel()
         for i in range(flat.size):

@@ -112,34 +112,45 @@ def _output_layer(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
 
 
 def _hidden(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
-            zs: list[Var]) -> Var:
-    """A subnet's hidden state act(z W0 + b0). Parts ``zs`` narrower than the
-    subnet's input read the leading rows of W0: the trailing input is an
-    empty message that was skipped, whose rows would multiply exact zeros."""
+            zs: list[Var], reduce: int | tuple[int, int] | None = None) -> Var:
+    """A subnet's hidden state act(z W0 + b0), summed as ``reduce`` says
+    (:func:`ad.fnn_layer`). Parts ``zs`` narrower than the subnet's input
+    read the leading rows of W0: the trailing input is an empty message that
+    was skipped, whose rows would multiply exact zeros."""
     w0 = tape.param(store, f"{prefix}.W0")
     width = sum(p.shape[-1] for p in zs)
     if width < w0.shape[0]:
         w0 = ad.slice_axis(w0, 0, 0, width)
-    return ad.fnn_layer(zs, w0, tape.param(store, f"{prefix}.b0"), spec.activation)
+    return ad.fnn_layer(zs, w0, tape.param(store, f"{prefix}.b0"), spec.activation,
+                        reduce)
 
 
 def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
-                     names: tuple[str, str, str], specs: dict[str, FnnSpec]) -> Var:
-    """Hidden state of the main net of :func:`nested_pe_map`.
+                     names: tuple[str, str, str], specs: dict[str, FnnSpec],
+                     reduce: int | tuple[int, int] | None = None) -> Var:
+    """Hidden state of the main net of :func:`nested_pe_map`, summed as
+    ``reduce`` says (:func:`ad.dense`).
 
     Every subnet has one hidden layer and an identity output layer
     (:func:`layer_specs`), and a linear layer commutes with a sum. So
-    ``same`` and ``other`` run to their hidden states r_a, r_b only, the
-    sums are taken over those, ``same_h = sum_{i != m} r_a`` and ``other_h =
-    sum_{j != n} sum_i r_b`` (each leave-one-out sum one
-    :func:`ad.sum_others` node), and main's first layer reads ``[z, same_h,
-    other_h]`` with folded weights ``[W0_z; W_a W0_s; W_b W0_o]`` and bias
+    ``same`` and ``other`` run to their hidden states only, and their
+    output layers are folded into main's first layer: with ``F = W_out
+    W0_rows`` (the branch's output weights times the rows of main's W0 that
+    read it), main adds ``(sum_{i != m} r_a) F_a`` and ``(sum_{j != n}
+    sum_i r_b) F_b``. Each leave-one-out sum is taken as total minus own,
+    ``(S r) F - r F``, so it is never built: main's first layer reads the
+    parts ``[z, r_a, S_M r_a, s_b, S_N s_b]`` with row blocks ``[W0_z, -F_a,
+    F_a, -F_b, F_b]``, where S is a keepdims sum over slots (M) or
+    waveguides (N) and ``s_b = S_M r_b`` comes from ``other``'s dense node
+    with the sum fused into it (r_b itself is never stored). The bias is
     ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
     tape from the stored parameters and touches only weight-sized arrays.
+    Besides main's hidden state, r_a is the only value stored at the
+    resolution of ``z``'s broadcast.
 
     A branch whose index set is empty (``same`` at M = 1, ``other`` at
-    N = 1) would add exact zeros, so it is not built: its part, its row
-    block and its bias term drop out, and its parameters never reach the
+    N = 1) would add exact zeros, so it is not built: its parts, its row
+    blocks and its bias term drop out, and its parameters never reach the
     tape (their gradients stay exactly zero). ``z`` may also lack a
     trailing empty part (:func:`pbf_layer` at K = 1); every first layer then
     reads the leading rows of its weights that the parts present cover.
@@ -147,33 +158,35 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     main_name, same_name, other_name = names
     zs = ad.as_parts(z)
     n, m = np.broadcast_shapes(*(p.shape[:-1] for p in zs))[1:3]
-    sums = {}  # leave-one-out hidden sum of each branch with a non-empty index set
+    parts = {}  # own and total hidden state of each branch with a non-empty index set
     if m > 1:
         r_a = _hidden(tape, specs[same_name], store, f"{prefix}.{same_name}", zs)
-        sums[same_name] = ad.sum_others(r_a, 2)
+        parts[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
     if n > 1:
-        r_b = _hidden(tape, specs[other_name], store, f"{prefix}.{other_name}", zs)
-        sums[other_name] = ad.sum_others(ad.sum_axis(r_b, 2, keepdims=True), 1)
+        s_b = _hidden(tape, specs[other_name], store, f"{prefix}.{other_name}", zs, 2)
+        parts[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
     counts = {same_name: m - 1, other_name: (n - 1) * m}
 
     outs = {name: _output_params(tape, specs[name], store, f"{prefix}.{name}")
-            for name in sums}
+            for name in parts}
     w0 = tape.param(store, f"{prefix}.{main_name}.W0")
     b0 = tape.param(store, f"{prefix}.{main_name}.b0")
     md = specs[same_name].widths[-1]
     zw = w0.shape[0] - 2 * md
     first_row = {same_name: zw, other_name: zw + md}
     w0_rows = {name: ad.slice_axis(w0, 0, first_row[name], first_row[name] + md)
-               for name in sums}
-    w = ad.slice_axis(w0, 0, 0, sum(p.shape[-1] for p in zs))
-    if sums:
-        w = ad.concat([w] + [ad.matmul(outs[name][0], w0_rows[name]) for name in sums],
-                      axis=0)
-    scaled = {name: ad.scalar_scale(outs[name][1], counts[name]) for name in sums}
+               for name in parts}
+    blocks = [ad.slice_axis(w0, 0, 0, sum(p.shape[-1] for p in zs))]
+    for name in parts:
+        fold = ad.matmul(outs[name][0], w0_rows[name])
+        blocks += [ad.scalar_scale(fold, -1.0), fold]
+    w = ad.concat(blocks, axis=0) if parts else blocks[0]
+    scaled = {name: ad.scalar_scale(outs[name][1], counts[name]) for name in parts}
     b = b0
-    for name in reversed(sums):
+    for name in reversed(parts):
         b = ad.dense(scaled[name], w0_rows[name], b)
-    return ad.fnn_layer(zs + list(sums.values()), w, b, specs[main_name].activation)
+    return ad.fnn_layer(zs + [p for pair in parts.values() for p in pair], w, b,
+                        specs[main_name].activation, reduce)
 
 
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
@@ -203,20 +216,21 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     resolution, (B, N, M, K, 1, w) and (B, N, M, 1, K, w), so the K x K pair
     tensor of their concat is never built. ``fq``'s identity output layer
     runs after the sum over j: the off-diagonal sum is taken over its hidden
-    state r_q (:func:`ad.off_diagonal_sum`, one node), and the layer then
-    applies at K resolution with bias (K-1) b. With the folds of
-    :func:`nested_pe_hidden`, three dense nodes per layer run at pair
-    resolution, one hidden layer of each of fq, qq1 and qq2. At K = 1 the
-    message is an empty sum, so the processor is not built and the update
-    reads d alone through the leading rows of its first-layer weights.
+    state r_q inside r_q's dense node (``reduce=(3, 4)``), which stores only
+    the sum, and the layer then applies at K resolution with bias (K-1) b.
+    With the folds of :func:`nested_pe_hidden`, the only value a layer
+    stores at pair resolution (B N M K^2 rows) is qq1's hidden state, and
+    at M > 1 only. At K = 1 the message is an empty sum, so the processor
+    is not built and the update reads d alone through the leading rows of
+    its first-layer weights.
     """
     specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape
     z = [d]
     if k > 1:
         pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
-        r_q = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs)
-        msg_h = ad.off_diagonal_sum(r_q, 3, 4)
+        msg_h = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs,
+                                 (3, 4))
         z.append(_output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1))
     return nested_pe_map(tape, z, store, prefix, ("ff", "qf1", "qf2"), specs)
 

@@ -272,12 +272,19 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
-    def run(name, params, op_builder, out_shape):
+    def run(name, params, op_builder, out_shape, nonzero=False):
         store = ParameterStore()
         for k, v in params.items():
             store.add(k, v)
         weights = rng.uniform(0.5, 1.5, out_shape)
-        results[name] = grad_check(_scalarized(op_builder, weights), store, eps)
+        fn = _scalarized(op_builder, weights)
+        results[name] = grad_check(fn, store, eps)
+        if nonzero:
+            # A coordinate with derivative exactly 0 checks nothing: its
+            # central difference is exactly 0 too, or rounding noise.
+            ad.backward_into(store, fn(store))
+            if not all(np.all(g) for g in store.grads.values()):
+                results[name] = math.inf
 
     def u(shape, lo=-1.5, hi=1.5):
         return rng.uniform(lo, hi, shape)
@@ -393,6 +400,25 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
     run("off_diagonal_sum", {"x": u((2, 3, 4, 4, 5))},
         lambda t, s: ad.add(ad.off_diagonal_sum(t.param(s, "x"), 2, 3),
                             ad.diagonal(t.param(s, "x"), 2, 3)), (2, 3, 4, 5))
+    # dense with its relu output summed inside the node, over an axis (kept)
+    # and over the off-diagonal of two, on two parts that broadcast across
+    # each other as the placement processor's pair does. Every coordinate
+    # must have a non-zero derivative.
+    for layout, reduce, out_shape in (("sum", 1, (2, 1, 3, 5)),
+                                      ("off_diagonal", (1, 2), (2, 3, 5))):
+        while True:
+            p = {"x0": u((2, 3, 1, 4)), "x1": u((2, 1, 3, 2)), "w": u((6, 5)), "b": u((5,))}
+            pre = p["x0"] @ p["w"][:4] + p["x1"] @ p["w"][4:] + p["b"]
+            if np.min(np.abs(pre)) > 0.05:
+                break
+        run(f"dense_parts_{layout}_relu_bias", p, lambda t, s, reduce=reduce: ad.dense(
+            [t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"), t.param(s, "b"),
+            relu=True, reduce=reduce), out_shape, nonzero=True)
+    # slice_axis and diagonal of a complex input: their adjoints are complex.
+    run("complex_slice_axis", zp("z", (3, 5)),
+        lambda t, s: cx.real_imag(ad.slice_axis(z(t, s, "z"), 1, 1, 4)), (3, 3, 2))
+    run("complex_diagonal", zp("z", (2, 4, 4)),
+        lambda t, s: cx.real_imag(ad.diagonal(z(t, s, "z"), 1, 2)), (2, 4, 2))
     return results
 
 
@@ -408,7 +434,8 @@ def kink_distance(tape: Tape) -> float:
 
     Covers max_with_scalar thresholds, the relus fused into dense nodes
     (their pre-activation recomputed from the node's parents with the GEMM
-    code of ``dense``) and the sqrt domain; used to resample
+    code of ``dense``, also where the node stores only a sum of its output)
+    and the sqrt domain; used to resample
     gradient-check inputs that would straddle a kink during probing.
     """
     worst = math.inf

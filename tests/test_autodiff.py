@@ -373,6 +373,87 @@ class TestLeaveOneOutSums:
         np.testing.assert_array_equal(gx, _loop_off_diagonal_adjoint(g, shape, axis1, axis2))
 
 
+def _reduce(h, reduce):
+    """The sum that dense's ``reduce`` fuses, as its own node."""
+    if isinstance(reduce, int):
+        return ad.sum_axis(h, reduce, keepdims=True)
+    return ad.off_diagonal_sum(h, *reduce)
+
+
+class TestReducedDense:
+    # Two parts that broadcast across each other to (2, 3, 3, 5), as the
+    # placement processor's pair (d_k, d_j) does.
+    SHAPES = ((2, 3, 1, 4), (2, 1, 3, 2))
+
+    def _run(self, reduce, relu, bias, fused, act=None):
+        rng = np.random.default_rng(40)
+        inputs = [rng.standard_normal(s) for s in self.SHAPES]
+        wv, bv = rng.standard_normal((6, 5)), rng.standard_normal(5)
+        tape = Tape()
+        xs = [tape.constant(v) for v in inputs]
+        w = tape.constant(wv)
+        b = tape.constant(bv) if bias else None
+        if act is not None:
+            y = ad.fnn_layer(xs, w, b, act, reduce) if fused \
+                else _reduce(ad.ACTIVATIONS[act](ad.dense(xs, w, b)), reduce)
+        elif fused:
+            y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
+        else:
+            y = _reduce(ad.dense(xs, w, b, relu=relu), reduce)
+        weights = np.random.default_rng(41).standard_normal(y.shape)
+        grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
+                                          tuple(range(y.ndim))))
+        leaves = xs + [w] + ([b] if bias else [])
+        return tape, y, [grads[v.idx] for v in leaves]
+
+    @pytest.mark.parametrize("reduce", [1, -2, (1, 2), (2, 1)])
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_matches_dense_then_sum(self, reduce, relu, bias):
+        tape, y, grads = self._run(reduce, relu, bias, fused=True)
+        _, ref, ref_grads = self._run(reduce, relu, bias, fused=False)
+        assert tape.ops[y.idx] == "dense"  # one node, the sum included
+        assert y.shape == ref.shape
+        np.testing.assert_allclose(y.value, ref.value, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref.value)))
+        for g, gr in zip(grads, ref_grads):
+            assert g.shape == gr.shape
+            np.testing.assert_allclose(g, gr, rtol=1e-12, atol=1e-12 * np.max(np.abs(gr)))
+
+    @pytest.mark.parametrize("reduce", [1, (1, 2)])
+    def test_stores_only_the_sum_and_a_mask(self, reduce):
+        # The node's value is the sum; the only full-resolution (2, 3, 3, 5)
+        # array its VJP keeps is the boolean mask.
+        tape, y, _ = self._run(reduce, relu=True, bias=True, fused=True)
+        assert tape.ops[y.idx] == "dense"
+        assert y.value.size < 2 * 3 * 3 * 5
+        kept = [c.cell_contents for c in tape.vjps[y.idx].__closure__]
+        full = [v for v in kept if isinstance(v, np.ndarray) and v.size == 2 * 3 * 3 * 5]
+        assert [v.dtype for v in full] == [np.dtype(bool)]
+
+    @pytest.mark.parametrize("reduce", [1, (1, 2)])
+    def test_tanh_layer_sums_in_its_own_node(self, reduce):
+        # Only relu and the identity fuse the sum; fnn_layer gives any other
+        # activation its own node and the sum one more after it.
+        tape, y, grads = self._run(reduce, None, True, fused=True, act="tanh")
+        _, ref, ref_grads = self._run(reduce, None, True, fused=False, act="tanh")
+        sum_op = "sum_axis" if isinstance(reduce, int) else "off_diagonal_sum"
+        assert [op for op in tape.ops if op != "const"][:3] == ["dense", "tanh", sum_op]
+        np.testing.assert_array_equal(y.value, ref.value)
+        for g, gr in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, gr)
+
+    def test_kink_distance_sees_reduced_relu(self):
+        # kink_distance recomputes the full pre-activation from the parents,
+        # though the node stores only its sum.
+        tape = Tape()
+        parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
+        w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
+        b = tape.constant(np.array([-2.0 + 1e-6, 0.5]))
+        ad.dense(parts, w, b, relu=True, reduce=(1, 2))
+        assert 0.99e-6 <= kink_distance(tape) <= 1.01e-6
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         store = ParameterStore()
@@ -396,6 +477,22 @@ class TestGradCheck:
         assert len(results) >= 25
         bad = {k: v for k, v in results.items() if v > 1e-6}
         assert not bad, f"primitives over tolerance: {bad}"
+
+    def test_probes_only_parameters_the_tape_binds(self):
+        # "unused" never reaches the tape: its gradient is exactly 0 and the
+        # loss cannot move with it, so it costs no loss evaluation.
+        store = ParameterStore()
+        store.add("x", np.array([0.3, -1.2]))
+        store.add("unused", np.ones((2, 3)))
+        calls = []
+
+        def f(s):
+            calls.append(None)
+            return ad.sum_axis(ad.square(Tape().param(s, "x")), 0)
+
+        assert grad_check(f, store) <= 1e-9
+        assert len(calls) == 1 + 2 * 2
+        assert not np.any(store.grads["unused"])
 
     def test_frozen_entries_skipped(self):
         store = ParameterStore()

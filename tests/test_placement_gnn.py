@@ -343,26 +343,55 @@ class TestFoldedOutputLayers:
                 err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-12, (n, m, k, name, err)
 
-    def test_three_pair_resolution_dense_nodes_per_layer(self):
-        # Only the hidden layers of fq, qq1 and qq2 run at pair resolution
-        # (B*N*M*K^2 rows); their output layers run after the sums, and the
-        # diagonal is taken without a pair-resolution product.
+    def test_tanh_model_matches_unfolded_reference(self):
+        # With tanh the sums are not fused into the dense nodes: each hidden
+        # layer is a dense and a tanh node, then a sum_axis or
+        # off_diagonal_sum node; the fold must still match the reference.
+        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=8, message_dim=8,
+                            activation="tanh")
+        rng = np.random.default_rng(21)
+        specs = pbf.layer_specs(3, model)
+        store = ParameterStore()
+        for name in pbf.SUBNET_NAMES:
+            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+        for name in store.names():
+            store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
+        for n, m, k in [(3, 2, 4), (3, 1, 4)]:
+            d = rng.standard_normal((2, n, m, k, 3))
+            weights = rng.uniform(0.5, 1.5, (2, n, m, k, model.hidden))
+            runs = []
+            for layer_fn in (pbf.pbf_layer, _unfolded_pbf_layer):
+                tape = Tape()
+                out = layer_fn(tape, tape.constant(d), store, "pbf.layer1", 3, model)
+                loss = ad.sum_axis(ad.mul(out, tape.constant(weights)), tuple(range(5)))
+                ad.backward_into(store, loss)
+                runs.append((tape.ops, out.value,
+                             {n: g.copy() for n, g in store.grads.items()}))
+            (ops, value, grads), (_, ref_value, ref_grads) = runs
+            assert "tanh" in ops and "off_diagonal_sum" in ops and "sum_axis" in ops
+            assert np.max(np.abs(value - ref_value)) <= 1e-12 * np.max(np.abs(ref_value))
+            for name, ref in ref_grads.items():
+                if name.split(".")[2] in _skipped_subnets(n, m, k):
+                    continue
+                err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, (n, m, k, name, err)
+
+    def test_only_same_branch_hidden_state_at_pair_resolution(self):
+        # The leave-one-out sums are taken as total minus own inside the
+        # weight fold and the other-branch and message sums inside their
+        # dense nodes, so the one value per layer stored at pair resolution
+        # (B*N*M*K^2 rows) is qq1's hidden state r_a.
         b, n, m, k = 2, 4, 2, 4
         cfg = default_config(n, m, k)
-        store = params_for(cfg)
-        phi = np.random.default_rng(17).uniform(0, cfg.D, (b, k, 2))
         tape = Tape()
-        pbf.pbf_forward(tape, phi, store, cfg, MICRO)
-        pair_rows = b * n * m * k * k
-        at_pair = [op for op, value in zip(tape.ops, tape.values)
-                   if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]]
-        assert at_pair.count("dense") == 3 * MICRO.pbf_layers
-        assert "mul" not in at_pair
+        pbf.pbf_forward(tape, np.random.default_rng(17).uniform(0, cfg.D, (b, k, 2)),
+                        params_for(cfg), cfg, MICRO)
+        assert _pair_resolution_nodes(tape, b * n * m * k * k) == [
+            ("dense", f"pbf.layer{layer}.qq1") for layer in range(1, MICRO.pbf_layers + 1)]
 
     def test_no_pair_resolution_sub_or_diagonal(self):
-        # The leave-one-out sums are one sum_others node each and the message
-        # one off_diagonal_sum node, so no sub or diagonal node reads or
-        # writes a pair-resolution tensor.
+        # No sub or diagonal node reads or writes a pair-resolution tensor,
+        # and the placement GNN has no leave-one-out sum node at all.
         b, n, m, k = 2, 4, 2, 4
         cfg = default_config(n, m, k)
         store = params_for(cfg)
@@ -378,14 +407,35 @@ class TestFoldedOutputLayers:
             if op in ("sub", "diagonal"):
                 touched = [tape.values[i]] + [tape.values[p] for p in tape.parents[i]]
                 assert not any(at_pair(v) for v in touched), (op, tape.values[i].shape)
-        assert tape.ops.count("off_diagonal_sum") == MICRO.pbf_layers
+        assert "sum_others" not in tape.ops and "off_diagonal_sum" not in tape.ops
+
+    def test_tape_bytes_at_k8(self):
+        # B = 8, N = K = 8, M = 3 with the default model: 53.5 MB (the
+        # unfused sums took 113.2 MB).
+        cfg = default_config(8, 3, 8)
+        model = ModelConfig()
+        tape = Tape()
+        pbf.pbf_forward(tape, np.random.default_rng(22).uniform(0, cfg.D, (8, 8, 2)),
+                        init_parameters(cfg, model, 0), cfg, model)
+        assert sum(v.nbytes for v in tape.values) <= 56e6
+
+
+def _pair_resolution_nodes(tape, pair_rows):
+    """(op, subnet of its first-layer bias) of each node whose value has
+    ``pair_rows`` rows, in tape order."""
+    bias_of = {idx: name.rsplit(".", 1)[0] for name, idx in tape.param_slots
+               if name.endswith(".b0")}
+    return [(op, next((bias_of[p] for p in tape.parents[i] if p in bias_of), None))
+            for i, (op, v) in enumerate(zip(tape.ops, tape.values))
+            if v.size and v.ndim >= 2 and v.size == pair_rows * v.shape[-1]]
 
 
 class TestEmptyBranchesSkipped:
     def test_single_slot_tape_has_no_same_branch(self):
         # At M = 1 the within-waveguide sums are empty: qq1 and qf1 never
-        # reach the tape, and the only leave-one-out sums left at pair
-        # resolution are the waveguide ones, one per layer (none at N = 1).
+        # reach the tape, so no hidden state r_a is stored. The only values
+        # with pair-resolution rows are then qq2's sums over the slot axis,
+        # which has length 1: one per layer at N = 2, none at N = 1.
         for n in (2, 1):
             b, m, k = 2, 1, 3
             cfg = default_config(n, m, k)
@@ -396,10 +446,9 @@ class TestEmptyBranchesSkipped:
             subnets = {name.split(".")[2] for name, _ in tape.param_slots
                        if name.startswith("pbf.layer")}
             assert subnets == set(pbf.SUBNET_NAMES) - _skipped_subnets(n, m, k)
-            pair_rows = b * n * m * k * k
-            at_pair = [op for op, v in zip(tape.ops, tape.values)
-                       if v.ndim >= 2 and v.size == pair_rows * v.shape[-1]]
-            assert at_pair.count("sum_others") == (n > 1) * MICRO.pbf_layers
+            assert _pair_resolution_nodes(tape, b * n * m * k * k) == [
+                ("dense", f"pbf.layer{layer}.qq2")
+                for layer in range(1, MICRO.pbf_layers + 1) if n > 1]
 
     def test_single_user_tape_has_no_processor(self):
         cfg = default_config(2, 2, 1)
