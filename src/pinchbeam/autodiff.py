@@ -12,9 +12,9 @@ array itself), and ``Tape.backward`` keeps only the real part of an adjoint
 that flows into a real node. The ops that cross between real and complex
 live in :mod:`pinchbeam.cplx`.
 
-Gradient conventions: ``max_with_scalar``, ``relu`` and the relu fused into
-``dense`` use subgradient 0 at the kink. Tests and gradient checks keep
-inputs away from kinks; ``verify.kink_distance`` recomputes a fused relu's
+Gradient conventions: ``max_with_scalar`` and the relu fused into ``dense``
+use subgradient 0 at the kink. Tests and gradient checks keep inputs away
+from kinks; ``verify.kink_distance`` recomputes a fused relu's
 pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. An
 adjoint handed to a VJP may be a read-only broadcast view (``sum_axis`` and
 ``mean_axis`` return one), so no VJP writes into its ``g``. ``Tape.backward``
@@ -27,10 +27,8 @@ summed value and, for its VJP, a boolean mask of the summed entries instead
 of the full-resolution output. The placement GNN sums its other-waveguide
 branch over slots and its processor over the other users this way, and
 takes its leave-one-out sums as total minus own inside the weight fold
-(``placement_gnn.nested_pe_hidden``). ``sum_others`` and
-``off_diagonal_sum`` are the leave-one-out sums as single nodes: the
-precoder GNN uses the first, and a layer with another activation sums
-through ``sum_axis`` or the second (:func:`fnn_layer`).
+(``placement_gnn.nested_pe_hidden``). ``sum_others`` is the leave-one-out
+sum as a single node; the precoder GNN uses it.
 """
 
 from __future__ import annotations
@@ -294,7 +292,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     output is never stored. An int axis is summed over and kept with length
     1, as ``sum_axis(..., keepdims=True)``. A pair ``(axis1, axis2)`` is
     summed over ``axis2``, which is dropped, leaving out the entries whose
-    indices on the two axes are equal, as :func:`off_diagonal_sum`. The VJP
+    indices on the two axes are equal (``sum_{j != k}``). The VJP
     of a reduced relu keeps a boolean mask of the entries that reach the
     sum (1 byte each) in place of the output; an unreduced relu takes its
     mask ``pre > 0`` from the output. The node's meta is ``(relu,
@@ -323,7 +321,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             axis, diag = reduce % len(full), None
             y = y.sum(axis=axis, keepdims=True)
         else:
-            # The sum minus the diagonal, rounded as off_diagonal_sum does.
+            # The sum minus the diagonal, rounded as sub(sum_axis, diagonal).
             diag, axis, pos = _diagonal_axes(full, *reduce)
             off = ~np.eye(full[axis], dtype=bool).reshape(
                 [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
@@ -462,28 +460,6 @@ def diagonal(a: Var, axis1: int, axis2: int) -> Var:
     return a.tape._push(np.ascontiguousarray(out), (a.idx,), vjp, "diagonal")
 
 
-def off_diagonal_sum(a: Var, axis1: int, axis2: int) -> Var:
-    """Sum over ``axis2`` that skips the entry whose index equals ``axis1``'s.
-
-    For a (B, K, K) input and axes (1, 2), ``out[b, i] = sum_{j != i}
-    a[b, i, j]``; ``axis2`` is dropped as in :func:`diagonal`. One node for
-    the sum minus the diagonal: its adjoint is ``g`` broadcast along
-    ``axis2`` with the diagonal set to 0.
-    """
-    shape = a.value.shape
-    a1, a2, pos = _diagonal_axes(shape, axis1, axis2)
-    idx = np.arange(shape[a1])
-
-    def vjp(g):
-        full = np.broadcast_to(np.expand_dims(g, a2), shape).copy()
-        np.moveaxis(full, (a1, a2), (-2, -1))[..., idx, idx] = 0.0
-        return (full,)
-
-    av = a.value
-    out = av.sum(axis=a2) - np.moveaxis(np.diagonal(av, axis1=a1, axis2=a2), -1, pos)
-    return a.tape._push(out, (a.idx,), vjp, "off_diagonal_sum")
-
-
 def sum_others(a: Var, axis: int) -> Var:
     """Leave-one-out sum along ``axis``: ``out[.., i, ..] = sum_{j != i} a[.., j, ..]``.
 
@@ -540,10 +516,6 @@ def max_with_scalar(a: Var, s: float) -> Var:
                         meta=float(s))
 
 
-def relu(a: Var) -> Var:
-    return max_with_scalar(a, 0.0)
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -560,15 +532,6 @@ def sigmoid(a: Var) -> Var:
         return (g * y * (1.0 - y),)
 
     return a.tape._push(y, (a.idx,), vjp, "sigmoid")
-
-
-def tanh(a: Var) -> Var:
-    y = np.tanh(a.value)
-
-    def vjp(g):
-        return (g * (1.0 - y * y),)
-
-    return a.tape._push(y, (a.idx,), vjp, "tanh")
 
 
 def softplus(a: Var) -> Var:
@@ -708,24 +671,13 @@ def backward_into(store: ParameterStore, loss: Var) -> None:
 # fully-connected building block
 
 
-# Activation applied after a layer's dense node; None means fused into it.
-ACTIVATIONS = {
-    "identity": None,
-    "relu": None,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-}
-
-
 @dataclass(frozen=True)
 class FnnSpec:
-    """Widths (input first) and activations of a fully-connected net."""
+    """Widths (input first) of a fully-connected net: relu hidden layers and
+    an identity output layer, or a relu one if ``final_relu``."""
 
     widths: tuple[int, ...]
-    activation: str = "relu"
-    final_activation: str = "identity"
-    has_bias: bool = True
+    final_relu: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -733,9 +685,6 @@ class FnnSpec:
             raise InvalidConfigError("FnnSpec needs at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise InvalidConfigError(f"widths must be positive, got {self.widths}")
-        for act in (self.activation, self.final_activation):
-            if act not in ACTIVATIONS:
-                raise InvalidConfigError(f"unknown activation {act!r}")
 
     @property
     def n_layers(self) -> int:
@@ -749,24 +698,7 @@ def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
         fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
         lim = math.sqrt(6.0 / (fan_in + fan_out))
         store.add(f"{prefix}.W{i}", rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-        if spec.has_bias:
-            store.add(f"{prefix}.b{i}", np.zeros(fan_out))
-
-
-def fnn_layer(x: Var | Sequence[Var], w: Var, b: Var | None, act: str,
-              reduce: int | tuple[int, int] | None = None) -> Var:
-    """One FNN layer ``act(x @ W + b)``, summed as :func:`dense`'s ``reduce``
-    says. Relu and the identity are fused into the dense node together with
-    the sum; any other activation is its own node, and the sum
-    (``sum_axis`` or :func:`off_diagonal_sum`) one more after it."""
-    if ACTIVATIONS[act] is None:
-        return dense(x, w, b, relu=act == "relu", reduce=reduce)
-    h = ACTIVATIONS[act](dense(x, w, b))
-    if reduce is None:
-        return h
-    if isinstance(reduce, int):
-        return sum_axis(h, reduce, keepdims=True)
-    return off_diagonal_sum(h, *reduce)
+        store.add(f"{prefix}.b{i}", np.zeros(fan_out))
 
 
 def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
@@ -779,10 +711,9 @@ def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
             f"input width {width} does not match spec width {spec.widths[0]}")
     h = x
     for i in range(spec.n_layers):
-        act = spec.final_activation if i == spec.n_layers - 1 else spec.activation
-        w = tape.param(store, f"{prefix}.W{i}")
-        b = tape.param(store, f"{prefix}.b{i}") if spec.has_bias else None
-        h = fnn_layer(h, w, b, act)
+        relu = spec.final_relu if i == spec.n_layers - 1 else True
+        h = dense(h, tape.param(store, f"{prefix}.W{i}"), tape.param(store, f"{prefix}.b{i}"),
+                  relu=relu)
     return h
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS
 from .errors import InvalidConfigError
 
 # Exact value used for every wavelength/constant derivation. Serialized with
@@ -228,23 +227,25 @@ def default_config(n_waveguides: int, n_pinch_per_wg: int, n_users: int,
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters shared by the two sub-GNNs."""
+    """Hyperparameters shared by the two sub-GNNs; every hidden layer is relu."""
 
     pbf_layers: int = 3
     tbf_layers: int = 3
     hidden: int = 64        # edge representation width
     message_dim: int = 64   # processor output width
-    activation: str = "relu"
 
     def __post_init__(self):
         for name in ("pbf_layers", "tbf_layers", "hidden", "message_dim"):
             object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
-        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
-            raise InvalidConfigError(f"unknown activation {self.activation!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
+        data = dict(data)
+        # Format-1 checkpoints may name the activation; relu is the only one.
+        act = data.pop("activation", "relu")
+        if act != "relu":
+            raise InvalidConfigError(f"unsupported activation {act!r}; hidden layers are relu")
         return cls(**data)

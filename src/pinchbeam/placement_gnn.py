@@ -65,16 +65,16 @@ def init_edges(tape: Tape, phi: np.ndarray, s: np.ndarray, cfg: SystemConfig) ->
 
 def layer_specs(in_width: int, model: ModelConfig) -> dict[str, FnnSpec]:
     """Subnet widths for one layer whose edge input width is ``in_width``."""
-    h, md, act = model.hidden, model.message_dim, model.activation
+    h, md = model.hidden, model.message_dim
     pair = 2 * in_width
     comb = in_width + md
     return {
-        "qq1": FnnSpec((pair, h, md), act),
-        "qq2": FnnSpec((pair, h, md), act),
-        "fq": FnnSpec((pair + 2 * md, h, md), act),
-        "qf1": FnnSpec((comb, h, md), act),
-        "qf2": FnnSpec((comb, h, md), act),
-        "ff": FnnSpec((comb + 2 * md, h, h), act),
+        "qq1": FnnSpec((pair, h, md)),
+        "qq2": FnnSpec((pair, h, md)),
+        "fq": FnnSpec((pair + 2 * md, h, md)),
+        "qf1": FnnSpec((comb, h, md)),
+        "qf2": FnnSpec((comb, h, md)),
+        "ff": FnnSpec((comb + 2 * md, h, h)),
     }
 
 
@@ -111,18 +111,17 @@ def _output_layer(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
     return ad.dense(h, w, b if count == 1 else ad.scalar_scale(b, count))
 
 
-def _hidden(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
-            zs: list[Var], reduce: int | tuple[int, int] | None = None) -> Var:
-    """A subnet's hidden state act(z W0 + b0), summed as ``reduce`` says
-    (:func:`ad.fnn_layer`). Parts ``zs`` narrower than the subnet's input
-    read the leading rows of W0: the trailing input is an empty message that
-    was skipped, whose rows would multiply exact zeros."""
+def _hidden(tape: Tape, store: ParameterStore, prefix: str, zs: list[Var],
+            reduce: int | tuple[int, int] | None = None) -> Var:
+    """A subnet's hidden state relu(z W0 + b0), summed as ``reduce`` says
+    (:func:`ad.dense`). Parts ``zs`` narrower than the subnet's input read
+    the leading rows of W0: the trailing input is an empty message that was
+    skipped, whose rows would multiply exact zeros."""
     w0 = tape.param(store, f"{prefix}.W0")
     width = sum(p.shape[-1] for p in zs)
     if width < w0.shape[0]:
         w0 = ad.slice_axis(w0, 0, 0, width)
-    return ad.fnn_layer(zs, w0, tape.param(store, f"{prefix}.b0"), spec.activation,
-                        reduce)
+    return ad.dense(zs, w0, tape.param(store, f"{prefix}.b0"), relu=True, reduce=reduce)
 
 
 def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
@@ -160,10 +159,10 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     n, m = np.broadcast_shapes(*(p.shape[:-1] for p in zs))[1:3]
     parts = {}  # own and total hidden state of each branch with a non-empty index set
     if m > 1:
-        r_a = _hidden(tape, specs[same_name], store, f"{prefix}.{same_name}", zs)
+        r_a = _hidden(tape, store, f"{prefix}.{same_name}", zs)
         parts[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
     if n > 1:
-        s_b = _hidden(tape, specs[other_name], store, f"{prefix}.{other_name}", zs, 2)
+        s_b = _hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
         parts[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
     counts = {same_name: m - 1, other_name: (n - 1) * m}
 
@@ -185,8 +184,8 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     b = b0
     for name in reversed(parts):
         b = ad.dense(scaled[name], w0_rows[name], b)
-    return ad.fnn_layer(zs + [p for pair in parts.values() for p in pair], w, b,
-                        specs[main_name].activation, reduce)
+    return ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
+                    reduce=reduce)
 
 
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,

@@ -41,13 +41,11 @@ POWER_FLOOR = 1e-8
 def layer_specs(in_width: int, model: ModelConfig) -> dict[str, FnnSpec]:
     """One layer's update functions; all linear except the final combiner."""
     md = model.message_dim
-    lin = dict(activation="identity", final_activation="identity")
     return {
-        "qq": FnnSpec((in_width, md), **lin),
-        "fq": FnnSpec((in_width + md, md), **lin),
-        "qf": FnnSpec((in_width + md, md), **lin),
-        "ff": FnnSpec((in_width + 2 * md, model.hidden), activation="identity",
-                      final_activation=model.activation),
+        "qq": FnnSpec((in_width, md)),
+        "fq": FnnSpec((in_width + md, md)),
+        "qf": FnnSpec((in_width + md, md)),
+        "ff": FnnSpec((in_width + 2 * md, model.hidden), final_relu=True),
     }
 
 

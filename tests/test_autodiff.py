@@ -10,7 +10,10 @@ from pinchbeam import cplx as cx
 from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
                                 adam_step, backward_into, fnn_forward,
                                 grad_check, init_fnn)
+from pinchbeam.config import ModelConfig, default_config
 from pinchbeam.errors import InvalidConfigError, SingularityError
+from pinchbeam.pipeline import init_parameters
+from pinchbeam.training import loss_on_tape, train_dataset
 from pinchbeam.verify import kink_distance, primitive_grad_checks
 
 
@@ -89,7 +92,7 @@ class TestTapeBasics:
         def f(s):
             tape = Tape()
             w = tape.param(s, "w")
-            y = ad.tanh(ad.matmul(tape.constant(rng_fixed), w))
+            y = ad.sigmoid(ad.matmul(tape.constant(rng_fixed), w))
             return ad.sum_axis(ad.square(y), (0, 1))
 
         rng_fixed = np.random.default_rng(1).standard_normal((2, 4))
@@ -126,7 +129,7 @@ class TestPrimitives:
 
     def test_relu_clamps(self):
         tape = Tape()
-        out = ad.relu(tape.constant(np.array([-1.0, 2.0])))
+        out = ad.max_with_scalar(tape.constant(np.array([-1.0, 2.0])), 0.0)
         np.testing.assert_array_equal(out.value, [0.0, 2.0])
 
     def test_sqrt_domain(self):
@@ -224,7 +227,7 @@ class TestBackwardRelease:
         b = tape.constant(rng.standard_normal(5))
         unused = tape.constant(np.ones(2))
         h = ad.dense([x, ad.sum_others(x, 1)], ad.concat([w, w], axis=0), b, relu=True)
-        y = ad.off_diagonal_sum(ad.tanh(h), 1, 2)
+        y = ad.dense(ad.sigmoid(h), tape.constant(np.eye(5)), reduce=(1, 2))
         loss = ad.sum_axis(ad.mul(y, tape.constant(rng.standard_normal((2, 3, 5)))),
                            (0, 1, 2))
         return tape, loss, (x, w, b, unused)
@@ -311,18 +314,19 @@ class TestLeaveOneOutSums:
 
     @pytest.mark.parametrize("shape,axes", [((2, 3, 4, 5, 5, 3), (3, 4)),
                                             ((2, 3, 4, 4, 5), (2, 3)),
-                                            ((4, 2, 4), (2, 0)),
-                                            ((3, 3), (-2, -1))])
+                                            ((4, 2, 4, 3), (2, 0)),
+                                            ((3, 3, 2), (-3, -2))])
     def test_off_diagonal_sum_matches_composition(self, shape, axes):
-        # Value and adjoint equal sub(sum_axis(x, axis2), diagonal(x, axes))
-        # bit for bit.
+        # The off-diagonal sum a dense node with identity weights fuses
+        # (reduce=(axis1, axis2)): value and adjoint equal
+        # sub(sum_axis(x, axis2), diagonal(x, axes)) bit for bit.
         rng = np.random.default_rng(33)
         xv = rng.standard_normal(shape)
         runs = []
         for fused in (True, False):
             tape = Tape()
             x = tape.constant(xv)
-            y = ad.off_diagonal_sum(x, *axes) if fused else \
+            y = ad.dense(x, tape.constant(np.eye(shape[-1])), reduce=axes) if fused else \
                 ad.sub(ad.sum_axis(x, axes[1]), ad.diagonal(x, *axes))
             wv = np.random.default_rng(34).standard_normal(y.shape)
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(wv)),
@@ -331,11 +335,13 @@ class TestLeaveOneOutSums:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
-    @pytest.mark.parametrize("shape,axes", [((2, 3, 4), (1, 2)), ((3, 3), (1, 1)),
-                                            ((3, 3), (0, -2))])
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4, 2), (1, 2)), ((3, 3, 2), (1, 1)),
+                                            ((3, 3, 2), (0, -3))])
     def test_off_diagonal_sum_bad_axes_rejected(self, shape, axes):
+        tape = Tape()
         with pytest.raises(ValueError):
-            ad.off_diagonal_sum(Tape().constant(np.zeros(shape)), *axes)
+            ad.dense(tape.constant(np.zeros(shape)), tape.constant(np.eye(shape[-1])),
+                     reduce=axes)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -354,30 +360,37 @@ class TestLeaveOneOutSums:
     @settings(max_examples=60)
     @given(st.data())
     def test_off_diagonal_sum_matches_loop(self, data):
-        shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+        # dense with identity weights and reduce=(axis1, axis2) over two of
+        # the leading axes (the last one holds the features).
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
         ndim = len(shape)
-        axis1 = data.draw(st.integers(-ndim, ndim - 1))
-        axis2 = data.draw(st.integers(-ndim, ndim - 1).filter(
-            lambda a: a % ndim != axis1 % ndim))
+        leading = st.sampled_from([a for a in range(-ndim, ndim) if a % ndim < ndim - 1])
+        axis1 = data.draw(leading)
+        axis2 = data.draw(leading.filter(lambda a: a % ndim != axis1 % ndim))
         shape[axis2] = shape[axis1]
         shape = tuple(shape)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         xv = rng.standard_normal(shape)
         tape = Tape()
-        y = ad.off_diagonal_sum(tape.constant(xv), axis1, axis2)
+        y = ad.dense(tape.constant(xv), tape.constant(np.eye(shape[-1])),
+                     reduce=(axis1, axis2))
         np.testing.assert_allclose(y.value, _loop_off_diagonal_sum(xv, axis1, axis2),
                                    rtol=0, atol=1e-13)
         g = rng.standard_normal(y.shape)
-        (gx,) = tape.vjps[y.idx](g)
+        gx, _ = tape.vjps[y.idx](g)
         # The adjoint only copies entries, so it is exact.
         np.testing.assert_array_equal(gx, _loop_off_diagonal_adjoint(g, shape, axis1, axis2))
 
 
 def _reduce(h, reduce):
-    """The sum that dense's ``reduce`` fuses, as its own node."""
+    """The sum that dense's ``reduce`` fuses, as its own nodes: a pair of
+    axes zeroes the diagonal with a constant mask before the sum."""
     if isinstance(reduce, int):
         return ad.sum_axis(h, reduce, keepdims=True)
-    return ad.off_diagonal_sum(h, *reduce)
+    a1, a2 = (a % h.ndim for a in reduce)
+    off = np.expand_dims(1.0 - np.eye(h.shape[a1]),
+                         [i for i in range(h.ndim) if i not in (a1, a2)])
+    return ad.sum_axis(ad.mul(h, h.tape.constant(off)), a2)
 
 
 class TestReducedDense:
@@ -385,7 +398,7 @@ class TestReducedDense:
     # placement processor's pair (d_k, d_j) does.
     SHAPES = ((2, 3, 1, 4), (2, 1, 3, 2))
 
-    def _run(self, reduce, relu, bias, fused, act=None):
+    def _run(self, reduce, relu, bias, fused):
         rng = np.random.default_rng(40)
         inputs = [rng.standard_normal(s) for s in self.SHAPES]
         wv, bv = rng.standard_normal((6, 5)), rng.standard_normal(5)
@@ -393,10 +406,7 @@ class TestReducedDense:
         xs = [tape.constant(v) for v in inputs]
         w = tape.constant(wv)
         b = tape.constant(bv) if bias else None
-        if act is not None:
-            y = ad.fnn_layer(xs, w, b, act, reduce) if fused \
-                else _reduce(ad.ACTIVATIONS[act](ad.dense(xs, w, b)), reduce)
-        elif fused:
+        if fused:
             y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
         else:
             y = _reduce(ad.dense(xs, w, b, relu=relu), reduce)
@@ -430,18 +440,6 @@ class TestReducedDense:
         kept = [c.cell_contents for c in tape.vjps[y.idx].__closure__]
         full = [v for v in kept if isinstance(v, np.ndarray) and v.size == 2 * 3 * 3 * 5]
         assert [v.dtype for v in full] == [np.dtype(bool)]
-
-    @pytest.mark.parametrize("reduce", [1, (1, 2)])
-    def test_tanh_layer_sums_in_its_own_node(self, reduce):
-        # Only relu and the identity fuse the sum; fnn_layer gives any other
-        # activation its own node and the sum one more after it.
-        tape, y, grads = self._run(reduce, None, True, fused=True, act="tanh")
-        _, ref, ref_grads = self._run(reduce, None, True, fused=False, act="tanh")
-        sum_op = "sum_axis" if isinstance(reduce, int) else "off_diagonal_sum"
-        assert [op for op in tape.ops if op != "const"][:3] == ["dense", "tanh", sum_op]
-        np.testing.assert_array_equal(y.value, ref.value)
-        for g, gr in zip(grads, ref_grads):
-            np.testing.assert_array_equal(g, gr)
 
     def test_kink_distance_sees_reduced_relu(self):
         # kink_distance recomputes the full pre-activation from the parents,
@@ -478,6 +476,21 @@ class TestGradCheck:
         bad = {k: v for k, v in results.items() if v > 1e-6}
         assert not bad, f"primitives over tolerance: {bad}"
 
+    def test_every_policy_op_has_an_entry(self):
+        # Each op kind the policy loss records is checked under its own name,
+        # ``op`` or ``op_*``: a primitive cannot land on the training path
+        # without an entry, and a deleted one leaves no entry behind.
+        names = primitive_grad_checks()
+        model = ModelConfig(hidden=8, message_dim=8)
+        for n, m, k in [(2, 1, 2), (3, 2, 4), (1, 1, 1)]:
+            cfg = default_config(n, m, k)
+            tape = Tape()
+            loss_on_tape(tape, train_dataset(cfg, 2, 0), init_parameters(cfg, model, 0),
+                         cfg, model)
+            missing = {op for op in tape.ops if op != "const" and not any(
+                name == op or name.startswith(op + "_") for name in names)}
+            assert not missing, ((n, m, k), missing)
+
     def test_probes_only_parameters_the_tape_binds(self):
         # "unused" never reaches the tape: its gradient is exactly 0 and the
         # loss cannot move with it, so it costs no loss evaluation.
@@ -510,7 +523,7 @@ class TestGradCheck:
 
 class TestFnn:
     def test_identity_network(self):
-        spec = FnnSpec((3, 3), activation="identity")
+        spec = FnnSpec((3, 3))
         store = ParameterStore()
         store.add("net.W0", np.eye(3))
         store.add("net.b0", np.zeros(3))
@@ -520,7 +533,7 @@ class TestFnn:
         np.testing.assert_array_equal(y.value, x)
 
     def test_relu_final_activation(self):
-        spec = FnnSpec((2, 1), final_activation="relu")
+        spec = FnnSpec((2, 1), final_relu=True)
         store = ParameterStore()
         store.add("net.W0", np.array([[1.0], [1.0]]))
         store.add("net.b0", np.array([-10.0]))
@@ -541,11 +554,9 @@ class TestFnn:
             FnnSpec((3,))
         with pytest.raises(InvalidConfigError):
             FnnSpec((3, 0))
-        with pytest.raises(InvalidConfigError):
-            FnnSpec((3, 2), activation="swish")
 
     def test_random_fnn_gradient(self):
-        spec = FnnSpec((3, 5, 2), activation="tanh")
+        spec = FnnSpec((3, 5, 2))
         store = ParameterStore()
         rng = np.random.default_rng(11)
         init_fnn(store, "net", spec, rng)
@@ -557,6 +568,8 @@ class TestFnn:
             y = fnn_forward(tape, spec, store, "net", tape.constant(x))
             return ad.sum_axis(ad.mul(y, tape.constant(w)), (0, 1))
 
+        # The hidden relu sits far from its kink next to the probe step.
+        assert kink_distance(f(store).tape) > 1e-3
         assert grad_check(f, store) <= 1e-6
 
     def test_glorot_init_bounds(self):
@@ -571,7 +584,7 @@ class TestFnn:
 class TestDense:
     @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_one_node_per_layer(self, act):
-        spec = FnnSpec((4, 6, 3), activation=act, final_activation=act)
+        spec = FnnSpec((4, 6, 3), final_relu=act == "relu")
         store = ParameterStore()
         init_fnn(store, "net", spec, np.random.default_rng(2))
         tape = Tape()
@@ -597,7 +610,7 @@ class TestDense:
             else:
                 y = ad.add(ad.matmul(x, w), b)
                 if act == "relu":
-                    y = ad.relu(y)
+                    y = ad.max_with_scalar(y, 0.0)
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1)))
             runs.append((y.value, [grads[v.idx] for v in (x, w, b)]))
         (y_fused, g_fused), (y_plain, g_plain) = runs
@@ -711,7 +724,7 @@ class TestDense:
             ad.dense(parts, tape.constant(np.ones((6, 2))))
 
     def test_identity_layer_has_no_kink(self):
-        spec = FnnSpec((2, 2), final_activation="identity")
+        spec = FnnSpec((2, 2))
         store = ParameterStore()
         init_fnn(store, "net", spec, np.random.default_rng(0))
         tape = Tape()

@@ -407,6 +407,38 @@ def checkpoint_file(tmp_path_factory):
     return train_once(CliRunner(), config, tmp / "run") / "checkpoint.json"
 
 
+class TestFormat1ActivationKey:
+    """Format-1 checkpoints may carry ``"activation"`` in ``arch``; every
+    hidden layer is relu, so only ``"relu"`` loads."""
+
+    def _with_activation(self, checkpoint_file, path, act):
+        doc = json.loads(checkpoint_file.read_text())
+        assert "activation" not in doc["arch"]
+        doc["arch"]["activation"] = act
+        path.write_text(json.dumps(doc))
+        return path
+
+    def _eval(self, runner, ckpt, out):
+        return runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--n-test", "4",
+                                    "--out", str(out)])
+
+    def test_relu_key_evaluates_bit_identically(self, runner, checkpoint_file, tmp_path):
+        legacy = self._with_activation(checkpoint_file, tmp_path / "legacy.json", "relu")
+        means = []
+        for ckpt, out in ((checkpoint_file, tmp_path / "now"), (legacy, tmp_path / "legacy")):
+            result = self._eval(runner, ckpt, out)
+            assert result.exit_code == 0, result.output
+            means.append(json.loads((out / "eval.json").read_text())["mean_se"])
+        assert means[0] == means[1]
+
+    def test_other_activation_exit_4(self, runner, checkpoint_file, tmp_path):
+        tanh = self._with_activation(checkpoint_file, tmp_path / "tanh.json", "tanh")
+        result = self._eval(runner, tanh, tmp_path / "eval")
+        assert result.exit_code == 4, result.output
+        assert "activation" in result.output
+        assert not (tmp_path / "eval").exists()
+
+
 class TestSeedAndGridFlags:
     """Bad seeds and oracle grid sizes exit 2 before any output is made."""
 

@@ -109,11 +109,22 @@ class TestSystemConfig:
 class TestModelConfig:
     @pytest.mark.parametrize("key,value", [
         ("hidden", 2.5), ("hidden", True), ("pbf_layers", 1.5),
-        ("message_dim", math.nan), ("activation", "foo"),
+        ("message_dim", math.nan),
     ])
     def test_values_validated(self, key, value):
         with pytest.raises(InvalidConfigError):
             ModelConfig(**{key: value})
+
+    def test_format_1_activation_key(self):
+        # Every hidden layer is relu, so the JSON has no activation key; a
+        # format-1 "relu" is read and dropped, any other value is rejected.
+        model = ModelConfig(hidden=6)
+        doc = model.to_json_dict()
+        assert "activation" not in doc
+        assert ModelConfig.from_json_dict({**doc, "activation": "relu"}) == model
+        for act in ("tanh", "sigmoid", None):
+            with pytest.raises(InvalidConfigError):
+                ModelConfig.from_json_dict({**doc, "activation": act})
 
 
 class TestLayout:
