@@ -15,11 +15,13 @@ live in :mod:`pinchbeam.cplx`.
 Gradient conventions: ``max_with_scalar`` and the relu fused into ``dense``
 use subgradient 0 at the kink. Tests and gradient checks keep inputs away
 from kinks; ``verify.kink_distance`` recomputes a fused relu's
-pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. An
-adjoint handed to a VJP may be a read-only broadcast view (``sum_axis`` and
-``mean_axis`` return one), so no VJP writes into its ``g``. ``Tape.backward``
-releases each interior adjoint once its VJP has run; only leaf adjoints
-outlive the sweep.
+pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. A
+writable adjoint belongs to the one node that receives it; one handed to two
+parents (``add``, via :func:`_unbroadcast`) or broadcast (``sum_axis``) is a
+read-only view. So a VJP may write into a writable ``g`` (``dense`` masks
+its relu in place), and ``Tape.backward`` adds a second adjoint into a
+writable first one in place and releases each interior adjoint once its VJP
+has run; only leaf adjoints outlive the sweep.
 
 Sums over a layer's output: a relu or identity layer whose output only feeds
 a sum takes the sum into its ``dense`` node (``reduce``), which stores the
@@ -49,14 +51,18 @@ def _tape_array(value) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum an adjoint down to ``shape`` (reverse of numpy broadcasting)."""
+    """Sum an adjoint down to ``shape`` (reverse of numpy broadcasting); if
+    nothing is summed, a read-only view of ``g`` (see the module docstring)."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    out = g.reshape(shape)
+    if not axes and extra <= 0:
+        out.flags.writeable = False
+    return out
 
 
 class Var:
@@ -129,7 +135,8 @@ class Tape:
         still waiting to be propagated. The returned list therefore holds
         the leaf adjoints, and None for interior nodes and for leaves the
         loss does not reach. An adjoint that flows into a real node keeps
-        only its real part, ``dL/dRe``.
+        only its real part, ``dL/dRe``. A second adjoint is added into a
+        writable first one in place (module docstring).
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
@@ -149,6 +156,8 @@ class Tape:
                     pg = pg.real
                 if grads[p] is None:
                     grads[p] = pg
+                elif grads[p].flags.writeable:
+                    grads[p] += pg
                 else:
                     grads[p] = grads[p] + pg
         return grads
@@ -250,29 +259,39 @@ def row_blocks(xvs: Sequence[np.ndarray], wv: np.ndarray) -> list[np.ndarray]:
     return [wv[r0:r1] for r0, r1 in zip(rows, rows[1:])]
 
 
+def _fits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """Whether shape ``small`` broadcasts into ``big`` of the same length."""
+    return all(m in (1, n) for m, n in zip(small, big))
+
+
 def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
                         bv: np.ndarray | None) -> np.ndarray:
     """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
 
     Each part runs one 2-D GEMM against its row block of ``W``
-    (:func:`row_blocks`) and the products are broadcast-added, the parts
-    with the fewest rows first, so that the reduced-resolution products are
-    summed before the running sum grows. ``dense`` and
-    ``verify.kink_distance`` share this, so a relu's kink distance is
-    measured on the exact values the node clamped.
+    (:func:`row_blocks`). The bias goes into the product with the fewest
+    rows; then, smallest first, each product is added in place into the
+    next product it broadcasts into, and the products left are summed,
+    largest first. So a full-resolution output is written by its GEMM and
+    takes one add per other group of products, not one per part.
+    ``dense`` and ``verify.kink_distance`` share this, so a relu's kink
+    distance is measured on the exact values the node clamped.
     """
     n_out = blocks[0].shape[1]
-    y = None
-    for xv, wb in sorted(zip(xvs, blocks), key=lambda part: math.prod(part[0].shape[:-1])):
-        p = (xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
-        if y is None:
-            y = p
-        elif np.broadcast_shapes(y.shape, p.shape) == y.shape:
-            y += p
-        else:
-            y = y + p  # the running sum grows to the broadcast shape
+    prods = sorted(((xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
+                    for xv, wb in zip(xvs, blocks)), key=np.size)
     if bv is not None:
-        y += bv
+        prods[0] += bv
+    groups = []
+    for i, p in enumerate(prods):
+        hosts = [q for q in prods[i + 1:] if _fits(p.shape, q.shape)]
+        if hosts:
+            hosts[0] += p
+        else:
+            groups.append(p)
+    y = groups.pop()
+    for p in reversed(groups):
+        y = y + p  # parts that cross: the sum grows to their broadcast shape
     return y
 
 
@@ -286,7 +305,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     ``W`` at its own resolution and the products are broadcast-added
     (:func:`dense_preactivation`). ``act`` is relu or the identity. Leading
     axes are flattened, so every product and adjoint is one 2-D GEMM. The
-    relu has subgradient 0 at the kink, like ``max_with_scalar``.
+    relu has subgradient 0 at the kink, like ``max_with_scalar``. The VJP
+    sums the adjoint down to each part's resolution once, from the smallest
+    sum already taken that covers it, and the bias gradient from the
+    smallest sum; an unreduced relu masks a writable adjoint in place.
 
     ``reduce`` sums the activation inside the node, so the full-resolution
     output is never stored. An int axis is summed over and kept with length
@@ -325,10 +347,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             diag, axis, pos = _diagonal_axes(full, *reduce)
             off = ~np.eye(full[axis], dtype=bool).reshape(
                 [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
-            if mask is None:
-                mask = off
-            else:
-                mask &= off
+            mask = off if mask is None else np.logical_and(mask, off, out=mask)
             y = y.sum(axis=axis) - np.moveaxis(np.diagonal(y, axis1=diag, axis2=axis), -1, pos)
 
     # Captures arrays and flags only: a Var here would tie the tape into a
@@ -339,21 +358,22 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             if mask is not None:
                 g = g * mask
         elif relu:
-            g = np.sign(y) * g  # y >= 0, so sign(y) is the 0/1 mask y > 0
-        # g summed down to each part's resolution; parts at one resolution
-        # share the sum.
+            g = np.multiply(g, y > 0.0, out=g if g.flags.writeable else None)
+        # g summed down to each part's resolution, largest first; parts at
+        # one resolution share the sum.
         sums = {g.shape: g}
+        for shape in sorted((v.shape[:-1] + (n_out,) for v in xvs), key=math.prod, reverse=True):
+            if shape not in sums:
+                src = min((s for s in sums if _fits(shape, s)), key=math.prod)
+                sums[shape] = _unbroadcast(sums[src], shape)
         gxs, gws = [], []
         for xv, wb in zip(xvs, blocks):
-            shape = xv.shape[:-1] + (n_out,)
-            if shape not in sums:
-                sums[shape] = _unbroadcast(g, shape)
-            g2 = sums[shape].reshape(-1, n_out)
+            g2 = sums[xv.shape[:-1] + (n_out,)].reshape(-1, n_out)
             gxs.append((g2 @ wb.T).reshape(xv.shape))
             gws.append(xv.reshape(-1, wb.shape[0]).T @ g2)
         gw = gws[0] if len(gws) == 1 else np.concatenate(gws)
         if has_bias:
-            return (*gxs, gw, g.reshape(-1, n_out).sum(axis=0))
+            return (*gxs, gw, min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0))
         return (*gxs, gw)
 
     parents = tuple(p.idx for p in parts) + (w.idx,) + ((b.idx,) if has_bias else ())

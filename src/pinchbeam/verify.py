@@ -416,6 +416,18 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
         lambda t, s: cx.real_imag(ad.slice_axis(z(t, s, "z"), 1, 1, 4)), (3, 3, 2))
     run("complex_diagonal", zp("z", (2, 4, 4)),
         lambda t, s: cx.real_imag(ad.diagonal(z(t, s, "z"), 1, 2)), (2, 4, 2))
+    # dense on four parts at three resolutions: x1 nests in x0, x2 crosses
+    # x1 and x3 nests in both, so the products group and one sum of the
+    # adjoint is taken from another.
+    shapes = ((2, 3, 3, 2), (2, 3, 1, 2), (2, 1, 3, 1), (2, 1, 1, 2))
+    while True:
+        p = {**{f"x{i}": u(s) for i, s in enumerate(shapes)}, "w": u((7, 5)), "b": u((5,))}
+        pre = sum(p[f"x{i}"] @ wb for i, wb in enumerate(np.split(p["w"], [2, 4, 5])))
+        if np.min(np.abs(pre + p["b"])) > 0.05:
+            break
+    run("dense_parts_nested_relu_bias", p, lambda t, s: ad.dense(
+        [t.param(s, f"x{i}") for i in range(4)], t.param(s, "w"), t.param(s, "b"),
+        relu=True), (2, 3, 3, 5))
     return results
 
 

@@ -260,6 +260,47 @@ class TestBackwardRelease:
         np.testing.assert_array_equal(store.grads["w"], ref)
 
 
+class TestInPlaceAccumulation:
+    """``Tape.backward`` adds a second adjoint into a writable first one in
+    place; a writable adjoint must therefore belong to one node alone."""
+
+    def test_shared_adjoint_is_not_written_through(self):
+        # add(a, b) hands one adjoint to both a and b; each of them then
+        # receives a second adjoint from a consumer that precedes the add on
+        # the tape. add(x, x) and concat([x, x]) hand x two adjoints that
+        # share memory.
+        rng = np.random.default_rng(35)
+        tape = Tape()
+        x = tape.constant(rng.standard_normal((3, 4)))
+        w = tape.constant(rng.standard_normal((4, 4)))
+        a = ad.mul(x, tape.constant(rng.standard_normal((3, 4))))
+        b = ad.matmul(x, w)
+        terms = [ad.square(a), ad.sigmoid(b), ad.add(a, b), ad.add(x, x),
+                 ad.concat([x, x], axis=0)]
+        loss = None
+        for t in terms:
+            term = ad.sum_axis(ad.mul(t, tape.constant(rng.standard_normal(t.shape))), (0, 1))
+            loss = term if loss is None else ad.add(loss, term)
+        kept = _backward_keeping_all(tape, loss)
+        grads = tape.backward(loss)
+        leaves = [i for i in range(len(tape)) if tape.vjps[i] is None]
+        assert grads[x.idx] is not None and grads[w.idx] is not None
+        for i in leaves:
+            assert (grads[i] is None) == (kept[i] is None)
+            if kept[i] is not None:
+                np.testing.assert_array_equal(grads[i], kept[i])
+
+    def test_backward_leaves_tape_values_unchanged(self):
+        cfg = default_config(3, 2, 4)
+        model = ModelConfig()
+        tape = Tape()
+        loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
+                            cfg, model)
+        before = [v.tobytes() for v in tape.values]
+        tape.backward(loss)
+        assert [v.tobytes() for v in tape.values] == before
+
+
 def _loop_sum_others(a, axis):
     a = np.moveaxis(a, axis, 0)
     out = np.zeros_like(a)
@@ -450,6 +491,28 @@ class TestReducedDense:
         b = tape.constant(np.array([-2.0 + 1e-6, 0.5]))
         ad.dense(parts, w, b, relu=True, reduce=(1, 2))
         assert 0.99e-6 <= kink_distance(tape) <= 1.01e-6
+
+    def test_preactivation_is_what_the_processor_node_clamped(self):
+        # The placement processor's main node: parts [d_k, d_j, r_a, S_M r_a,
+        # s_b, S_N s_b] over (B, N, M, K, K) with B=1, N=M=2, K=3, summed
+        # over the other users. Relu and the off-diagonal sum of the
+        # pre-activation that kink_distance recomputes give the node's
+        # value bit for bit.
+        rng = np.random.default_rng(42)
+        shapes = [(1, 2, 2, 3, 1, 3), (1, 2, 2, 1, 3, 3), (1, 2, 2, 3, 3, 4),
+                  (1, 2, 1, 3, 3, 4), (1, 2, 1, 3, 3, 4), (1, 1, 1, 3, 3, 4)]
+        tape = Tape()
+        parts = [tape.constant(rng.standard_normal(s)) for s in shapes]
+        w = tape.constant(rng.standard_normal((22, 5)))
+        b = tape.constant(rng.standard_normal(5))
+        y = ad.dense(parts, w, b, relu=True, reduce=(3, 4))
+        vals = [p.value for p in parts]
+        pre = ad.dense_preactivation(vals, ad.row_blocks(vals, w.value), b.value)
+        assert np.min(pre) < 0.0 < np.max(pre)
+        np.maximum(pre, 0.0, out=pre)
+        ref = pre.sum(axis=4) - np.moveaxis(np.diagonal(pre, axis1=3, axis2=4), -1, 3)
+        assert y.value.tobytes() == ref.tobytes()
+        assert kink_distance(tape) > 0.0
 
 
 class TestGradCheck:
@@ -684,6 +747,54 @@ class TestDense:
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
                                               (0, 1, 2, 3)))
             runs.append((y.value, [grads[v.idx] for v in xs + [w, b]]))
+        (y_virtual, g_virtual), (y_full, g_full) = runs
+        np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
+        for gv, gf in zip(g_virtual, g_full):
+            assert gv.shape == gf.shape
+            np.testing.assert_allclose(gv, gf, rtol=1e-12, atol=1e-12)
+
+    # Which of the (batch, K, K) leading axes a part has (1) or broadcasts
+    # along (0): the full resolution, and the user pair (d_k, d_j) that
+    # crosses itself.
+    FULL = (1, 1, 1)
+    CROSS = [(1, 1, 0), (1, 0, 1)]
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_parts_match_materialised_concat_over_layouts(self, data):
+        # Parts that nest in a full-resolution part, parts that cross, or
+        # both, in any order; every grouping of dense_preactivation and every
+        # per-resolution sum of the VJP meets the one-part reference.
+        below = st.tuples(*[st.integers(0, 1)] * 3).filter(lambda m: m != self.FULL)
+        kind = data.draw(st.sampled_from(["nest", "cross", "both"]))
+        layouts = {"nest": [self.FULL], "cross": self.CROSS,
+                   "both": self.CROSS + [self.FULL]}[kind]
+        layouts = data.draw(st.permutations(
+            layouts + data.draw(st.lists(below, max_size=6 - len(layouts)))))
+        lead = (data.draw(st.integers(1, 2)),) + (data.draw(st.integers(2, 3)),) * 2
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=len(layouts),
+                                    max_size=len(layouts)))
+        relu, bias = data.draw(st.booleans()), data.draw(st.booleans())
+        reduce = data.draw(st.sampled_from([None, 0, 1, -2, (1, 2), (2, 1)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        inputs = [rng.standard_normal(tuple(n if keep else 1 for n, keep in zip(lead, lay))
+                                      + (width,)) for lay, width in zip(layouts, widths)]
+        wv, bv = rng.standard_normal((sum(widths), 4)), rng.standard_normal(4)
+        runs = []
+        for virtual in (True, False):
+            tape = Tape()
+            xs = [tape.constant(v) for v in inputs]
+            w = tape.constant(wv)
+            b = tape.constant(bv) if bias else None
+            if virtual:
+                y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
+            else:
+                full = [ad.broadcast_to(x, lead + x.shape[-1:]) for x in xs]
+                y = ad.dense(ad.concat(full, axis=-1), w, b, relu=relu, reduce=reduce)
+            weights = np.random.default_rng(6).standard_normal(y.shape)
+            grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
+                                              tuple(range(y.ndim))))
+            runs.append((y.value, [grads[v.idx] for v in xs + [w] + ([b] if bias else [])]))
         (y_virtual, g_virtual), (y_full, g_full) = runs
         np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
         for gv, gf in zip(g_virtual, g_full):
