@@ -19,9 +19,20 @@ pre-activation (:func:`dense_preactivation`), so ``dense`` stores none. A
 writable adjoint belongs to the one node that receives it; one handed to two
 parents (``add``, via :func:`_unbroadcast`) or broadcast (``sum_axis``) is a
 read-only view. So a VJP may write into a writable ``g`` (``dense`` masks
-its relu in place), and ``Tape.backward`` adds a second adjoint into a
+its relu in place, and a reduced relu writes a part's adjoint into the
+masked adjoint it owns), and ``Tape.backward`` adds a second adjoint into a
 writable first one in place and releases each interior adjoint once its VJP
 has run; only leaf adjoints outlive the sweep.
+
+Values released in the sweep: a ``dense`` node without ``reduce`` whose
+every part has fewer rows than its output (parts that cross) records how to
+rebuild its value from its parents' (``Tape.rebuilds``). ``Tape.backward``
+drops those values when it starts and rebuilds each one only while the
+VJPs of the node and its consumers run. ``Tape.value`` and ``Var.value``
+rebuild a released value on demand. So ``dense``'s VJP reads its parts and
+output from the tape's value list when it runs instead of capturing them,
+and no closure holds a ``Var`` or the ``Tape``: reference counting alone
+frees a dropped tape.
 
 Sums over a layer's output: a relu or identity layer whose output only feeds
 a sum takes the sum into its ``dense`` node (``reduce``), which stores the
@@ -76,7 +87,7 @@ class Var:
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.values[self.idx]
+        return self.tape.value(self.idx)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,26 +106,37 @@ class Tape:
 
     Node i's inputs always precede it, so ``backward`` is a single reverse
     iteration over the node list (deterministic accumulation order).
+    ``rebuilds`` maps the nodes whose value ``backward`` releases to a
+    function that recomputes it from the parents' values (read through the
+    accessor it is passed); :meth:`value` reads any node's value.
     """
 
     def __init__(self):
-        self.values: list[np.ndarray] = []
+        self.values: list[np.ndarray | None] = []
         self.parents: list[tuple[int, ...]] = []
         self.vjps: list[Callable | None] = []
         self.ops: list[str] = []
         self.meta: list = []  # op-specific extras (e.g. clamp thresholds)
         self.param_slots: list[tuple[str, int]] = []  # (store name, node idx)
+        self.rebuilds: dict[int, Callable] = {}
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def value(self, i: int) -> np.ndarray:
+        """Node i's value; one that ``backward`` released is rebuilt, not stored."""
+        v = self.values[i]
+        return self.rebuilds[i](self.value) if v is None else v
+
     def _push(self, value: np.ndarray, parents: tuple[int, ...],
-              vjp: Callable | None, op: str, meta=None) -> Var:
+              vjp: Callable | None, op: str, meta=None, rebuild=None) -> Var:
         self.values.append(_tape_array(value))
         self.parents.append(parents)
         self.vjps.append(vjp)
         self.ops.append(op)
         self.meta.append(meta)
+        if rebuild is not None:
+            self.rebuilds[len(self.values) - 1] = rebuild
         return Var(self, len(self.values) - 1)
 
     def constant(self, value) -> Var:
@@ -137,29 +159,41 @@ class Tape:
         loss does not reach. An adjoint that flows into a real node keeps
         only its real part, ``dL/dRe``. A second adjoint is added into a
         writable first one in place (module docstring).
+
+        The values in ``rebuilds`` are released when the sweep starts. One is
+        rebuilt before the first VJP of the node or of a consumer runs, and
+        released again once the sweep has passed the node; after the sweep
+        :meth:`value` rebuilds it on demand.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        grads: list[np.ndarray | None] = [None] * len(self.values)
-        grads[loss.idx] = np.ones_like(self.values[loss.idx])
+        values = self.values
+        grads: list[np.ndarray | None] = [None] * len(values)
+        grads[loss.idx] = np.ones_like(loss.value)
+        for j in self.rebuilds:
+            values[j] = None
         for i in range(loss.idx, -1, -1):
             g, vjp = grads[i], self.vjps[i]
-            if g is None or vjp is None:
-                continue
-            grads[i] = None
-            for p, pg in zip(self.parents[i], vjp(g)):
-                if pg is None:
-                    continue
-                if pg.dtype.kind == "c" and self.values[p].dtype.kind != "c":
-                    pg = pg.real
-                if grads[p] is None:
-                    grads[p] = pg
-                elif grads[p].flags.writeable:
-                    grads[p] += pg
-                else:
-                    grads[p] = grads[p] + pg
+            if g is not None and vjp is not None:
+                grads[i] = None
+                for j in (i, *self.parents[i]):
+                    if values[j] is None:
+                        values[j] = self.value(j)
+                for p, pg in zip(self.parents[i], vjp(g)):
+                    if pg is None:
+                        continue
+                    if pg.dtype.kind == "c" and values[p].dtype.kind != "c":
+                        pg = pg.real
+                    if grads[p] is None:
+                        grads[p] = pg
+                    elif grads[p].flags.writeable:
+                        grads[p] += pg
+                    else:
+                        grads[p] = grads[p] + pg
+            if i in self.rebuilds:
+                values[i] = None
         return grads
 
 
@@ -308,7 +342,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     relu has subgradient 0 at the kink, like ``max_with_scalar``. The VJP
     sums the adjoint down to each part's resolution once, from the smallest
     sum already taken that covers it, and the bias gradient from the
-    smallest sum; an unreduced relu masks a writable adjoint in place.
+    smallest sum; an unreduced relu masks a writable adjoint in place. A
+    reduced relu owns its masked adjoint and, once every sum and weight
+    and bias gradient is taken, writes the adjoint of a full-resolution
+    part as wide as the output back into it, in row blocks.
 
     ``reduce`` sums the activation inside the node, so the full-resolution
     output is never stored. An int axis is summed over and kept with length
@@ -319,7 +356,9 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     sum (1 byte each) in place of the output; an unreduced relu takes its
     mask ``pre > 0`` from the output. The node's meta is ``(relu,
     has_bias)``, from which ``verify.kink_distance`` recomputes the
-    pre-activation.
+    pre-activation. Without ``reduce``, a node whose every part has fewer
+    rows than its output is released by ``Tape.backward`` and rebuilt
+    from its parents (module docstring).
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -350,15 +389,21 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             mask = off if mask is None else np.logical_and(mask, off, out=mask)
             y = y.sum(axis=axis) - np.moveaxis(np.diagonal(y, axis1=diag, axis2=axis), -1, pos)
 
-    # Captures arrays and flags only: a Var here would tie the tape into a
-    # reference cycle and keep it alive until the cyclic collector runs.
+    # Captures indices, flags and weight-sized arrays only. The parts and the
+    # output are read from the value list when the VJP runs, so a value that
+    # Tape.backward released is not held here; a Var would tie the tape into
+    # a reference cycle and keep it alive until the cyclic collector runs.
+    values, idx = w.tape.values, len(w.tape.values)
+    part_idx = [p.idx for p in parts]
+
     def vjp(g):
+        xvs = [values[i] for i in part_idx]
         if reduce is not None:
             g = np.broadcast_to(g if diag is None else np.expand_dims(g, axis), full)
             if mask is not None:
                 g = g * mask
         elif relu:
-            g = np.multiply(g, y > 0.0, out=g if g.flags.writeable else None)
+            g = np.multiply(g, values[idx] > 0.0, out=g if g.flags.writeable else None)
         # g summed down to each part's resolution, largest first; parts at
         # one resolution share the sum.
         sums = {g.shape: g}
@@ -366,18 +411,40 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             if shape not in sums:
                 src = min((s for s in sums if _fits(shape, s)), key=math.prod)
                 sums[shape] = _unbroadcast(sums[src], shape)
+        # A reduced node owns its masked g: the adjoint of one full-resolution
+        # part as wide as the output is written back into it, last.
+        own = None if mask is None else next(
+            (k for k, xv in enumerate(xvs) if xv.shape == g.shape), None)
         gxs, gws = [], []
-        for xv, wb in zip(xvs, blocks):
+        for k, (xv, wb) in enumerate(zip(xvs, blocks)):
             g2 = sums[xv.shape[:-1] + (n_out,)].reshape(-1, n_out)
-            gxs.append((g2 @ wb.T).reshape(xv.shape))
+            gxs.append(None if k == own else (g2 @ wb.T).reshape(xv.shape))
             gws.append(xv.reshape(-1, wb.shape[0]).T @ g2)
         gw = gws[0] if len(gws) == 1 else np.concatenate(gws)
-        if has_bias:
-            return (*gxs, gw, min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0))
-        return (*gxs, gw)
+        gb = min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0) if has_bias else None
+        if own is not None:
+            # Row blocks of about 1 MiB, split evenly: blocks of a few rows
+            # would switch BLAS kernels and round differently.
+            wt = blocks[own].T
+            for rows in np.array_split(g.reshape(-1, n_out), max(1, -(-g.nbytes // 2**20))):
+                rows[...] = rows @ wt
+            gxs[own] = g
+        return (*gxs, gw, gb) if has_bias else (*gxs, gw)
 
-    parents = tuple(p.idx for p in parts) + (w.idx,) + ((b.idx,) if has_bias else ())
-    return w.tape._push(y, parents, vjp, "dense", meta=(relu, has_bias))
+    rebuild = None
+    if reduce is None and all(math.prod(s[:-1]) < math.prod(full[:-1]) for s in shapes):
+        # Every part is smaller than the output: Tape.backward releases the
+        # value and this rebuilds it from the parents, bit for bit.
+        w_idx, b_idx = w.idx, b.idx if has_bias else None
+
+        def rebuild(get):
+            xs = [get(i) for i in part_idx]
+            out = dense_preactivation(xs, row_blocks(xs, get(w_idx)),
+                                      None if b_idx is None else get(b_idx))
+            return np.maximum(out, 0.0, out=out) if relu else out
+
+    parents = tuple(part_idx) + (w.idx,) + ((b.idx,) if has_bias else ())
+    return w.tape._push(y, parents, vjp, "dense", meta=(relu, has_bias), rebuild=rebuild)
 
 
 def solve(a: Var, b: Var) -> Var:

@@ -15,6 +15,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -158,6 +159,7 @@ def cmd_train(config_path, out_dir, seed, n_train, n_test, batch_size, epochs,
         train_cfg = TrainConfig(n_train=n_train, n_test=n_test, batch_size=batch_size,
                                 epochs=epochs, learning_rate=lr, seed=seed,
                                 snr_db=snr_db, grad_clip=grad_clip)
+        run_cfg = training.effective_config(train_cfg, cfg)
     except InvalidConfigError as exc:
         _fail(EXIT_INVALID_CONFIG, str(exc))
     out = Path(out_dir)
@@ -166,7 +168,6 @@ def cmd_train(config_path, out_dir, seed, n_train, n_test, batch_size, epochs,
         store, report = training.train(train_cfg, cfg, model)
     except DivergenceError as exc:
         _fail(EXIT_DIVERGENCE, str(exc))
-    run_cfg = training.effective_config(train_cfg, cfg)
     ckpt = out / "checkpoint.json"
     training.save_checkpoint(ckpt, store, run_cfg, seed, model)
     rep = out / "report.json"
@@ -250,17 +251,17 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
                   if k not in ("power_budget_w", "noise_power_w")}
         if ours != theirs:
             _fail(EXIT_BAD_CHECKPOINT, "sweep config geometry does not match checkpoint")
+    try:
+        unit_noise = replace(ckpt.cfg, noise_power_w=1.0)
+        snr_cfgs = [unit_noise.with_snr_db(snr) for snr in snrs]
+    except InvalidConfigError as exc:
+        _fail(EXIT_INVALID_CONFIG, str(exc))
     seed = ckpt.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for snr in snrs:
-        cfg_snr = ckpt.cfg.with_snr_db(snr)
-        if cfg_snr.noise_power_w != 1.0:
-            cfg_snr = SystemConfig.from_json_dict(
-                {**cfg_snr.to_json_dict(), "noise_power_w": 1.0,
-                 "power_budget_w": 10.0 ** (snr / 10.0)})
+    for snr, cfg_snr in zip(snrs, snr_cfgs):
         result = training.evaluate(ckpt.store, cfg_snr, ckpt.model, n_samples, seed)
         if ckpt.cfg.M == 1:
             data = training.test_dataset(cfg_snr, n_samples, seed)

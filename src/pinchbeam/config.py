@@ -170,8 +170,19 @@ class SystemConfig:
         return 10.0 * math.log10(self.power_budget_w / self.noise_power_w)
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
-        """Same deployment with the power budget set to snr * noise power."""
-        return replace(self, power_budget_w=self.noise_power_w * 10.0 ** (snr_db / 10.0))
+        """Same deployment with the power budget set to snr * noise power.
+
+        Raises InvalidConfigError when that budget overflows or underflows
+        to 0 in float64.
+        """
+        try:
+            budget = self.noise_power_w * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            budget = math.inf
+        if not 0.0 < budget < math.inf:
+            raise InvalidConfigError(
+                f"snr_db = {snr_db} puts the power budget out of float range ({budget} W)")
+        return replace(self, power_budget_w=budget)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -220,9 +231,8 @@ def default_config(n_waveguides: int, n_pinch_per_wg: int, n_users: int,
         n_waveguides=n_waveguides,
         n_pinch_per_wg=n_pinch_per_wg,
         n_users=n_users,
-        power_budget_w=10.0 ** (snr_db / 10.0),
         noise_power_w=1.0,
-    )
+    ).with_snr_db(snr_db)
 
 
 @dataclass(frozen=True)

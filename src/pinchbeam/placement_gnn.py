@@ -145,7 +145,9 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
     tape from the stored parameters and touches only weight-sized arrays.
     Besides main's hidden state, r_a is the only value stored at the
-    resolution of ``z``'s broadcast.
+    resolution of ``z``'s broadcast. Where ``z``'s parts cross, as in the
+    processor's pair, r_a's dense node is smaller in every part than in its
+    output, so ``Tape.backward`` releases r_a and rebuilds it for main's VJP.
 
     A branch whose index set is empty (``same`` at M = 1, ``other`` at
     N = 1) would add exact zeros, so it is not built: its parts, its row
@@ -157,13 +159,16 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     main_name, same_name, other_name = names
     zs = ad.as_parts(z)
     n, m = np.broadcast_shapes(*(p.shape[:-1] for p in zs))[1:3]
-    parts = {}  # own and total hidden state of each branch with a non-empty index set
-    if m > 1:
-        r_a = _hidden(tape, store, f"{prefix}.{same_name}", zs)
-        parts[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
+    hidden = {}  # own and total hidden state of each branch with a non-empty index set
+    # other goes on the tape first, so the reverse sweep reaches r_a right
+    # after main and frees r_a's rebuilt value and adjoint before s_b's VJP.
     if n > 1:
         s_b = _hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
-        parts[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
+        hidden[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
+    if m > 1:
+        r_a = _hidden(tape, store, f"{prefix}.{same_name}", zs)
+        hidden[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
+    parts = {name: hidden[name] for name in (same_name, other_name) if name in hidden}
     counts = {same_name: m - 1, other_name: (n - 1) * m}
 
     outs = {name: _output_params(tape, specs[name], store, f"{prefix}.{name}")

@@ -428,6 +428,23 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
     run("dense_parts_nested_relu_bias", p, lambda t, s: ad.dense(
         [t.param(s, f"x{i}") for i in range(4)], t.param(s, "w"), t.param(s, "b"),
         relu=True), (2, 3, 3, 5))
+    # A relu dense of two crossing parts is smaller in every part than in
+    # its output, so the backward sweep releases it and rebuilds it for its
+    # consumer: a second dense that reads it as a part and through a
+    # keepdims sum, as the placement processor reads r_a.
+    while True:
+        p = {"x0": u((2, 3, 1, 4)), "x1": u((2, 1, 3, 2)), "w": u((6, 5)), "b": u((5,)),
+             "w2": u((10, 3))}
+        pre = p["x0"] @ p["w"][:4] + p["x1"] @ p["w"][4:] + p["b"]
+        if np.min(np.abs(pre)) > 0.05:
+            break
+
+    def released_feeds_dense(t, s):
+        r = ad.dense([t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"), t.param(s, "b"),
+                     relu=True)
+        return ad.dense([r, ad.sum_axis(r, 2, keepdims=True)], t.param(s, "w2"))
+
+    run("dense_released_feeds_dense", p, released_feeds_dense, (2, 3, 3, 3))
     return results
 
 
@@ -445,21 +462,23 @@ def kink_distance(tape: Tape) -> float:
     (their pre-activation recomputed from the node's parents with the GEMM
     code of ``dense``, also where the node stores only a sum of its output)
     and the sqrt domain; used to resample
-    gradient-check inputs that would straddle a kink during probing.
+    gradient-check inputs that would straddle a kink during probing. Parent
+    values are read through ``Tape.value``, so a tape after its backward
+    sweep, which released some of them, gives the same distance.
     """
     worst = math.inf
     for i, op in enumerate(tape.ops):
         if op == "max_with_scalar":
-            parent = tape.values[tape.parents[i][0]]
+            parent = tape.value(tape.parents[i][0])
             thresh = tape.meta[i]
             worst = min(worst, float(np.min(np.abs(parent - thresh))))
         elif op == "dense" and tape.meta[i][0]:
-            vals = [tape.values[p] for p in tape.parents[i]]
+            vals = [tape.value(p) for p in tape.parents[i]]
             bias = vals.pop() if tape.meta[i][1] else None
             pre = ad.dense_preactivation(vals[:-1], ad.row_blocks(vals[:-1], vals[-1]), bias)
             worst = min(worst, float(np.min(np.abs(pre))))
         elif op == "sqrt":
-            parent = tape.values[tape.parents[i][0]]
+            parent = tape.value(tape.parents[i][0])
             worst = min(worst, float(np.min(np.abs(parent))))
     return worst
 

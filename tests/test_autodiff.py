@@ -206,7 +206,8 @@ class TestDiagonal:
 
 
 def _backward_keeping_all(tape, loss):
-    """The reverse sweep without adjoint release: every node's adjoint."""
+    """The reverse sweep without adjoint or value release and without
+    in-place accumulation: every node's adjoint."""
     grads = [None] * len(tape)
     grads[loss.idx] = np.ones_like(loss.value)
     for i in range(loss.idx, -1, -1):
@@ -214,6 +215,8 @@ def _backward_keeping_all(tape, loss):
             continue
         for p, pg in zip(tape.parents[i], tape.vjps[i](grads[i])):
             if pg is not None:
+                if pg.dtype.kind == "c" and tape.values[p].dtype.kind != "c":
+                    pg = pg.real
                 grads[p] = pg if grads[p] is None else grads[p] + pg
     return grads
 
@@ -246,6 +249,34 @@ class TestBackwardRelease:
                 assert g is None, tape.ops[i]
         assert grads[unused.idx] is None
         assert all(grads[v.idx] is not None for v in (x, w, b))
+
+    def test_node_smaller_in_every_part_is_released_and_rebuilt(self):
+        # r = relu(dense of two crossing parts) feeds a second dense both as
+        # a part and through a keepdims sum: the sweep releases r, rebuilds
+        # it for the consumer's VJP and releases it again; Var.value then
+        # rebuilds it on demand. A part as wide as the output at full
+        # resolution, or a reduce, keeps a node on the tape.
+        rng = np.random.default_rng(32)
+        tape = Tape()
+        x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
+        x1 = tape.constant(rng.standard_normal((2, 1, 3, 2)))
+        w = tape.constant(rng.standard_normal((6, 5)))
+        b = tape.constant(rng.standard_normal(5))
+        r = ad.dense([x0, x1], w, b, relu=True)
+        kept = [ad.dense([x0, x1], w, b, relu=True, reduce=1),
+                ad.dense(tape.constant(rng.standard_normal((2, 3, 3, 6))), w, b, relu=True)]
+        y = ad.dense([r, ad.sum_axis(r, 2, keepdims=True)], tape.constant(
+            rng.standard_normal((10, 5))), b, relu=True, reduce=(1, 2))
+        loss = ad.sum_axis(ad.mul(y, tape.constant(rng.standard_normal(y.shape))), (0, 1, 2))
+        assert list(tape.rebuilds) == [r.idx]
+        before = r.value.copy()
+        ref = _backward_keeping_all(tape, loss)
+        grads = tape.backward(loss)
+        assert tape.values[r.idx] is None
+        assert all(tape.values[v.idx] is not None for v in kept)
+        np.testing.assert_array_equal(r.value, before)
+        for v in (x0, x1, w, b):
+            np.testing.assert_array_equal(grads[v.idx], ref[v.idx])
 
     def test_backward_into_unchanged(self):
         store = ParameterStore()
@@ -291,6 +322,9 @@ class TestInPlaceAccumulation:
                 np.testing.assert_array_equal(grads[i], kept[i])
 
     def test_backward_leaves_tape_values_unchanged(self):
+        # The sweep keeps every value bit for bit except the processor's
+        # same-branch hidden states r_a (qq1, one per layer), which it
+        # releases; each of those rebuilds through Var.value to its bytes.
         cfg = default_config(3, 2, 4)
         model = ModelConfig()
         tape = Tape()
@@ -298,7 +332,40 @@ class TestInPlaceAccumulation:
                             cfg, model)
         before = [v.tobytes() for v in tape.values]
         tape.backward(loss)
-        assert [v.tobytes() for v in tape.values] == before
+        released = [i for i, v in enumerate(tape.values) if v is None]
+        qq1_bias = {idx for name, idx in tape.param_slots if name.endswith(".qq1.b0")}
+        assert released == [i for i, op in enumerate(tape.ops)
+                            if op == "dense" and qq1_bias & set(tape.parents[i])]
+        assert len(released) == model.pbf_layers
+        for i, v in enumerate(tape.values):
+            if v is not None:
+                assert v.tobytes() == before[i], (i, tape.ops[i])
+        for i in released:
+            assert ad.Var(tape, i).value.tobytes() == before[i]
+        assert all(tape.values[i] is None for i in released)  # rebuilt, not stored
+
+    def test_released_values_leave_leaf_adjoints_bit_unchanged(self):
+        # (3,2,4), B = 5: the loss reaches 74 of the 76 placement parameter
+        # arrays (all but the gap head, whose clamp is shut), so the rebuilt
+        # r_a values feed real gradients. Two identical tapes, one swept with
+        # release, rebuild and in-place accumulation and one without.
+        cfg = default_config(3, 2, 4)
+        model = ModelConfig()
+        store = init_parameters(cfg, model, 0)
+        phi = train_dataset(cfg, 5, 1)
+        tapes = [Tape(), Tape()]
+        losses = [loss_on_tape(t, phi, store, cfg, model) for t in tapes]
+        grads = tapes[0].backward(losses[0])
+        kept = _backward_keeping_all(tapes[1], losses[1])
+        assert tapes[0].rebuilds and all(tapes[0].values[i] is None for i in tapes[0].rebuilds)
+        for i in range(len(tapes[0])):
+            if tapes[0].vjps[i] is None:
+                assert (grads[i] is None) == (kept[i] is None), tapes[0].ops[i]
+                if kept[i] is not None:
+                    np.testing.assert_array_equal(grads[i], kept[i])
+        pbf_slots = [idx for name, idx in tapes[0].param_slots if name.startswith("pbf.")]
+        assert len(pbf_slots) == 76
+        assert sum(grads[i] is not None and bool(np.any(grads[i])) for i in pbf_slots) == 74
 
 
 def _loop_sum_others(a, axis):
@@ -726,6 +793,34 @@ class TestDense:
         assert 0.99e-6 <= kink_distance(tape) <= 1.01e-6
         tape.values[b.idx][0] = -2.25
         assert kink_distance(tape) == 0.25
+
+    def test_kink_distance_after_backward_sweep(self):
+        # The sweep releases r, the relu of two crossing parts; a clamp and a
+        # second relu dense read it. kink_distance rebuilds it and measures
+        # what it did before the sweep, here the clamp's 1e-6 and, on a
+        # placement loss tape, the same distance bit for bit.
+        tape = Tape()
+        parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
+        w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
+        r = ad.dense(parts, w, tape.constant(np.array([0.5, -1.0])), relu=True)
+        y = ad.dense(r, tape.constant(np.ones((2, 1))), relu=True)
+        clamp = ad.max_with_scalar(r, 2.5 + 1e-6)
+        loss = ad.sum_axis(ad.add(y, ad.sum_axis(clamp, -1, keepdims=True)), (0, 1, 2, 3))
+        assert list(tape.rebuilds) == [r.idx]
+        before = kink_distance(tape)
+        tape.backward(loss)
+        assert tape.values[r.idx] is None
+        assert kink_distance(tape) == before
+        assert 0.99e-6 <= before <= 1.01e-6
+        cfg = default_config(3, 2, 4)
+        model = ModelConfig()
+        tape = Tape()
+        loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
+                            cfg, model)
+        before = kink_distance(tape)
+        tape.backward(loss)
+        assert any(v is None for v in tape.values)
+        assert kink_distance(tape) == before
 
     @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_parts_match_materialised_concat(self, act):

@@ -60,6 +60,15 @@ class TestTrainCommand:
         assert "learning_rate" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_snr_out_of_float_range_exit_2(self, runner, config_file, tmp_path, snr):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--config", str(config_file),
+                                      "--out", str(out), "--snr-db", snr] + TRAIN_ARGS)
+        assert result.exit_code == 2, result.output
+        assert "snr_db" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--hidden", "--layers", "--batch-size"])
     def test_zero_count_flag_exit_2(self, runner, config_file, tmp_path, flag):
         out = tmp_path / "out"
@@ -232,6 +241,15 @@ class TestSweepCommand:
                                       "--out", str(tmp_path / "s")])
         assert result.exit_code == 2, result.output
         assert "finite" in result.output
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("snrs", ["0,4000", "-4000,0"])
+    def test_snr_out_of_float_range_exit_2(self, runner, checkpoint_file, tmp_path, snrs):
+        result = runner.invoke(main, ["sweep", "--checkpoint", str(checkpoint_file),
+                                      "--snr-db", snrs, "--n-samples", "2",
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 2, result.output
+        assert "snr_db" in result.output
         assert not (tmp_path / "s").exists()
 
     def test_zero_samples_exit_2(self, runner, config_file, tmp_path):

@@ -96,6 +96,14 @@ class TestSystemConfig:
         assert cfg == default_config(2, 1, 2)
         assert type(cfg.n_users) is int
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.nan])
+    def test_snr_out_of_float_range_rejected(self, snr_db):
+        # 10^400 overflows a float and 10^-400 underflows to a zero budget.
+        with pytest.raises(InvalidConfigError, match="snr_db"):
+            default_config(2, 1, 2).with_snr_db(snr_db)
+        with pytest.raises(InvalidConfigError, match="snr_db"):
+            default_config(2, 1, 2, snr_db=snr_db)
+
     def test_waveguide_y_uniform(self):
         cfg = default_config(4, 1, 1)
         np.testing.assert_allclose(cfg.waveguide_y(), [1.25, 3.75, 6.25, 8.75])

@@ -386,6 +386,25 @@ class TestFoldedOutputLayers:
                         init_parameters(cfg, model, 0), cfg, model)
         assert sum(v.nbytes for v in tape.values) <= 56e6
 
+    def test_training_step_peak_at_k8(self):
+        # Traced peak of one forward and backward at B = 8, N = K = 8, M = 3:
+        # 67.2 MB with r_a released during the sweep and the processor's
+        # largest adjoint written into its masked buffer; 85.1 MB before.
+        import tracemalloc
+
+        from pinchbeam.training import loss_on_tape, train_dataset
+        cfg = default_config(8, 3, 8)
+        model = ModelConfig()
+        store = init_parameters(cfg, model, 0)
+        phi = train_dataset(cfg, 8, 1)
+        tracemalloc.start()
+        try:
+            ad.backward_into(store, loss_on_tape(Tape(), phi, store, cfg, model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 72e6
+
 
 def _pair_resolution_nodes(tape, pair_rows):
     """(op, subnet of its first-layer bias) of each node whose value has
