@@ -24,23 +24,30 @@ masked adjoint it owns), and ``Tape.backward`` adds a second adjoint into a
 writable first one in place and releases each interior adjoint once its VJP
 has run; only leaf adjoints outlive the sweep.
 
-Values released in the sweep: a ``dense`` node without ``reduce`` whose
-every part has fewer rows than its output (parts that cross) records how to
-rebuild its value from its parents' (``Tape.rebuilds``). ``Tape.backward``
-drops those values when it starts and rebuilds each one only while the
-VJPs of the node and its consumers run. ``Tape.value`` and ``Var.value``
-rebuild a released value on demand. So ``dense``'s VJP reads its parts and
-output from the tape's value list when it runs instead of capturing them,
-and no closure holds a ``Var`` or the ``Tape``: reference counting alone
-frees a dropped tape.
+Values released in the sweep: ``Tape.backward`` consumes the tape. Once the
+sweep has passed a node, its own VJP has run and so have those of all its
+consumers, which lie later on the tape; the sweep then drops the node's
+value and its VJP, and with the VJP the arrays its closure captured. Only
+the leaves (``const`` and ``param``) and the loss keep their values, so
+read any other value you need before the sweep. A ``dense`` node without
+``reduce`` whose every part has fewer rows than its output (parts that
+cross) also records how to rebuild its value from its parents'
+(``Tape.rebuilds``): the sweep drops those values when it starts and
+rebuilds each one only while the VJPs of the node and its consumers run.
+``Tape.value`` and ``Var.value`` rebuild such a value on demand while its
+parents hold theirs, and raise ValueError for any other released value. So
+``dense``'s VJP reads its parts and output from the tape's value list when
+it runs instead of capturing them, and no closure holds a ``Var`` or the
+``Tape``: reference counting alone frees what the sweep drops, as it frees
+a dropped tape.
 
 Sums over a layer's output: a relu or identity layer whose output only feeds
 a sum takes the sum into its ``dense`` node (``reduce``), which stores the
-summed value and, for its VJP, a boolean mask of the summed entries instead
-of the full-resolution output. The placement GNN sums its other-waveguide
-branch over slots and its processor over the other users this way, and
-takes its leave-one-out sums as total minus own inside the weight fold
-(``placement_gnn.nested_pe_hidden``). ``sum_others`` is the leave-one-out
+summed value and, for its VJP, a mask of the summed entries packed to 1 bit
+per entry instead of the full-resolution output. The placement GNN sums its
+other-waveguide branch over slots and its processor over the other users
+this way, and takes its leave-one-out sums as total minus own inside the
+weight fold (``placement_gnn.nested_pe_hidden``). ``sum_others`` is the leave-one-out
 sum as a single node; the precoder GNN uses it.
 """
 
@@ -98,7 +105,8 @@ class Var:
         return self.value.ndim
 
     def __repr__(self):
-        return f"Var(idx={self.idx}, shape={self.shape})"
+        v = self.tape.values[self.idx]  # None once the backward sweep released it
+        return f"Var(idx={self.idx}, shape={'released' if v is None else v.shape})"
 
 
 class Tape:
@@ -106,9 +114,10 @@ class Tape:
 
     Node i's inputs always precede it, so ``backward`` is a single reverse
     iteration over the node list (deterministic accumulation order).
-    ``rebuilds`` maps the nodes whose value ``backward`` releases to a
-    function that recomputes it from the parents' values (read through the
-    accessor it is passed); :meth:`value` reads any node's value.
+    ``backward`` consumes the tape (module docstring). ``rebuilds`` maps
+    the nodes whose value ``backward`` releases when it starts to a function
+    that recomputes it from the parents' values (read through the accessor
+    it is passed); :meth:`value` reads a node's value.
     """
 
     def __init__(self):
@@ -124,9 +133,18 @@ class Tape:
         return len(self.values)
 
     def value(self, i: int) -> np.ndarray:
-        """Node i's value; one that ``backward`` released is rebuilt, not stored."""
+        """Node i's value. One that ``backward`` released is rebuilt from its
+        parents' values if the node records a rebuild; reading any other
+        released value raises ValueError (module docstring)."""
         v = self.values[i]
-        return self.rebuilds[i](self.value) if v is None else v
+        if v is not None:
+            return v
+        if i in self.rebuilds:
+            return self.rebuilds[i](self.value)
+        raise self._released(i)
+
+    def _released(self, i: int) -> ValueError:
+        return ValueError(f"node {i} ({self.ops[i]}) was released by a backward sweep")
 
     def _push(self, value: np.ndarray, parents: tuple[int, ...],
               vjp: Callable | None, op: str, meta=None, rebuild=None) -> Var:
@@ -152,36 +170,44 @@ class Tape:
     def backward(self, loss: Var) -> list[np.ndarray | None]:
         """Adjoint of ``loss`` w.r.t. every leaf (const and param) node.
 
-        An interior node's adjoint is released as soon as its VJP has passed
-        it to the parents, so the sweep never holds more than the adjoints
-        still waiting to be propagated. The returned list therefore holds
-        the leaf adjoints, and None for interior nodes and for leaves the
-        loss does not reach. An adjoint that flows into a real node keeps
-        only its real part, ``dL/dRe``. A second adjoint is added into a
-        writable first one in place (module docstring).
+        The sweep consumes the tape. An interior node's adjoint is released
+        as soon as its VJP has passed it to the parents, so the sweep never
+        holds more than the adjoints still waiting to be propagated. Once
+        the sweep has passed a node, every consumer of its value lies behind
+        it, so it drops the node's value and VJP (and with the VJP the
+        arrays its closure captured). Only the leaves (``parents == ()``)
+        and ``loss`` keep their values. The returned list holds the leaf
+        adjoints, and None for interior nodes and for leaves the loss does
+        not reach. An adjoint that flows into a real node keeps only its
+        real part, ``dL/dRe``. A second adjoint is added into a writable
+        first one in place (module docstring).
 
         The values in ``rebuilds`` are released when the sweep starts. One is
-        rebuilt before the first VJP of the node or of a consumer runs, and
-        released again once the sweep has passed the node; after the sweep
-        :meth:`value` rebuilds it on demand.
+        rebuilt before the first VJP of the node or of a consumer runs. A
+        second ``backward`` on a swept tape raises ValueError, as does
+        :meth:`value` of a released node that cannot be rebuilt.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        values = self.values
+        values, vjps = self.values, self.vjps
         grads: list[np.ndarray | None] = [None] * len(values)
         grads[loss.idx] = np.ones_like(loss.value)
         for j in self.rebuilds:
             values[j] = None
         for i in range(loss.idx, -1, -1):
-            g, vjp = grads[i], self.vjps[i]
-            if g is not None and vjp is not None:
+            parents, g, vjp = self.parents[i], grads[i], vjps[i]
+            if not parents:
+                continue
+            if g is not None:
+                if vjp is None:
+                    raise self._released(i)
                 grads[i] = None
-                for j in (i, *self.parents[i]):
+                for j in (i, *parents):
                     if values[j] is None:
                         values[j] = self.value(j)
-                for p, pg in zip(self.parents[i], vjp(g)):
+                for p, pg in zip(parents, vjp(g)):
                     if pg is None:
                         continue
                     if pg.dtype.kind == "c" and values[p].dtype.kind != "c":
@@ -192,7 +218,8 @@ class Tape:
                         grads[p] += pg
                     else:
                         grads[p] = grads[p] + pg
-            if i in self.rebuilds:
+            vjps[i] = None
+            if i != loss.idx:
                 values[i] = None
         return grads
 
@@ -343,20 +370,21 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     sums the adjoint down to each part's resolution once, from the smallest
     sum already taken that covers it, and the bias gradient from the
     smallest sum; an unreduced relu masks a writable adjoint in place. A
-    reduced relu owns its masked adjoint and, once every sum and weight
-    and bias gradient is taken, writes the adjoint of a full-resolution
-    part as wide as the output back into it, in row blocks.
+    reduced relu owns its masked adjoint. Where that adjoint spans two or
+    more row blocks of about 1 MiB, the VJP writes the adjoint of a
+    full-resolution part as wide as the output back into it, in row
+    blocks, once every sum and weight and bias gradient is taken.
 
     ``reduce`` sums the activation inside the node, so the full-resolution
     output is never stored. An int axis is summed over and kept with length
     1, as ``sum_axis(..., keepdims=True)``. A pair ``(axis1, axis2)`` is
     summed over ``axis2``, which is dropped, leaving out the entries whose
     indices on the two axes are equal (``sum_{j != k}``). The VJP
-    of a reduced relu keeps a boolean mask of the entries that reach the
-    sum (1 byte each) in place of the output; an unreduced relu takes its
-    mask ``pre > 0`` from the output. The node's meta is ``(relu,
-    has_bias)``, from which ``verify.kink_distance`` recomputes the
-    pre-activation. Without ``reduce``, a node whose every part has fewer
+    of a reduced node keeps the mask of the entries that reach the sum,
+    packed to 1 bit each (``np.packbits``), in place of the output; an
+    unreduced relu takes its mask ``pre > 0`` from the output. The node's
+    meta is ``(relu, has_bias)``, from which ``verify.kink_distance``
+    recomputes the pre-activation. Without ``reduce``, a node whose every part has fewer
     rows than its output is released by ``Tape.backward`` and rebuilt
     from its parents (module docstring).
     """
@@ -388,6 +416,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
                 [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
             mask = off if mask is None else np.logical_and(mask, off, out=mask)
             y = y.sum(axis=axis) - np.moveaxis(np.diagonal(y, axis1=diag, axis2=axis), -1, pos)
+        if mask is not None:
+            mask_shape, mask = mask.shape, np.packbits(mask.ravel())  # 1 bit per entry
 
     # Captures indices, flags and weight-sized arrays only. The parts and the
     # output are read from the value list when the VJP runs, so a value that
@@ -401,7 +431,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
         if reduce is not None:
             g = np.broadcast_to(g if diag is None else np.expand_dims(g, axis), full)
             if mask is not None:
-                g = g * mask
+                g = g * np.unpackbits(mask, count=math.prod(mask_shape)).view(bool).reshape(
+                    mask_shape)
         elif relu:
             g = np.multiply(g, values[idx] > 0.0, out=g if g.flags.writeable else None)
         # g summed down to each part's resolution, largest first; parts at
@@ -411,9 +442,11 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             if shape not in sums:
                 src = min((s for s in sums if _fits(shape, s)), key=math.prod)
                 sums[shape] = _unbroadcast(sums[src], shape)
-        # A reduced node owns its masked g: the adjoint of one full-resolution
-        # part as wide as the output is written back into it, last.
-        own = None if mask is None else next(
+        # A reduced node owns its masked g: where g spans two or more row
+        # blocks of about 1 MiB, the adjoint of one full-resolution part as
+        # wide as the output is written back into it, last. A one-block
+        # adjoint is a fresh GEMM, which the write-back would only copy.
+        own = None if mask is None or g.nbytes <= 2**20 else next(
             (k for k, xv in enumerate(xvs) if xv.shape == g.shape), None)
         gxs, gws = [], []
         for k, (xv, wb) in enumerate(zip(xvs, blocks)):
@@ -426,7 +459,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             # Row blocks of about 1 MiB, split evenly: blocks of a few rows
             # would switch BLAS kernels and round differently.
             wt = blocks[own].T
-            for rows in np.array_split(g.reshape(-1, n_out), max(1, -(-g.nbytes // 2**20))):
+            for rows in np.array_split(g.reshape(-1, n_out), -(-g.nbytes // 2**20)):
                 rows[...] = rows @ wt
             gxs[own] = g
         return (*gxs, gw, gb) if has_bias else (*gxs, gw)

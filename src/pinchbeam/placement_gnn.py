@@ -162,6 +162,9 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     hidden = {}  # own and total hidden state of each branch with a non-empty index set
     # other goes on the tape first, so the reverse sweep reaches r_a right
     # after main and frees r_a's rebuilt value and adjoint before s_b's VJP.
+    # At B=8, (8,3,8) that keeps the traced peak of the processor VJPs at
+    # 46.2 MB instead of 54.3 MB; the step's peak (55.8 MB, at the end of
+    # the forward pass) does not move.
     if n > 1:
         s_b = _hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
         hidden[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]

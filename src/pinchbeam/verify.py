@@ -462,9 +462,10 @@ def kink_distance(tape: Tape) -> float:
     (their pre-activation recomputed from the node's parents with the GEMM
     code of ``dense``, also where the node stores only a sum of its output)
     and the sqrt domain; used to resample
-    gradient-check inputs that would straddle a kink during probing. Parent
-    values are read through ``Tape.value``, so a tape after its backward
-    sweep, which released some of them, gives the same distance.
+    gradient-check inputs that would straddle a kink during probing. Call it
+    before the backward sweep: the sweep releases the interior values it
+    reads, and ``Tape.value`` raises ValueError for one that cannot be
+    rebuilt from values still held.
     """
     worst = math.inf
     for i, op in enumerate(tape.ops):

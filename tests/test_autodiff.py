@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -241,7 +243,7 @@ class TestBackwardRelease:
         grads = tape.backward(loss)
         assert len(grads) == len(tape)
         for i, (g, ref) in enumerate(zip(grads, kept)):
-            if tape.vjps[i] is None:  # a leaf keeps its adjoint, bit for bit
+            if not tape.parents[i]:  # a leaf keeps its adjoint, bit for bit
                 assert (g is None) == (ref is None), tape.ops[i]
                 if ref is not None:
                     np.testing.assert_array_equal(g, ref)
@@ -254,8 +256,9 @@ class TestBackwardRelease:
         # r = relu(dense of two crossing parts) feeds a second dense both as
         # a part and through a keepdims sum: the sweep releases r, rebuilds
         # it for the consumer's VJP and releases it again; Var.value then
-        # rebuilds it on demand. A part as wide as the output at full
-        # resolution, or a reduce, keeps a node on the tape.
+        # rebuilds it on demand from its leaf parents. A part as wide as the
+        # output at full resolution, or a reduce, records no rebuild: the
+        # sweep drops such a node's value for good.
         rng = np.random.default_rng(32)
         tape = Tape()
         x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
@@ -273,10 +276,43 @@ class TestBackwardRelease:
         ref = _backward_keeping_all(tape, loss)
         grads = tape.backward(loss)
         assert tape.values[r.idx] is None
-        assert all(tape.values[v.idx] is not None for v in kept)
+        for v in kept:
+            with pytest.raises(ValueError, match=f"node {v.idx} \\(dense\\)"):
+                v.value
+            assert repr(v) == f"Var(idx={v.idx}, shape=released)"
         np.testing.assert_array_equal(r.value, before)
         for v in (x0, x1, w, b):
             np.testing.assert_array_equal(grads[v.idx], ref[v.idx])
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (8, 3, 8)])
+    def test_reference_counting_frees_what_the_sweep_drops(self, shape):
+        # C5 and K8 loss tapes: no VJP or rebuild closure holds a Var or the
+        # Tape, so dropping a node's value and VJP frees its arrays at once.
+        # With the cyclic collector off, every dense output is gone once the
+        # sweep has passed it.
+        cfg = default_config(*shape)
+        model = ModelConfig()
+        tape = Tape()
+        loss = loss_on_tape(tape, train_dataset(cfg, 2, 0), init_parameters(cfg, model, 0),
+                            cfg, model)
+        for fn in [f for f in tape.vjps if f is not None] + list(tape.rebuilds.values()):
+            for cell in fn.__closure__ or ():
+                try:
+                    held = cell.cell_contents
+                except ValueError:  # a cell the closure never filled
+                    continue
+                assert not isinstance(held, (ad.Var, Tape)), (fn.__qualname__, held)
+        dense = [i for i, op in enumerate(tape.ops) if op == "dense"]
+        assert len(dense) > 20
+        refs = [weakref.ref(tape.values[i]) for i in dense]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape.backward(loss)
+            assert [i for i, r in zip(dense, refs) if r() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_backward_into_unchanged(self):
         store = ParameterStore()
@@ -314,7 +350,7 @@ class TestInPlaceAccumulation:
             loss = term if loss is None else ad.add(loss, term)
         kept = _backward_keeping_all(tape, loss)
         grads = tape.backward(loss)
-        leaves = [i for i in range(len(tape)) if tape.vjps[i] is None]
+        leaves = [i for i in range(len(tape)) if not tape.parents[i]]
         assert grads[x.idx] is not None and grads[w.idx] is not None
         for i in leaves:
             assert (grads[i] is None) == (kept[i] is None)
@@ -322,27 +358,33 @@ class TestInPlaceAccumulation:
                 np.testing.assert_array_equal(grads[i], kept[i])
 
     def test_backward_leaves_tape_values_unchanged(self):
-        # The sweep keeps every value bit for bit except the processor's
-        # same-branch hidden states r_a (qq1, one per layer), which it
-        # releases; each of those rebuilds through Var.value to its bytes.
+        # The sweep consumes the tape: exactly the leaves and the loss keep
+        # their values, bit for bit, and every other value is released.
+        # The rebuilds are the processor's same-branch hidden states r_a
+        # (qq1, one per layer); their parents are released too, so reading
+        # any released value raises, and so does a second sweep.
         cfg = default_config(3, 2, 4)
         model = ModelConfig()
         tape = Tape()
         loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
                             cfg, model)
+        qq1_bias = {idx for name, idx in tape.param_slots if name.endswith(".qq1.b0")}
+        assert sorted(tape.rebuilds) == [i for i, op in enumerate(tape.ops)
+                                         if op == "dense" and qq1_bias & set(tape.parents[i])]
+        assert len(tape.rebuilds) == model.pbf_layers
         before = [v.tobytes() for v in tape.values]
         tape.backward(loss)
-        released = [i for i, v in enumerate(tape.values) if v is None]
-        qq1_bias = {idx for name, idx in tape.param_slots if name.endswith(".qq1.b0")}
-        assert released == [i for i, op in enumerate(tape.ops)
-                            if op == "dense" and qq1_bias & set(tape.parents[i])]
-        assert len(released) == model.pbf_layers
-        for i, v in enumerate(tape.values):
-            if v is not None:
-                assert v.tobytes() == before[i], (i, tape.ops[i])
+        kept = [i for i, v in enumerate(tape.values) if v is not None]
+        assert kept == sorted({i for i, p in enumerate(tape.parents) if not p} | {loss.idx})
+        for i in kept:
+            assert tape.values[i].tobytes() == before[i], (i, tape.ops[i])
+        released = sorted(set(range(len(tape))) - set(kept))
+        assert len(released) > len(tape) // 2
         for i in released:
-            assert ad.Var(tape, i).value.tobytes() == before[i]
-        assert all(tape.values[i] is None for i in released)  # rebuilt, not stored
+            with pytest.raises(ValueError, match="released by a backward sweep"):
+                tape.value(i)
+        with pytest.raises(ValueError, match=f"node {loss.idx} \\({tape.ops[loss.idx]}\\)"):
+            tape.backward(loss)
 
     def test_released_values_leave_leaf_adjoints_bit_unchanged(self):
         # (3,2,4), B = 5: the loss reaches 74 of the 76 placement parameter
@@ -359,7 +401,7 @@ class TestInPlaceAccumulation:
         kept = _backward_keeping_all(tapes[1], losses[1])
         assert tapes[0].rebuilds and all(tapes[0].values[i] is None for i in tapes[0].rebuilds)
         for i in range(len(tapes[0])):
-            if tapes[0].vjps[i] is None:
+            if not tapes[0].parents[i]:
                 assert (grads[i] is None) == (kept[i] is None), tapes[0].ops[i]
                 if kept[i] is not None:
                     np.testing.assert_array_equal(grads[i], kept[i])
@@ -414,9 +456,10 @@ class TestLeaveOneOutSums:
             x = tape.constant(xv)
             y = ad.sum_others(x, axis) if fused else \
                 ad.sub(ad.sum_axis(x, axis, keepdims=True), x)
+            value = y.value  # read before the sweep releases it
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(wv)),
                                               tuple(range(len(shape)))))
-            runs.append((y.value, grads[x.idx]))
+            runs.append((value, grads[x.idx]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
@@ -436,10 +479,11 @@ class TestLeaveOneOutSums:
             x = tape.constant(xv)
             y = ad.dense(x, tape.constant(np.eye(shape[-1])), reduce=axes) if fused else \
                 ad.sub(ad.sum_axis(x, axes[1]), ad.diagonal(x, *axes))
+            value = y.value
             wv = np.random.default_rng(34).standard_normal(y.shape)
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(wv)),
                                               tuple(range(y.ndim))))
-            runs.append((y.value, grads[x.idx]))
+            runs.append((value, grads[x.idx]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
@@ -506,7 +550,7 @@ class TestReducedDense:
     # placement processor's pair (d_k, d_j) does.
     SHAPES = ((2, 3, 1, 4), (2, 1, 3, 2))
 
-    def _run(self, reduce, relu, bias, fused):
+    def _build(self, reduce, relu, bias, fused):
         rng = np.random.default_rng(40)
         inputs = [rng.standard_normal(s) for s in self.SHAPES]
         wv, bv = rng.standard_normal((6, 5)), rng.standard_normal(5)
@@ -518,36 +562,50 @@ class TestReducedDense:
             y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
         else:
             y = _reduce(ad.dense(xs, w, b, relu=relu), reduce)
+        return tape, y, xs + [w] + ([b] if bias else [])
+
+    def _run(self, reduce, relu, bias, fused):
+        """The op of y's node, y's value and the leaf adjoints."""
+        tape, y, leaves = self._build(reduce, relu, bias, fused)
+        op, value = tape.ops[y.idx], y.value
         weights = np.random.default_rng(41).standard_normal(y.shape)
         grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
                                           tuple(range(y.ndim))))
-        leaves = xs + [w] + ([b] if bias else [])
-        return tape, y, [grads[v.idx] for v in leaves]
+        return op, value, [grads[v.idx] for v in leaves]
 
     @pytest.mark.parametrize("reduce", [1, -2, (1, 2), (2, 1)])
     @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("bias", [True, False])
     def test_matches_dense_then_sum(self, reduce, relu, bias):
-        tape, y, grads = self._run(reduce, relu, bias, fused=True)
+        op, value, grads = self._run(reduce, relu, bias, fused=True)
         _, ref, ref_grads = self._run(reduce, relu, bias, fused=False)
-        assert tape.ops[y.idx] == "dense"  # one node, the sum included
-        assert y.shape == ref.shape
-        np.testing.assert_allclose(y.value, ref.value, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(ref.value)))
+        assert op == "dense"  # one node, the sum included
+        assert value.shape == ref.shape
+        np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
         for g, gr in zip(grads, ref_grads):
             assert g.shape == gr.shape
             np.testing.assert_allclose(g, gr, rtol=1e-12, atol=1e-12 * np.max(np.abs(gr)))
 
     @pytest.mark.parametrize("reduce", [1, (1, 2)])
     def test_stores_only_the_sum_and_a_mask(self, reduce):
-        # The node's value is the sum; the only full-resolution (2, 3, 3, 5)
-        # array its VJP keeps is the boolean mask.
-        tape, y, _ = self._run(reduce, relu=True, bias=True, fused=True)
+        # The node's value is the sum; its VJP keeps no full-resolution
+        # (2, 3, 3, 5) array, only the mask of the entries that reach the
+        # sum, packed to 1 bit per entry: ceil(90 / 8) = 12 bytes.
+        tape, y, leaves = self._build(reduce, relu=True, bias=True, fused=True)
         assert tape.ops[y.idx] == "dense"
         assert y.value.size < 2 * 3 * 3 * 5
-        kept = [c.cell_contents for c in tape.vjps[y.idx].__closure__]
-        full = [v for v in kept if isinstance(v, np.ndarray) and v.size == 2 * 3 * 3 * 5]
-        assert [v.dtype for v in full] == [np.dtype(bool)]
+        kept = [c.cell_contents for c in tape.vjps[y.idx].__closure__
+                if c.cell_contents is not tape.values]
+        arrays = [v for v in kept if isinstance(v, np.ndarray)]
+        assert not [v for v in arrays if v.size >= 2 * 3 * 3 * 5]
+        packed = [v for v in arrays if v.dtype == np.uint8]
+        assert [v.shape for v in packed] == [(math.ceil(2 * 3 * 3 * 5 / 8),)]
+        xvs, wv, bv = [v.value for v in leaves[:-2]], leaves[-2].value, leaves[-1].value
+        mask = ad.dense_preactivation(xvs, ad.row_blocks(xvs, wv), bv) > 0.0
+        if not isinstance(reduce, int):
+            mask &= ~np.eye(3, dtype=bool)[None, :, :, None]
+        unpacked = np.unpackbits(packed[0], count=mask.size).astype(bool)
+        np.testing.assert_array_equal(unpacked.reshape(mask.shape), mask)
 
     def test_kink_distance_sees_reduced_relu(self):
         # kink_distance recomputes the full pre-activation from the parents,
@@ -741,8 +799,9 @@ class TestDense:
                 y = ad.add(ad.matmul(x, w), b)
                 if act == "relu":
                     y = ad.max_with_scalar(y, 0.0)
+            value = y.value  # read before the sweep releases it
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1)))
-            runs.append((y.value, [grads[v.idx] for v in (x, w, b)]))
+            runs.append((value, [grads[v.idx] for v in (x, w, b)]))
         (y_fused, g_fused), (y_plain, g_plain) = runs
         # A 2-D input runs the same GEMM, so the values agree bit for bit.
         np.testing.assert_array_equal(y_fused, y_plain)
@@ -796,9 +855,11 @@ class TestDense:
 
     def test_kink_distance_after_backward_sweep(self):
         # The sweep releases r, the relu of two crossing parts; a clamp and a
-        # second relu dense read it. kink_distance rebuilds it and measures
-        # what it did before the sweep, here the clamp's 1e-6 and, on a
-        # placement loss tape, the same distance bit for bit.
+        # second relu dense read it. r's parents are leaves, so kink_distance
+        # rebuilds r and measures what it did before the sweep, here the
+        # clamp's 1e-6. On a placement loss tape the sweep releases values
+        # that cannot be rebuilt, so kink_distance raises there; the sweep
+        # leaves an identical unswept tape's distance as it was.
         tape = Tape()
         parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
         w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
@@ -817,10 +878,14 @@ class TestDense:
         tape = Tape()
         loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
                             cfg, model)
+        twin = Tape()
+        loss_on_tape(twin, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0), cfg, model)
         before = kink_distance(tape)
+        assert 0.0 < before < math.inf
         tape.backward(loss)
-        assert any(v is None for v in tape.values)
-        assert kink_distance(tape) == before
+        with pytest.raises(ValueError, match="released by a backward sweep"):
+            kink_distance(tape)
+        assert kink_distance(twin) == before
 
     @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_parts_match_materialised_concat(self, act):
@@ -839,9 +904,10 @@ class TestDense:
             else:
                 full = [ad.broadcast_to(x, (2, 3, 3, x.shape[-1])) for x in xs]
                 y = ad.dense(ad.concat(full, axis=-1), w, b, relu=act == "relu")
+            value = y.value
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
                                               (0, 1, 2, 3)))
-            runs.append((y.value, [grads[v.idx] for v in xs + [w, b]]))
+            runs.append((value, [grads[v.idx] for v in xs + [w, b]]))
         (y_virtual, g_virtual), (y_full, g_full) = runs
         np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
         for gv, gf in zip(g_virtual, g_full):
@@ -886,10 +952,11 @@ class TestDense:
             else:
                 full = [ad.broadcast_to(x, lead + x.shape[-1:]) for x in xs]
                 y = ad.dense(ad.concat(full, axis=-1), w, b, relu=relu, reduce=reduce)
+            value = y.value
             weights = np.random.default_rng(6).standard_normal(y.shape)
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
                                               tuple(range(y.ndim))))
-            runs.append((y.value, [grads[v.idx] for v in xs + [w] + ([b] if bias else [])]))
+            runs.append((value, [grads[v.idx] for v in xs + [w] + ([b] if bias else [])]))
         (y_virtual, g_virtual), (y_full, g_full) = runs
         np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
         for gv, gf in zip(g_virtual, g_full):
@@ -906,6 +973,7 @@ class TestDense:
         tape = Tape()
         x, w, b = (tape.constant(v) for v in (xv, wv, bv))
         y = ad.dense(x, w, b, relu=act == "relu")
+        value = y.value
         grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1, 2)))
         y2 = xv.reshape(-1, 4) @ wv
         y2 += bv
@@ -913,7 +981,7 @@ class TestDense:
         if act == "relu":
             np.maximum(y2, 0.0, out=y2)
             g2 = g2 * (y2 > 0.0)
-        np.testing.assert_array_equal(y.value, y2.reshape(2, 3, 5))
+        np.testing.assert_array_equal(value, y2.reshape(2, 3, 5))
         np.testing.assert_array_equal(grads[x.idx], (g2 @ wv.T).reshape(2, 3, 4))
         np.testing.assert_array_equal(grads[w.idx], xv.reshape(-1, 4).T @ g2)
         np.testing.assert_array_equal(grads[b.idx], g2.sum(axis=0))
