@@ -24,22 +24,25 @@ masked adjoint it owns), and ``Tape.backward`` adds a second adjoint into a
 writable first one in place and releases each interior adjoint once its VJP
 has run; only leaf adjoints outlive the sweep.
 
-Values released in the sweep: ``Tape.backward`` consumes the tape. Once the
-sweep has passed a node, its own VJP has run and so have those of all its
-consumers, which lie later on the tape; the sweep then drops the node's
-value and its VJP, and with the VJP the arrays its closure captured. Only
-the leaves (``const`` and ``param``) and the loss keep their values, so
-read any other value you need before the sweep. A ``dense`` node without
-``reduce`` whose every part has fewer rows than its output (parts that
-cross) also records how to rebuild its value from its parents'
-(``Tape.rebuilds``): the sweep drops those values when it starts and
-rebuilds each one only while the VJPs of the node and its consumers run.
-``Tape.value`` and ``Var.value`` rebuild such a value on demand while its
-parents hold theirs, and raise ValueError for any other released value. So
-``dense``'s VJP reads its parts and output from the tape's value list when
-it runs instead of capturing them, and no closure holds a ``Var`` or the
-``Tape``: reference counting alone frees what the sweep drops, as it frees
-a dropped tape.
+Values released in the forward pass and in the sweep: ``Tape.backward``
+consumes the tape. Once the sweep has passed a node, its own VJP has run
+and so have those of all its consumers, which lie later on the tape; the
+sweep then drops the node's value and its VJP, and with the VJP the arrays
+its closure captured. Only the leaves (``const`` and ``param``) and the
+loss keep their values, so read any other value you need before the sweep.
+A ``dense`` node without ``reduce`` whose every part has fewer rows than
+its output (parts that cross) also records how to rebuild its value from
+its parents' (``Tape.rebuilds``), and so does a ``sum_axis`` of a node that
+records one. The forward pass may release such a value once its last
+forward reader has run (:meth:`Tape.release`); the sweep releases the rest
+when it starts, and rebuilds each one only while the VJPs of the node and
+its consumers run. A released value is the shared empty array
+:data:`RELEASED` (0 bytes), never None. ``Tape.value`` and ``Var.value``
+rebuild a rebuildable value on demand while its parents hold theirs, and
+raise ValueError for any other released value. So ``dense``'s VJP reads
+its parts and output from the tape's value list when it runs instead of
+capturing them, and no closure holds a ``Var`` or the ``Tape``: reference
+counting alone frees what the sweep drops, as it frees a dropped tape.
 
 Sums over a layer's output: a relu or identity layer whose output only feeds
 a sum takes the sum into its ``dense`` node (``reduce``), which stores the
@@ -61,6 +64,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, SingularityError
+
+
+# The value of every released node, checked by identity: an empty read-only
+# array, so code that sums ``nbytes`` over a tape's values counts it as 0.
+RELEASED = np.empty(0)
+RELEASED.flags.writeable = False
 
 
 def _tape_array(value) -> np.ndarray:
@@ -105,8 +114,8 @@ class Var:
         return self.value.ndim
 
     def __repr__(self):
-        v = self.tape.values[self.idx]  # None once the backward sweep released it
-        return f"Var(idx={self.idx}, shape={'released' if v is None else v.shape})"
+        v = self.tape.values[self.idx]
+        return f"Var(idx={self.idx}, shape={'released' if v is RELEASED else v.shape})"
 
 
 class Tape:
@@ -115,13 +124,15 @@ class Tape:
     Node i's inputs always precede it, so ``backward`` is a single reverse
     iteration over the node list (deterministic accumulation order).
     ``backward`` consumes the tape (module docstring). ``rebuilds`` maps
-    the nodes whose value ``backward`` releases when it starts to a function
-    that recomputes it from the parents' values (read through the accessor
-    it is passed); :meth:`value` reads a node's value.
+    the nodes whose value may be released before the sweep reaches them
+    (by :meth:`release` in the forward pass, else when ``backward`` starts)
+    to a function that recomputes it from the parents' values (read through
+    the accessor it is passed); :meth:`value` reads a node's value. A
+    released entry of ``values`` is :data:`RELEASED`.
     """
 
     def __init__(self):
-        self.values: list[np.ndarray | None] = []
+        self.values: list[np.ndarray] = []
         self.parents: list[tuple[int, ...]] = []
         self.vjps: list[Callable | None] = []
         self.ops: list[str] = []
@@ -133,15 +144,27 @@ class Tape:
         return len(self.values)
 
     def value(self, i: int) -> np.ndarray:
-        """Node i's value. One that ``backward`` released is rebuilt from its
-        parents' values if the node records a rebuild; reading any other
-        released value raises ValueError (module docstring)."""
+        """Node i's value. A released one is rebuilt from its parents' values
+        if the node records a rebuild, whether :meth:`release` or
+        ``backward`` released it; reading any other released value raises
+        ValueError (module docstring)."""
         v = self.values[i]
-        if v is not None:
+        if v is not RELEASED:
             return v
         if i in self.rebuilds:
             return self.rebuilds[i](self.value)
         raise self._released(i)
+
+    def release(self, *nodes: Var) -> None:
+        """Drop the values of ``nodes`` before the sweep, once no later
+        forward op reads them. Each must record a rebuild, which ``backward``
+        runs before the VJPs that read it; ValueError if one does not, so
+        nothing is dropped that cannot be rebuilt."""
+        for v in nodes:
+            if v.idx not in self.rebuilds:
+                raise ValueError(f"node {v.idx} ({self.ops[v.idx]}) records no rebuild")
+        for v in nodes:
+            self.values[v.idx] = RELEASED
 
     def _released(self, i: int) -> ValueError:
         return ValueError(f"node {i} ({self.ops[i]}) was released by a backward sweep")
@@ -182,9 +205,11 @@ class Tape:
         real part, ``dL/dRe``. A second adjoint is added into a writable
         first one in place (module docstring).
 
-        The values in ``rebuilds`` are released when the sweep starts. One is
-        rebuilt before the first VJP of the node or of a consumer runs. A
-        second ``backward`` on a swept tape raises ValueError, as does
+        The values in ``rebuilds`` that :meth:`release` has not already
+        dropped in the forward pass are released when the sweep starts. One
+        is rebuilt before the first VJP of the node or of a consumer runs,
+        and released again once the sweep has passed the node. A second
+        ``backward`` on a swept tape raises ValueError, as does
         :meth:`value` of a released node that cannot be rebuilt.
         """
         if loss.tape is not self:
@@ -195,7 +220,7 @@ class Tape:
         grads: list[np.ndarray | None] = [None] * len(values)
         grads[loss.idx] = np.ones_like(loss.value)
         for j in self.rebuilds:
-            values[j] = None
+            values[j] = RELEASED
         for i in range(loss.idx, -1, -1):
             parents, g, vjp = self.parents[i], grads[i], vjps[i]
             if not parents:
@@ -205,7 +230,7 @@ class Tape:
                     raise self._released(i)
                 grads[i] = None
                 for j in (i, *parents):
-                    if values[j] is None:
+                    if values[j] is RELEASED:
                         values[j] = self.value(j)
                 for p, pg in zip(parents, vjp(g)):
                     if pg is None:
@@ -220,7 +245,7 @@ class Tape:
                         grads[p] = grads[p] + pg
             vjps[i] = None
             if i != loss.idx:
-                values[i] = None
+                values[i] = RELEASED
         return grads
 
 
@@ -368,8 +393,9 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     axes are flattened, so every product and adjoint is one 2-D GEMM. The
     relu has subgradient 0 at the kink, like ``max_with_scalar``. The VJP
     sums the adjoint down to each part's resolution once, from the smallest
-    sum already taken that covers it, and the bias gradient from the
-    smallest sum; an unreduced relu masks a writable adjoint in place. A
+    sum already taken that covers it, takes the bias gradient from the
+    smallest sum and drops each sum once the last part that reads it has
+    taken its GEMMs; an unreduced relu masks a writable adjoint in place. A
     reduced relu owns its masked adjoint. Where that adjoint spans two or
     more row blocks of about 1 MiB, the VJP writes the adjoint of a
     full-resolution part as wide as the output back into it, in row
@@ -385,8 +411,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     unreduced relu takes its mask ``pre > 0`` from the output. The node's
     meta is ``(relu, has_bias)``, from which ``verify.kink_distance``
     recomputes the pre-activation. Without ``reduce``, a node whose every part has fewer
-    rows than its output is released by ``Tape.backward`` and rebuilt
-    from its parents (module docstring).
+    rows than its output records a rebuild from its parents, so
+    ``Tape.release`` or ``Tape.backward`` may release it (module docstring).
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -437,24 +463,30 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             g = np.multiply(g, values[idx] > 0.0, out=g if g.flags.writeable else None)
         # g summed down to each part's resolution, largest first; parts at
         # one resolution share the sum.
+        res = [v.shape[:-1] + (n_out,) for v in xvs]
         sums = {g.shape: g}
-        for shape in sorted((v.shape[:-1] + (n_out,) for v in xvs), key=math.prod, reverse=True):
+        for shape in sorted(res, key=math.prod, reverse=True):
             if shape not in sums:
                 src = min((s for s in sums if _fits(shape, s)), key=math.prod)
                 sums[shape] = _unbroadcast(sums[src], shape)
+        gb = min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0) if has_bias else None
         # A reduced node owns its masked g: where g spans two or more row
         # blocks of about 1 MiB, the adjoint of one full-resolution part as
         # wide as the output is written back into it, last. A one-block
         # adjoint is a fresh GEMM, which the write-back would only copy.
         own = None if mask is None or g.nbytes <= 2**20 else next(
             (k for k, xv in enumerate(xvs) if xv.shape == g.shape), None)
+        # Each sum is dropped once the last part that reads it has taken
+        # its GEMMs.
+        last = {shape: k for k, shape in enumerate(res)}
         gxs, gws = [], []
         for k, (xv, wb) in enumerate(zip(xvs, blocks)):
-            g2 = sums[xv.shape[:-1] + (n_out,)].reshape(-1, n_out)
+            g2 = sums[res[k]].reshape(-1, n_out)
             gxs.append(None if k == own else (g2 @ wb.T).reshape(xv.shape))
             gws.append(xv.reshape(-1, wb.shape[0]).T @ g2)
+            if last[res[k]] == k:
+                del sums[res[k]], g2
         gw = gws[0] if len(gws) == 1 else np.concatenate(gws)
-        gb = min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0) if has_bias else None
         if own is not None:
             # Row blocks of about 1 MiB, split evenly: blocks of a few rows
             # would switch BLAS kernels and round differently.
@@ -466,8 +498,9 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
 
     rebuild = None
     if reduce is None and all(math.prod(s[:-1]) < math.prod(full[:-1]) for s in shapes):
-        # Every part is smaller than the output: Tape.backward releases the
-        # value and this rebuilds it from the parents, bit for bit.
+        # Every part is smaller than the output: Tape.release or
+        # Tape.backward releases the value and this rebuilds it from the
+        # parents, bit for bit.
         w_idx, b_idx = w.idx, b.idx if has_bias else None
 
         def rebuild(get):
@@ -598,6 +631,9 @@ def _norm_axis(axis) -> tuple[int, ...]:
 
 
 def sum_axis(a: Var, axis, keepdims: bool = False) -> Var:
+    """Sum over ``axis`` (an int or a tuple). A sum of a node that records a
+    rebuild records one too, the same sum of the rebuilt value, so both can
+    be released (module docstring)."""
     axes = _norm_axis(axis)
     shape = a.value.shape
 
@@ -606,8 +642,15 @@ def sum_axis(a: Var, axis, keepdims: bool = False) -> Var:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape),)
 
+    rebuild = None
+    if a.idx in a.tape.rebuilds:
+        a_idx = a.idx
+
+        def rebuild(get):
+            return get(a_idx).sum(axis=axes, keepdims=keepdims)
+
     return a.tape._push(a.value.sum(axis=axes, keepdims=keepdims), (a.idx,), vjp,
-                        "sum_axis")
+                        "sum_axis", rebuild=rebuild)
 
 
 def mean_axis(a: Var, axis, keepdims: bool = False) -> Var:

@@ -147,7 +147,9 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     Besides main's hidden state, r_a is the only value stored at the
     resolution of ``z``'s broadcast. Where ``z``'s parts cross, as in the
     processor's pair, r_a's dense node is smaller in every part than in its
-    output, so ``Tape.backward`` releases r_a and rebuilds it for main's VJP.
+    output, so r_a and its slot sum record rebuilds: they are released as
+    soon as main's dense node has read them (``Tape.release``), and the
+    sweep rebuilds them for main's VJP.
 
     A branch whose index set is empty (``same`` at M = 1, ``other`` at
     N = 1) would add exact zeros, so it is not built: its parts, its row
@@ -162,9 +164,8 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     hidden = {}  # own and total hidden state of each branch with a non-empty index set
     # other goes on the tape first, so the reverse sweep reaches r_a right
     # after main and frees r_a's rebuilt value and adjoint before s_b's VJP.
-    # At B=8, (8,3,8) that keeps the traced peak of the processor VJPs at
-    # 46.2 MB instead of 54.3 MB; the step's peak (55.8 MB, at the end of
-    # the forward pass) does not move.
+    # At B=8, (8,3,8) the step's traced peak is then 44.8 MB, set inside
+    # layer 3's processor main VJP, instead of 49.2 MB with same first.
     if n > 1:
         s_b = _hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
         hidden[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
@@ -192,8 +193,13 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     b = b0
     for name in reversed(parts):
         b = ad.dense(scaled[name], w0_rows[name], b)
-    return ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
-                    reduce=reduce)
+    h = ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
+                 reduce=reduce)
+    # Main was r_a's last forward reader: where r_a can be rebuilt, it and
+    # its slot sum go now rather than when the sweep starts.
+    if same_name in parts and parts[same_name][0].idx in tape.rebuilds:
+        tape.release(*parts[same_name])
+    return h
 
 
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
@@ -226,8 +232,8 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     state r_q inside r_q's dense node (``reduce=(3, 4)``), which stores only
     the sum, and the layer then applies at K resolution with bias (K-1) b.
     With the folds of :func:`nested_pe_hidden`, the only value a layer
-    stores at pair resolution (B N M K^2 rows) is qq1's hidden state, and
-    at M > 1 only. At K = 1 the message is an empty sum, so the processor
+    computes at pair resolution (B N M K^2 rows) is qq1's hidden state, at
+    M > 1 only, and the tape holds it only until main has read it. At K = 1 the message is an empty sum, so the processor
     is not built and the update reads d alone through the leading rows of
     its first-layer weights.
     """

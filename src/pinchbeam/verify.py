@@ -445,6 +445,19 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
         return ad.dense([r, ad.sum_axis(r, 2, keepdims=True)], t.param(s, "w2"))
 
     run("dense_released_feeds_dense", p, released_feeds_dense, (2, 3, 3, 3))
+
+    # The same inputs with r and its keepdims sum released in the forward
+    # pass once the consumer has read them, as the processor releases r_a:
+    # the sweep rebuilds the sum from the rebuilt r.
+    def released_in_forward(t, s):
+        r = ad.dense([t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"), t.param(s, "b"),
+                     relu=True)
+        r_sum = ad.sum_axis(r, 2, keepdims=True)
+        y = ad.dense([r, r_sum], t.param(s, "w2"))
+        t.release(r, r_sum)
+        return y
+
+    run("dense_released_in_forward", p, released_in_forward, (2, 3, 3, 3))
     return results
 
 
@@ -462,10 +475,12 @@ def kink_distance(tape: Tape) -> float:
     (their pre-activation recomputed from the node's parents with the GEMM
     code of ``dense``, also where the node stores only a sum of its output)
     and the sqrt domain; used to resample
-    gradient-check inputs that would straddle a kink during probing. Call it
-    before the backward sweep: the sweep releases the interior values it
-    reads, and ``Tape.value`` raises ValueError for one that cannot be
-    rebuilt from values still held.
+    gradient-check inputs that would straddle a kink during probing. It
+    reads values through ``Tape.value``, so it rebuilds the values the
+    forward pass released (``Tape.release``). Call it before the backward
+    sweep: the sweep releases the interior values it reads, and
+    ``Tape.value`` raises ValueError for one that cannot be rebuilt from
+    values still held.
     """
     worst = math.inf
     for i, op in enumerate(tape.ops):

@@ -209,7 +209,10 @@ class TestDiagonal:
 
 def _backward_keeping_all(tape, loss):
     """The reverse sweep without adjoint or value release and without
-    in-place accumulation: every node's adjoint."""
+    in-place accumulation: every node's adjoint. Values released in the
+    forward pass are rebuilt and kept first."""
+    for j in tape.rebuilds:
+        tape.values[j] = tape.value(j)
     grads = [None] * len(tape)
     grads[loss.idx] = np.ones_like(loss.value)
     for i in range(loss.idx, -1, -1):
@@ -254,11 +257,12 @@ class TestBackwardRelease:
 
     def test_node_smaller_in_every_part_is_released_and_rebuilt(self):
         # r = relu(dense of two crossing parts) feeds a second dense both as
-        # a part and through a keepdims sum: the sweep releases r, rebuilds
-        # it for the consumer's VJP and releases it again; Var.value then
-        # rebuilds it on demand from its leaf parents. A part as wide as the
-        # output at full resolution, or a reduce, records no rebuild: the
-        # sweep drops such a node's value for good.
+        # a part and through a keepdims sum s, which records a rebuild too:
+        # the sweep releases r and s, rebuilds them for the consumer's VJP
+        # and releases them again; Var.value then rebuilds them on demand
+        # from r's leaf parents. A part as wide as the output at full
+        # resolution, or a reduce, records no rebuild: the sweep drops such a
+        # node's value for good.
         rng = np.random.default_rng(32)
         tape = Tape()
         x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
@@ -268,19 +272,21 @@ class TestBackwardRelease:
         r = ad.dense([x0, x1], w, b, relu=True)
         kept = [ad.dense([x0, x1], w, b, relu=True, reduce=1),
                 ad.dense(tape.constant(rng.standard_normal((2, 3, 3, 6))), w, b, relu=True)]
-        y = ad.dense([r, ad.sum_axis(r, 2, keepdims=True)], tape.constant(
+        s = ad.sum_axis(r, 2, keepdims=True)
+        y = ad.dense([r, s], tape.constant(
             rng.standard_normal((10, 5))), b, relu=True, reduce=(1, 2))
         loss = ad.sum_axis(ad.mul(y, tape.constant(rng.standard_normal(y.shape))), (0, 1, 2))
-        assert list(tape.rebuilds) == [r.idx]
-        before = r.value.copy()
+        assert list(tape.rebuilds) == [r.idx, s.idx]
+        before = [r.value.copy(), s.value.copy()]
         ref = _backward_keeping_all(tape, loss)
         grads = tape.backward(loss)
-        assert tape.values[r.idx] is None
+        assert tape.values[r.idx] is ad.RELEASED and tape.values[s.idx] is ad.RELEASED
         for v in kept:
             with pytest.raises(ValueError, match=f"node {v.idx} \\(dense\\)"):
                 v.value
             assert repr(v) == f"Var(idx={v.idx}, shape=released)"
-        np.testing.assert_array_equal(r.value, before)
+        np.testing.assert_array_equal(r.value, before[0])
+        np.testing.assert_array_equal(s.value, before[1])
         for v in (x0, x1, w, b):
             np.testing.assert_array_equal(grads[v.idx], ref[v.idx])
 
@@ -288,8 +294,9 @@ class TestBackwardRelease:
     def test_reference_counting_frees_what_the_sweep_drops(self, shape):
         # C5 and K8 loss tapes: no VJP or rebuild closure holds a Var or the
         # Tape, so dropping a node's value and VJP frees its arrays at once.
-        # With the cyclic collector off, every dense output is gone once the
-        # sweep has passed it.
+        # With the cyclic collector off, every dense output still held after
+        # the forward pass is gone once the sweep has passed it; the others
+        # are rebuildable values the forward pass released already.
         cfg = default_config(*shape)
         model = ModelConfig()
         tape = Tape()
@@ -303,6 +310,9 @@ class TestBackwardRelease:
                     continue
                 assert not isinstance(held, (ad.Var, Tape)), (fn.__qualname__, held)
         dense = [i for i, op in enumerate(tape.ops) if op == "dense"]
+        released = [i for i in dense if tape.values[i] is ad.RELEASED]
+        assert set(released) <= set(tape.rebuilds)
+        dense = [i for i in dense if i not in released]
         assert len(dense) > 20
         refs = [weakref.ref(tape.values[i]) for i in dense]
         enabled = gc.isenabled()
@@ -325,6 +335,73 @@ class TestBackwardRelease:
         ref = _backward_keeping_all(tape, loss)[w.idx]
         backward_into(store, loss)
         np.testing.assert_array_equal(store.grads["w"], ref)
+
+
+class TestForwardRelease:
+    """The placement processor releases r_a and its slot sum in the forward
+    pass, once main's dense node has read them (``Tape.release``)."""
+
+    @pytest.mark.parametrize("shape", [(8, 3, 8), (3, 2, 4)])
+    def test_rebuilds_released_in_forward_and_rebuilt_bit_equal(self, shape, monkeypatch):
+        # After a loss forward every node in rebuilds (r_a and its slot sum,
+        # one each per layer) is released and holds 0 bytes, and its last
+        # forward reader is a dense node. Var.value rebuilds each one bit
+        # for bit as main read it: as an identical tape whose release is a
+        # no-op still holds it.
+        cfg = default_config(*shape)
+        model = ModelConfig()
+        store = init_parameters(cfg, model, 0)
+        phi = train_dataset(cfg, 2, 0)
+        tape = Tape()
+        loss_on_tape(tape, phi, store, cfg, model)
+        with monkeypatch.context() as mp:
+            mp.setattr(Tape, "release", lambda self, *nodes: None)
+            held = Tape()
+            loss_on_tape(held, phi, store, cfg, model)
+        assert len(tape.rebuilds) == 2 * model.pbf_layers
+        assert list(held.rebuilds) == list(tape.rebuilds)
+        for i in tape.rebuilds:
+            assert tape.values[i] is ad.RELEASED and tape.values[i].nbytes == 0
+            readers = [j for j, parents in enumerate(tape.parents) if i in parents]
+            assert tape.ops[readers[-1]] == "dense"
+            kept = held.values[i]
+            assert kept is not ad.RELEASED and kept.nbytes > 0
+            value = ad.Var(tape, i).value
+            assert value.shape == kept.shape and value.tobytes() == kept.tobytes()
+            assert tape.values[i] is ad.RELEASED  # reading does not restore it
+
+    def test_every_value_has_nbytes_after_forward_and_sweep(self):
+        # A released value is an empty array, not None, so summing nbytes
+        # over a tape's values works at any point and counts it as 0.
+        cfg = default_config(3, 2, 4)
+        model = ModelConfig()
+        tape = Tape()
+        loss = loss_on_tape(tape, train_dataset(cfg, 2, 0), init_parameters(cfg, model, 0),
+                            cfg, model)
+        assert all(isinstance(v, np.ndarray) for v in tape.values)
+        forward = sum(v.nbytes for v in tape.values)
+        tape.backward(loss)
+        assert all(isinstance(v, np.ndarray) for v in tape.values)
+        assert 0 < sum(v.nbytes for v in tape.values) < forward
+
+    def test_release_without_rebuild_raises(self):
+        # A value without a rebuild cannot be released, and a call that
+        # names one releases nothing.
+        rng = np.random.default_rng(33)
+        tape = Tape()
+        x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
+        x1 = tape.constant(rng.standard_normal((2, 1, 3, 2)))
+        w = tape.constant(rng.standard_normal((6, 5)))
+        r = ad.dense([x0, x1], w, relu=True)
+        full = ad.dense(tape.constant(rng.standard_normal((2, 3, 3, 6))), w, relu=True)
+        before = r.value.copy()
+        for nodes in ((r, full), (x0,), (full,)):
+            with pytest.raises(ValueError, match="records no rebuild"):
+                tape.release(*nodes)
+            assert all(tape.values[v.idx] is not ad.RELEASED for v in (r, full, x0))
+        tape.release(r)
+        assert tape.values[r.idx] is ad.RELEASED
+        np.testing.assert_array_equal(r.value, before)
 
 
 class TestInPlaceAccumulation:
@@ -361,20 +438,24 @@ class TestInPlaceAccumulation:
         # The sweep consumes the tape: exactly the leaves and the loss keep
         # their values, bit for bit, and every other value is released.
         # The rebuilds are the processor's same-branch hidden states r_a
-        # (qq1, one per layer); their parents are released too, so reading
-        # any released value raises, and so does a second sweep.
+        # (qq1, one per layer) and their slot sums; their parents are
+        # released too, so reading any released value raises, and so does a
+        # second sweep.
         cfg = default_config(3, 2, 4)
         model = ModelConfig()
         tape = Tape()
         loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
                             cfg, model)
         qq1_bias = {idx for name, idx in tape.param_slots if name.endswith(".qq1.b0")}
-        assert sorted(tape.rebuilds) == [i for i, op in enumerate(tape.ops)
-                                         if op == "dense" and qq1_bias & set(tape.parents[i])]
-        assert len(tape.rebuilds) == model.pbf_layers
+        r_a = [i for i, op in enumerate(tape.ops)
+               if op == "dense" and qq1_bias & set(tape.parents[i])]
+        sums = [i for i, op in enumerate(tape.ops)
+                if op == "sum_axis" and tape.parents[i][0] in r_a]
+        assert len(r_a) == len(sums) == model.pbf_layers
+        assert sorted(tape.rebuilds) == sorted(r_a + sums)
         before = [v.tobytes() for v in tape.values]
         tape.backward(loss)
-        kept = [i for i, v in enumerate(tape.values) if v is not None]
+        kept = [i for i, v in enumerate(tape.values) if v is not ad.RELEASED]
         assert kept == sorted({i for i, p in enumerate(tape.parents) if not p} | {loss.idx})
         for i in kept:
             assert tape.values[i].tobytes() == before[i], (i, tape.ops[i])
@@ -399,7 +480,8 @@ class TestInPlaceAccumulation:
         losses = [loss_on_tape(t, phi, store, cfg, model) for t in tapes]
         grads = tapes[0].backward(losses[0])
         kept = _backward_keeping_all(tapes[1], losses[1])
-        assert tapes[0].rebuilds and all(tapes[0].values[i] is None for i in tapes[0].rebuilds)
+        assert tapes[0].rebuilds and all(tapes[0].values[i] is ad.RELEASED
+                                         for i in tapes[0].rebuilds)
         for i in range(len(tapes[0])):
             if not tapes[0].parents[i]:
                 assert (grads[i] is None) == (kept[i] is None), tapes[0].ops[i]
@@ -857,9 +939,12 @@ class TestDense:
         # The sweep releases r, the relu of two crossing parts; a clamp and a
         # second relu dense read it. r's parents are leaves, so kink_distance
         # rebuilds r and measures what it did before the sweep, here the
-        # clamp's 1e-6. On a placement loss tape the sweep releases values
-        # that cannot be rebuilt, so kink_distance raises there; the sweep
-        # leaves an identical unswept tape's distance as it was.
+        # clamp's 1e-6. On a placement loss tape the forward pass has
+        # released r_a and its slot sum, which kink_distance rebuilds: it
+        # measures what it does on an identical tape that keeps them. The
+        # sweep releases values that cannot be rebuilt, so kink_distance
+        # raises there; the sweep leaves an identical unswept tape's distance
+        # as it was.
         tape = Tape()
         parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
         w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
@@ -870,7 +955,7 @@ class TestDense:
         assert list(tape.rebuilds) == [r.idx]
         before = kink_distance(tape)
         tape.backward(loss)
-        assert tape.values[r.idx] is None
+        assert tape.values[r.idx] is ad.RELEASED
         assert kink_distance(tape) == before
         assert 0.99e-6 <= before <= 1.01e-6
         cfg = default_config(3, 2, 4)
@@ -878,10 +963,15 @@ class TestDense:
         tape = Tape()
         loss = loss_on_tape(tape, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0),
                             cfg, model)
-        twin = Tape()
-        loss_on_tape(twin, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0), cfg, model)
+        twin, kept = Tape(), Tape()
+        for t in (twin, kept):
+            loss_on_tape(t, train_dataset(cfg, 3, 0), init_parameters(cfg, model, 0), cfg, model)
+        assert tape.rebuilds and all(tape.values[i] is ad.RELEASED for i in tape.rebuilds)
+        for j in kept.rebuilds:
+            kept.values[j] = kept.value(j)
         before = kink_distance(tape)
         assert 0.0 < before < math.inf
+        assert kink_distance(kept) == before
         tape.backward(loss)
         with pytest.raises(ValueError, match="released by a backward sweep"):
             kink_distance(tape)

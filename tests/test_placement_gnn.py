@@ -264,7 +264,8 @@ class TestPairTensorNotBuilt:
         assert "broadcast_to" not in tape.ops
         limit = max(MICRO.hidden, MICRO.message_dim)
         pair_rows = b * n * m * k * k
-        for op, value in zip(tape.ops, tape.values):
+        for i, op in enumerate(tape.ops):
+            value = tape.value(i)  # rebuilds the values the forward pass released
             if value.ndim >= 2 and value.size == pair_rows * value.shape[-1]:
                 assert value.shape[-1] <= limit, (op, value.shape)
 
@@ -347,15 +348,19 @@ class TestFoldedOutputLayers:
     def test_only_same_branch_hidden_state_at_pair_resolution(self):
         # The leave-one-out sums are taken as total minus own inside the
         # weight fold and the other-branch and message sums inside their
-        # dense nodes, so the one value per layer stored at pair resolution
-        # (B*N*M*K^2 rows) is qq1's hidden state r_a.
+        # dense nodes, so the one value per layer at pair resolution
+        # (B*N*M*K^2 rows) is qq1's hidden state r_a, and the forward pass
+        # releases it once main's dense node has read it.
         b, n, m, k = 2, 4, 2, 4
         cfg = default_config(n, m, k)
         tape = Tape()
         pbf.pbf_forward(tape, np.random.default_rng(17).uniform(0, cfg.D, (b, k, 2)),
                         params_for(cfg), cfg, MICRO)
-        assert _pair_resolution_nodes(tape, b * n * m * k * k) == [
+        pair_rows = b * n * m * k * k
+        assert _pair_resolution_nodes(tape, pair_rows) == [
             ("dense", f"pbf.layer{layer}.qq1") for layer in range(1, MICRO.pbf_layers + 1)]
+        held = [v for v in tape.values if v.ndim >= 2 and v.size == pair_rows * v.shape[-1]]
+        assert held == []
 
     def test_no_pair_resolution_sub_or_diagonal(self):
         # No sub or diagonal node reads or writes a pair-resolution tensor,
@@ -378,14 +383,16 @@ class TestFoldedOutputLayers:
         assert "sum_others" not in tape.ops
 
     def test_tape_bytes_at_k8(self):
-        # B = 8, N = K = 8, M = 3 with the default model: 53.5 MB (the
+        # B = 8, N = K = 8, M = 3 with the default model: 28.4 MB now that
+        # the forward pass releases r_a and its slot sum once main's dense
+        # node has read them; 53.5 MB while they stayed to the sweep (the
         # unfused sums took 113.2 MB).
         cfg = default_config(8, 3, 8)
         model = ModelConfig()
         tape = Tape()
         pbf.pbf_forward(tape, np.random.default_rng(22).uniform(0, cfg.D, (8, 8, 2)),
                         init_parameters(cfg, model, 0), cfg, model)
-        assert sum(v.nbytes for v in tape.values) <= 56e6
+        assert sum(v.nbytes for v in tape.values) <= 32e6
 
     @staticmethod
     def _traced_peak(shape, batch):
@@ -405,12 +412,13 @@ class TestFoldedOutputLayers:
             tracemalloc.stop()
 
     def test_training_step_peak_at_k8(self):
-        # B = 8, N = K = 8, M = 3: 55.8 MB, set at the end of the forward
-        # pass, now that the sweep drops each value and VJP once it has
-        # passed them and a reduced relu keeps its mask packed to 1 bit per
-        # entry; 67.2 MB before, with r_a already released and rebuilt
-        # (85.1 MB without that).
-        assert self._traced_peak((8, 3, 8), 8) <= 60e6
+        # B = 8, N = K = 8, M = 3: 44.8 MB, set inside layer 3's processor
+        # main VJP, now that the forward pass releases r_a and its slot sum
+        # once main has read them and main's VJP drops each sum of its
+        # adjoint once its last part has used it. 55.8 MB while they stayed
+        # to the end of the forward pass; 67.2 MB while the sweep kept every
+        # value to its end (85.1 MB with r_a never released).
+        assert self._traced_peak((8, 3, 8), 8) <= 48e6
 
     def test_training_step_peak_at_c5(self):
         # B = 64, N = K = 2, M = 1: 8.2 MB; 11.2 MB while the sweep kept
@@ -440,11 +448,12 @@ class TestFoldedOutputLayers:
 
 def _pair_resolution_nodes(tape, pair_rows):
     """(op, subnet of its first-layer bias) of each node whose value has
-    ``pair_rows`` rows, in tape order."""
+    ``pair_rows`` rows, in tape order; a value the forward pass released is
+    rebuilt to be measured."""
     bias_of = {idx: name.rsplit(".", 1)[0] for name, idx in tape.param_slots
                if name.endswith(".b0")}
     return [(op, next((bias_of[p] for p in tape.parents[i] if p in bias_of), None))
-            for i, (op, v) in enumerate(zip(tape.ops, tape.values))
+            for i, (op, v) in enumerate(zip(tape.ops, map(tape.value, range(len(tape)))))
             if v.size and v.ndim >= 2 and v.size == pair_rows * v.shape[-1]]
 
 
