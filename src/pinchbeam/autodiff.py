@@ -33,11 +33,11 @@ loss keep their values, so read any other value you need before the sweep.
 A ``dense`` node without ``reduce`` whose every part has fewer rows than
 its output (parts that cross) also records how to rebuild its value from
 its parents' (``Tape.rebuilds``), and so does a ``sum_axis`` of a node that
-records one. The forward pass may release such a value once its last
-forward reader has run (:meth:`Tape.release`); the sweep releases the rest
-when it starts, and rebuilds each one only while the VJPs of the node and
-its consumers run. A released value is the shared empty array
-:data:`RELEASED` (0 bytes), never None. ``Tape.value`` and ``Var.value``
+records one. :meth:`Tape.release` is the one way a value leaves the tape
+before the sweep reaches it: the forward pass may release such a value once
+its last forward reader has run, and the sweep rebuilds it only while the
+VJPs of the node and its consumers run. A released value is the shared empty
+array :data:`RELEASED` (0 bytes), never None. ``Tape.value`` and ``Var.value``
 rebuild a rebuildable value on demand while its parents hold theirs, and
 raise ValueError for any other released value. So ``dense``'s VJP reads
 its parts and output from the tape's value list when it runs instead of
@@ -124,11 +124,10 @@ class Tape:
     Node i's inputs always precede it, so ``backward`` is a single reverse
     iteration over the node list (deterministic accumulation order).
     ``backward`` consumes the tape (module docstring). ``rebuilds`` maps
-    the nodes whose value may be released before the sweep reaches them
-    (by :meth:`release` in the forward pass, else when ``backward`` starts)
-    to a function that recomputes it from the parents' values (read through
-    the accessor it is passed); :meth:`value` reads a node's value. A
-    released entry of ``values`` is :data:`RELEASED`.
+    the nodes whose value :meth:`release` may drop before the sweep reaches
+    them to a function that recomputes it from the parents' values (read
+    through the accessor it is passed); :meth:`value` reads a node's value.
+    A released entry of ``values`` is :data:`RELEASED`.
     """
 
     def __init__(self):
@@ -205,10 +204,9 @@ class Tape:
         real part, ``dL/dRe``. A second adjoint is added into a writable
         first one in place (module docstring).
 
-        The values in ``rebuilds`` that :meth:`release` has not already
-        dropped in the forward pass are released when the sweep starts. One
-        is rebuilt before the first VJP of the node or of a consumer runs,
-        and released again once the sweep has passed the node. A second
+        A value that :meth:`release` dropped in the forward pass is rebuilt
+        before the first VJP of the node or of a consumer runs, and released
+        again once the sweep has passed the node. A second
         ``backward`` on a swept tape raises ValueError, as does
         :meth:`value` of a released node that cannot be rebuilt.
         """
@@ -219,8 +217,6 @@ class Tape:
         values, vjps = self.values, self.vjps
         grads: list[np.ndarray | None] = [None] * len(values)
         grads[loss.idx] = np.ones_like(loss.value)
-        for j in self.rebuilds:
-            values[j] = RELEASED
         for i in range(loss.idx, -1, -1):
             parents, g, vjp = self.parents[i], grads[i], vjps[i]
             if not parents:
@@ -233,8 +229,6 @@ class Tape:
                     if values[j] is RELEASED:
                         values[j] = self.value(j)
                 for p, pg in zip(parents, vjp(g)):
-                    if pg is None:
-                        continue
                     if pg.dtype.kind == "c" and values[p].dtype.kind != "c":
                         pg = pg.real
                     if grads[p] is None:
@@ -351,7 +345,7 @@ def _fits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
 
 
 def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
-                        bv: np.ndarray | None) -> np.ndarray:
+                        bv: np.ndarray) -> np.ndarray:
     """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
 
     Each part runs one 2-D GEMM against its row block of ``W``
@@ -366,8 +360,7 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
     n_out = blocks[0].shape[1]
     prods = sorted(((xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
                     for xv, wb in zip(xvs, blocks)), key=np.size)
-    if bv is not None:
-        prods[0] += bv
+    prods[0] += bv
     groups = []
     for i, p in enumerate(prods):
         hosts = [q for q in prods[i + 1:] if _fits(p.shape, q.shape)]
@@ -381,7 +374,7 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
     return y
 
 
-def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
+def dense(x: Var | Sequence[Var], w: Var, b: Var,
           relu: bool = False, reduce: int | tuple[int, int] | None = None) -> Var:
     """``act(concat(xs, -1) @ W + b)`` along the last axis as one node, summed
     if ``reduce`` says so.
@@ -408,11 +401,12 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     indices on the two axes are equal (``sum_{j != k}``). The VJP
     of a reduced node keeps the mask of the entries that reach the sum,
     packed to 1 bit each (``np.packbits``), in place of the output; an
-    unreduced relu takes its mask ``pre > 0`` from the output. The node's
-    meta is ``(relu, has_bias)``, from which ``verify.kink_distance``
-    recomputes the pre-activation. Without ``reduce``, a node whose every part has fewer
-    rows than its output records a rebuild from its parents, so
-    ``Tape.release`` or ``Tape.backward`` may release it (module docstring).
+    unreduced relu takes its mask ``pre > 0`` from the output. The bias
+    ``b`` is required. The node's meta is the relu flag, from which
+    ``verify.kink_distance`` knows to recompute the pre-activation. Without
+    ``reduce``, a node whose every part has fewer rows than its output
+    records a rebuild from its parents, so ``Tape.release`` may release it
+    (module docstring).
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -422,11 +416,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
     if wv.ndim != 2 or not shapes[0] or sum(s[-1] for s in shapes) != wv.shape[0]:
         raise ValueError(f"dense needs (..., n) parts @ (n, m), got {shapes} @ {wv.shape}")
     n_out = wv.shape[1]
-    has_bias = b is not None
-    if has_bias and b.value.shape != (n_out,):
+    if b.value.shape != (n_out,):
         raise ValueError(f"dense bias must have shape ({n_out},), got {b.value.shape}")
     blocks = row_blocks(xvs, wv)
-    y = dense_preactivation(xvs, blocks, b.value if has_bias else None)
+    y = dense_preactivation(xvs, blocks, b.value)
     full = y.shape
     mask = y > 0.0 if relu and reduce is not None else None
     if relu:
@@ -469,7 +462,7 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             if shape not in sums:
                 src = min((s for s in sums if _fits(shape, s)), key=math.prod)
                 sums[shape] = _unbroadcast(sums[src], shape)
-        gb = min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0) if has_bias else None
+        gb = min(sums.values(), key=np.size).reshape(-1, n_out).sum(axis=0)
         # A reduced node owns its masked g: where g spans two or more row
         # blocks of about 1 MiB, the adjoint of one full-resolution part as
         # wide as the output is written back into it, last. A one-block
@@ -494,23 +487,21 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var | None = None,
             for rows in np.array_split(g.reshape(-1, n_out), -(-g.nbytes // 2**20)):
                 rows[...] = rows @ wt
             gxs[own] = g
-        return (*gxs, gw, gb) if has_bias else (*gxs, gw)
+        return (*gxs, gw, gb)
 
     rebuild = None
     if reduce is None and all(math.prod(s[:-1]) < math.prod(full[:-1]) for s in shapes):
-        # Every part is smaller than the output: Tape.release or
-        # Tape.backward releases the value and this rebuilds it from the
-        # parents, bit for bit.
-        w_idx, b_idx = w.idx, b.idx if has_bias else None
+        # Every part is smaller than the output: Tape.release may release
+        # the value and this rebuilds it from the parents, bit for bit.
+        w_idx, b_idx = w.idx, b.idx
 
         def rebuild(get):
             xs = [get(i) for i in part_idx]
-            out = dense_preactivation(xs, row_blocks(xs, get(w_idx)),
-                                      None if b_idx is None else get(b_idx))
+            out = dense_preactivation(xs, row_blocks(xs, get(w_idx)), get(b_idx))
             return np.maximum(out, 0.0, out=out) if relu else out
 
-    parents = tuple(part_idx) + (w.idx,) + ((b.idx,) if has_bias else ())
-    return w.tape._push(y, parents, vjp, "dense", meta=(relu, has_bias), rebuild=rebuild)
+    return w.tape._push(y, (*part_idx, w.idx, b.idx), vjp, "dense", meta=relu,
+                        rebuild=rebuild)
 
 
 def solve(a: Var, b: Var) -> Var:
@@ -570,16 +561,6 @@ def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
         return (full,)
 
     return a.tape._push(a.value[sl], (a.idx,), vjp, "slice_axis")
-
-
-def broadcast_to(a: Var, shape: tuple[int, ...]) -> Var:
-    old = a.value.shape
-
-    def vjp(g):
-        return (_unbroadcast(g, old),)
-
-    return a.tape._push(np.broadcast_to(a.value, shape).copy(), (a.idx,), vjp,
-                        "broadcast_to")
 
 
 def _diagonal_axes(shape: tuple[int, ...], axis1: int,

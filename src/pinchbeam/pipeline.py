@@ -39,15 +39,14 @@ def init_parameters(cfg: SystemConfig, model: ModelConfig, seed) -> ParameterSto
 
 def effective_channel_on_tape(tape: Tape, positions_x: Var, phi: np.ndarray,
                               cfg: SystemConfig) -> Var:
-    """Effective channel (B, N, K), complex, from antenna x-positions (B, N, M).
+    """Effective channel (B, N, K), complex, from antenna x-positions (B, N, M)
+    and user positions ``phi`` (B, K, 2).
 
     Composes the LoS channel sqrt(eta) e^{-j 2 pi r / lambda} / r with the
     conjugated pinching phases e^{+j 2 pi x / lambda_g} / sqrt(M) and sums
     over the antennas of each waveguide.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim == 2:
-        phi = phi[None]
     wy = cfg.waveguide_y()
     # (B, N, 1, K) squared distance of each user to each waveguide axis.
     c2 = (wy[None, :, None] - phi[:, None, :, 1]) ** 2 + cfg.d ** 2

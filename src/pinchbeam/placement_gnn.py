@@ -47,13 +47,12 @@ def index_feature(n_waveguides: int, n_per_wg: int) -> np.ndarray:
 
 
 def init_edges(tape: Tape, phi: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> Var:
-    """First-layer edge features [x_k/D, y_k/D, s/M], shape (B, N, M, K, 3).
+    """First-layer edge features [x_k/D, y_k/D, s/M], shape (B, N, M, K, 3),
+    from user positions ``phi`` (B, K, 2).
 
     The user z-coordinate is identically zero and is dropped.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim == 2:
-        phi = phi[None]
     b, k, _ = phi.shape
     n, m = s.shape
     feats = np.empty((b, n, m, k, 3))
@@ -196,7 +195,7 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     h = ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
                  reduce=reduce)
     # Main was r_a's last forward reader: where r_a can be rebuilt, it and
-    # its slot sum go now rather than when the sweep starts.
+    # its slot sum go now, and the sweep rebuilds them for main's VJP.
     if same_name in parts and parts[same_name][0].idx in tape.rebuilds:
         tape.release(*parts[same_name])
     return h
@@ -233,9 +232,11 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     the sum, and the layer then applies at K resolution with bias (K-1) b.
     With the folds of :func:`nested_pe_hidden`, the only value a layer
     computes at pair resolution (B N M K^2 rows) is qq1's hidden state, at
-    M > 1 only, and the tape holds it only until main has read it. At K = 1 the message is an empty sum, so the processor
-    is not built and the update reads d alone through the leading rows of
-    its first-layer weights.
+    M > 1 only, and the tape holds it only until main has read it.
+
+    At K = 1 the message is an empty sum, so the processor is not built and
+    the update reads d alone through the leading rows of its first-layer
+    weights.
     """
     specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape

@@ -14,6 +14,7 @@ waveguide permutations.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,8 +67,9 @@ def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
 
 
 @functools.lru_cache(maxsize=16)
-def _input_scale_cached(key: tuple) -> float:
-    cfg = SystemConfig(*key[:-1], path_const_override_m2=key[-1])
+def _input_scale_cached(cfg: SystemConfig, path_const_override_m2: float | None) -> float:
+    # The override is compare=False, so cfg's hash leaves it out: it is
+    # passed again only to key the cache.
     rng = np.random.default_rng(INPUT_SCALE_SEED)
     users, layout = random_scenarios(rng, cfg, INPUT_SCALE_SAMPLES)
     h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
@@ -83,11 +85,8 @@ def input_scale(cfg: SystemConfig) -> float:
     Computed once from a fixed-seed Monte-Carlo draw and frozen into the
     checkpoint; the power budget does not enter.
     """
-    key = (cfg.n_waveguides, cfg.n_pinch_per_wg, cfg.n_users, cfg.region_side_m,
-           cfg.height_m, cfg.carrier_freq_hz, cfg.refractive_index, cfg.min_gap_m,
-           1.0, 1.0, cfg.speed_of_light_m_s, cfg.waveguide_y_mode,
-           cfg.path_const_override_m2)
-    return _input_scale_cached(key)
+    return _input_scale_cached(replace(cfg, power_budget_w=1.0, noise_power_w=1.0),
+                               cfg.path_const_override_m2)
 
 
 def tbf_init_edges(tape: Tape, ht: Var, scale: float) -> Var:

@@ -310,8 +310,6 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
         lambda t, s: ad.reshape(t.param(s, "x"), (2, 6)), (2, 6))
     run("slice_axis", {"x": u((3, 5))},
         lambda t, s: ad.slice_axis(t.param(s, "x"), 1, 1, 4), (3, 3))
-    run("broadcast_to", {"x": u((3, 1))},
-        lambda t, s: ad.broadcast_to(t.param(s, "x"), (3, 4)), (3, 4))
     run("sum_axis", {"x": u((2, 3, 4))},
         lambda t, s: ad.sum_axis(t.param(s, "x"), (0, 2)), (3,))
     run("mean_axis", {"x": u((2, 3, 4))},
@@ -353,17 +351,13 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
     # dense on a 3-D input, so the leading axes are flattened. Inputs are
     # redrawn until every pre-activation is clear of the relu kink.
     for relu in (False, True):
-        for bias in (False, True):
-            while True:
-                p = {"x": u((2, 3, 4)), "w": u((4, 5))}
-                if bias:
-                    p["b"] = u((5,))
-                if np.min(np.abs(p["x"] @ p["w"] + p.get("b", 0.0))) > 0.05:
-                    break
-            run(("dense_relu" if relu else "dense_identity") + ("_bias" if bias else ""),
-                p, lambda t, s, relu=relu: ad.dense(
-                    t.param(s, "x"), t.param(s, "w"),
-                    t.param(s, "b") if "b" in s else None, relu=relu), (2, 3, 5))
+        while True:
+            p = {"x": u((2, 3, 4)), "w": u((4, 5)), "b": u((5,))}
+            if np.min(np.abs(p["x"] @ p["w"] + p["b"])) > 0.05:
+                break
+        run(("dense_relu" if relu else "dense_identity") + "_bias", p,
+            lambda t, s, relu=relu: ad.dense(t.param(s, "x"), t.param(s, "w"),
+                                             t.param(s, "b"), relu=relu), (2, 3, 5))
     # dense on a part list, read as the broadcast concat of the parts: two
     # parts broadcast across each other, then a full part next to one at
     # reduced resolution.
@@ -429,31 +423,22 @@ def primitive_grad_checks(eps: float = 1e-5, seed: int = 0) -> dict[str, float]:
         [t.param(s, f"x{i}") for i in range(4)], t.param(s, "w"), t.param(s, "b"),
         relu=True), (2, 3, 3, 5))
     # A relu dense of two crossing parts is smaller in every part than in
-    # its output, so the backward sweep releases it and rebuilds it for its
-    # consumer: a second dense that reads it as a part and through a
-    # keepdims sum, as the placement processor reads r_a.
+    # its output, so it records a rebuild. A second dense reads it as a part
+    # and through a keepdims sum, and then both are released in the forward
+    # pass, as the placement processor releases r_a: the sweep rebuilds r
+    # and the sum from the rebuilt r for the consumer's VJP.
     while True:
         p = {"x0": u((2, 3, 1, 4)), "x1": u((2, 1, 3, 2)), "w": u((6, 5)), "b": u((5,)),
-             "w2": u((10, 3))}
+             "w2": u((10, 3)), "b2": u((3,))}
         pre = p["x0"] @ p["w"][:4] + p["x1"] @ p["w"][4:] + p["b"]
         if np.min(np.abs(pre)) > 0.05:
             break
 
-    def released_feeds_dense(t, s):
-        r = ad.dense([t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"), t.param(s, "b"),
-                     relu=True)
-        return ad.dense([r, ad.sum_axis(r, 2, keepdims=True)], t.param(s, "w2"))
-
-    run("dense_released_feeds_dense", p, released_feeds_dense, (2, 3, 3, 3))
-
-    # The same inputs with r and its keepdims sum released in the forward
-    # pass once the consumer has read them, as the processor releases r_a:
-    # the sweep rebuilds the sum from the rebuilt r.
     def released_in_forward(t, s):
         r = ad.dense([t.param(s, "x0"), t.param(s, "x1")], t.param(s, "w"), t.param(s, "b"),
                      relu=True)
         r_sum = ad.sum_axis(r, 2, keepdims=True)
-        y = ad.dense([r, r_sum], t.param(s, "w2"))
+        y = ad.dense([r, r_sum], t.param(s, "w2"), t.param(s, "b2"))
         t.release(r, r_sum)
         return y
 
@@ -488,10 +473,9 @@ def kink_distance(tape: Tape) -> float:
             parent = tape.value(tape.parents[i][0])
             thresh = tape.meta[i]
             worst = min(worst, float(np.min(np.abs(parent - thresh))))
-        elif op == "dense" and tape.meta[i][0]:
-            vals = [tape.value(p) for p in tape.parents[i]]
-            bias = vals.pop() if tape.meta[i][1] else None
-            pre = ad.dense_preactivation(vals[:-1], ad.row_blocks(vals[:-1], vals[-1]), bias)
+        elif op == "dense" and tape.meta[i]:
+            *xs, w, b = (tape.value(p) for p in tape.parents[i])
+            pre = ad.dense_preactivation(xs, ad.row_blocks(xs, w), b)
             worst = min(worst, float(np.min(np.abs(pre))))
         elif op == "sqrt":
             parent = tape.value(tape.parents[i][0])

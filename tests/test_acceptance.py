@@ -11,10 +11,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from pinchbeam import pipeline
-from pinchbeam import placement_gnn as pbf
-from pinchbeam import precoder_gnn as tbf
 from pinchbeam._alloc import tune_allocator
-from pinchbeam.autodiff import Tape
 from pinchbeam.baselines import (baseline_se, grid_search_oracle,
                                  random_precoder_search, structure_power_sweep)
 from pinchbeam.cli import main as cli_main
@@ -24,7 +21,10 @@ from pinchbeam.physics import (UserPositions, build_pinching_matrix,
                                random_feasible_layout, sample_users)
 from pinchbeam.training import TrainConfig, evaluate, train
 from pinchbeam.training import test_dataset as held_out_dataset
-from pinchbeam.verify import end_to_end_grad_check, primitive_grad_checks
+from pinchbeam.verify import (check_e2e_user_permutation, check_layout_feasibility,
+                              check_pbf_equivariance, check_power_exactness,
+                              check_tbf_equivariance, end_to_end_grad_check,
+                              primitive_grad_checks)
 
 tune_allocator()
 
@@ -40,66 +40,14 @@ def report(criterion: str, passed: bool, detail: str):
 
 def test_c1_equivariance_suite():
     t_start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst_pbf = 0.0
-    cfg = default_config(2, 3, 2)
-    model = ModelConfig()
-    for trial in range(10):
-        store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((11, trial)))
-        for _ in range(10):
-            phi = rng.uniform(0, cfg.D, (1, cfg.K, 2))
-            s = pbf.index_feature(cfg.N, cfg.M)
-            x1, gaps = pbf.pbf_actions(Tape(), phi, s, store, cfg, model)
-            pu = rng.permutation(cfg.K)
-            wg = rng.permutation(cfg.N)
-            slots = np.stack([rng.permutation(cfg.M) for _ in range(cfg.N)])
-            s_p = s[wg][np.arange(cfg.N)[:, None], slots]
-            x1p, gapsp = pbf.pbf_actions(Tape(), phi[:, pu], s_p, store, cfg, model)
-            worst_pbf = max(
-                worst_pbf,
-                float(np.max(np.abs(x1p.value - x1.value[:, wg]))),
-                float(np.max(np.abs(
-                    gapsp.value - gaps.value[:, wg][:, np.arange(cfg.N)[:, None], slots]))))
-
-    worst_tbf = 0.0
-    cfg_t = default_config(3, 1, 3)
-    for trial in range(10):
-        store = pipeline.init_parameters(cfg_t, model, np.random.SeedSequence((12, trial)))
-        for _ in range(10):
-            ht = 0.01 * (rng.standard_normal((1, 3, 3))
-                         + 1j * rng.standard_normal((1, 3, 3)))
-            tape = Tape()
-            p, lam = tbf.tbf_powers(tape, tape.constant(ht), store, cfg_t, model)
-            tape = Tape()
-            w = tbf.tbf_forward(tape, tape.constant(ht), store, cfg_t, model).value
-            pa, pu = rng.permutation(3), rng.permutation(3)
-            htp = ht[:, pa][:, :, pu]
-            tape = Tape()
-            p2, lam2 = tbf.tbf_powers(tape, tape.constant(htp), store, cfg_t, model)
-            tape = Tape()
-            w2 = tbf.tbf_forward(tape, tape.constant(htp), store, cfg_t, model).value
-            worst_tbf = max(
-                worst_tbf,
-                float(np.max(np.abs(p2.value - p.value[:, pu]))),
-                float(np.max(np.abs(lam2.value - lam.value[:, pu]))),
-                float(np.max(np.abs(w2 - w[:, pa][:, :, pu]))))
-
-    worst_se = 0.0
-    cfg_e = default_config(2, 2, 3)
-    store = pipeline.init_parameters(cfg_e, model, 13)
-    for _ in range(100):
-        phi = rng.uniform(0, cfg_e.D, (cfg_e.K, 2))
-        se = pipeline.policy_forward(phi, store, cfg_e, model).se
-        se_p = pipeline.policy_forward(phi[rng.permutation(cfg_e.K)], store,
-                                       cfg_e, model).se
-        worst_se = max(worst_se, abs(se - se_p))
-
+    checks = [check_pbf_equivariance(default_config(2, 3, 2), 11, trials=100),
+              check_tbf_equivariance(default_config(3, 1, 3), 12, trials=100),
+              check_e2e_user_permutation(default_config(2, 2, 3), 13, trials=100)]
     elapsed = time.perf_counter() - t_start
-    worst = max(worst_pbf, worst_tbf, worst_se)
     report("C1 equivariance",
-           worst <= 1e-9 and elapsed < 60.0,
-           f"pbf {worst_pbf:.2e}, tbf {worst_tbf:.2e}, e2e-SE {worst_se:.2e} "
-           f"<= 1e-9; {elapsed:.1f}s < 60s")
+           all(c.passed for c in checks) and elapsed < 60.0,
+           ", ".join(f"{c.name} {c.value:.2e} <= {c.threshold:g}" for c in checks)
+           + f" (100 inputs each); {elapsed:.1f}s < 60s")
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +73,12 @@ def test_c2_gradient_suite():
 
 def test_c3_constraint_suite():
     cfg = default_config(2, 3, 2)
-    model = ModelConfig()
-    rng = np.random.default_rng(33)
-    worst_gap = -np.inf
-    worst_pos = -np.inf
-    worst_power = 0.0
-    n_inputs = 0
-    for trial in range(10):
-        store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((33, trial)))
-        phi = rng.uniform(0, cfg.D, (100, cfg.K, 2))
-        out = pipeline.forward_on_tape(Tape(), phi, store, cfg, model)
-        n_inputs += 100
-        gaps = out.placement.gaps.value
-        x = out.placement.positions_x.value
-        worst_gap = max(worst_gap, float(np.max(cfg.min_gap_m - gaps)))
-        worst_pos = max(worst_pos, float(np.max(-x)), float(np.max(x - cfg.D)))
-        power = np.sum(np.abs(out.w.value) ** 2, axis=(-2, -1))
-        worst_power = max(worst_power,
-                          float(np.max(np.abs(power - cfg.power_budget_w)))
-                          / cfg.power_budget_w)
+    checks = [check_layout_feasibility(cfg, 33, trials=10, batch=100),
+              check_power_exactness(cfg, 33, trials=10, batch=100)]
     report("C3 constraints",
-           worst_gap <= 0.0 and worst_pos <= 0.0 and worst_power <= 1e-9,
-           f"{n_inputs} inputs x 10 param draws: gap slack {-worst_gap:.2e} >= 0, "
-           f"region slack {-worst_pos:.2e} >= 0, power dev {worst_power:.2e} <= 1e-9")
+           all(c.passed for c in checks),
+           "10 param draws x 100 inputs: "
+           + ", ".join(f"{c.name} {c.value:.2e} <= {c.threshold:g}" for c in checks))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pinchbeam import autodiff as ad
 from pinchbeam import cplx as cx
+from pinchbeam import verify
 from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
                                 adam_step, backward_into, fnn_forward,
                                 grad_check, init_fnn)
@@ -210,7 +211,8 @@ class TestDiagonal:
 def _backward_keeping_all(tape, loss):
     """The reverse sweep without adjoint or value release and without
     in-place accumulation: every node's adjoint. Values released in the
-    forward pass are rebuilt and kept first."""
+    forward pass are rebuilt and kept first, so a test that sweeps the same
+    tape afterwards releases them again itself."""
     for j in tape.rebuilds:
         tape.values[j] = tape.value(j)
     grads = [None] * len(tape)
@@ -219,10 +221,9 @@ def _backward_keeping_all(tape, loss):
         if grads[i] is None or tape.vjps[i] is None:
             continue
         for p, pg in zip(tape.parents[i], tape.vjps[i](grads[i])):
-            if pg is not None:
-                if pg.dtype.kind == "c" and tape.values[p].dtype.kind != "c":
-                    pg = pg.real
-                grads[p] = pg if grads[p] is None else grads[p] + pg
+            if pg.dtype.kind == "c" and tape.values[p].dtype.kind != "c":
+                pg = pg.real
+            grads[p] = pg if grads[p] is None else grads[p] + pg
     return grads
 
 
@@ -235,7 +236,8 @@ class TestBackwardRelease:
         b = tape.constant(rng.standard_normal(5))
         unused = tape.constant(np.ones(2))
         h = ad.dense([x, ad.sum_others(x, 1)], ad.concat([w, w], axis=0), b, relu=True)
-        y = ad.dense(ad.sigmoid(h), tape.constant(np.eye(5)), reduce=(1, 2))
+        y = ad.dense(ad.sigmoid(h), tape.constant(np.eye(5)), tape.constant(np.zeros(5)),
+                     reduce=(1, 2))
         loss = ad.sum_axis(ad.mul(y, tape.constant(rng.standard_normal((2, 3, 5)))),
                            (0, 1, 2))
         return tape, loss, (x, w, b, unused)
@@ -258,11 +260,11 @@ class TestBackwardRelease:
     def test_node_smaller_in_every_part_is_released_and_rebuilt(self):
         # r = relu(dense of two crossing parts) feeds a second dense both as
         # a part and through a keepdims sum s, which records a rebuild too:
-        # the sweep releases r and s, rebuilds them for the consumer's VJP
-        # and releases them again; Var.value then rebuilds them on demand
-        # from r's leaf parents. A part as wide as the output at full
-        # resolution, or a reduce, records no rebuild: the sweep drops such a
-        # node's value for good.
+        # released in the forward pass, r and s are rebuilt by the sweep for
+        # the consumer's VJP and released again once it has passed them;
+        # Var.value then rebuilds them on demand from r's leaf parents. A
+        # part as wide as the output at full resolution, or a reduce,
+        # records no rebuild: the sweep drops such a node's value for good.
         rng = np.random.default_rng(32)
         tape = Tape()
         x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
@@ -279,6 +281,7 @@ class TestBackwardRelease:
         assert list(tape.rebuilds) == [r.idx, s.idx]
         before = [r.value.copy(), s.value.copy()]
         ref = _backward_keeping_all(tape, loss)
+        tape.release(r, s)
         grads = tape.backward(loss)
         assert tape.values[r.idx] is ad.RELEASED and tape.values[s.idx] is ad.RELEASED
         for v in kept:
@@ -331,7 +334,8 @@ class TestBackwardRelease:
         tape = Tape()
         w = tape.param(store, "w")
         x = tape.constant(rng.standard_normal((4, 3)))
-        loss = ad.sum_axis(ad.square(ad.sum_others(ad.dense(x, w), 0)), (0, 1))
+        b = tape.constant(np.zeros(2))
+        loss = ad.sum_axis(ad.square(ad.sum_others(ad.dense(x, w, b), 0)), (0, 1))
         ref = _backward_keeping_all(tape, loss)[w.idx]
         backward_into(store, loss)
         np.testing.assert_array_equal(store.grads["w"], ref)
@@ -392,8 +396,9 @@ class TestForwardRelease:
         x0 = tape.constant(rng.standard_normal((2, 3, 1, 4)))
         x1 = tape.constant(rng.standard_normal((2, 1, 3, 2)))
         w = tape.constant(rng.standard_normal((6, 5)))
-        r = ad.dense([x0, x1], w, relu=True)
-        full = ad.dense(tape.constant(rng.standard_normal((2, 3, 3, 6))), w, relu=True)
+        b = tape.constant(np.zeros(5))
+        r = ad.dense([x0, x1], w, b, relu=True)
+        full = ad.dense(tape.constant(rng.standard_normal((2, 3, 3, 6))), w, b, relu=True)
         before = r.value.copy()
         for nodes in ((r, full), (x0,), (full,)):
             with pytest.raises(ValueError, match="records no rebuild"):
@@ -559,7 +564,8 @@ class TestLeaveOneOutSums:
         for fused in (True, False):
             tape = Tape()
             x = tape.constant(xv)
-            y = ad.dense(x, tape.constant(np.eye(shape[-1])), reduce=axes) if fused else \
+            y = ad.dense(x, tape.constant(np.eye(shape[-1])),
+                         tape.constant(np.zeros(shape[-1])), reduce=axes) if fused else \
                 ad.sub(ad.sum_axis(x, axes[1]), ad.diagonal(x, *axes))
             value = y.value
             wv = np.random.default_rng(34).standard_normal(y.shape)
@@ -575,7 +581,7 @@ class TestLeaveOneOutSums:
         tape = Tape()
         with pytest.raises(ValueError):
             ad.dense(tape.constant(np.zeros(shape)), tape.constant(np.eye(shape[-1])),
-                     reduce=axes)
+                     tape.constant(np.zeros(shape[-1])), reduce=axes)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -607,11 +613,11 @@ class TestLeaveOneOutSums:
         xv = rng.standard_normal(shape)
         tape = Tape()
         y = ad.dense(tape.constant(xv), tape.constant(np.eye(shape[-1])),
-                     reduce=(axis1, axis2))
+                     tape.constant(np.zeros(shape[-1])), reduce=(axis1, axis2))
         np.testing.assert_allclose(y.value, _loop_off_diagonal_sum(xv, axis1, axis2),
                                    rtol=0, atol=1e-13)
         g = rng.standard_normal(y.shape)
-        gx, _ = tape.vjps[y.idx](g)
+        gx, _, _ = tape.vjps[y.idx](g)
         # The adjoint only copies entries, so it is exact.
         np.testing.assert_array_equal(gx, _loop_off_diagonal_adjoint(g, shape, axis1, axis2))
 
@@ -639,12 +645,12 @@ class TestReducedDense:
         tape = Tape()
         xs = [tape.constant(v) for v in inputs]
         w = tape.constant(wv)
-        b = tape.constant(bv) if bias else None
+        b = tape.constant(bv if bias else np.zeros(5))
         if fused:
             y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
         else:
             y = _reduce(ad.dense(xs, w, b, relu=relu), reduce)
-        return tape, y, xs + [w] + ([b] if bias else [])
+        return tape, y, xs + [w, b]
 
     def _run(self, reduce, relu, bias, fused):
         """The op of y's node, y's value and the leaf adjoints."""
@@ -760,6 +766,28 @@ class TestGradCheck:
             missing = {op for op in tape.ops if op != "const" and not any(
                 name == op or name.startswith(op + "_") for name in names)}
             assert not missing, ((n, m, k), missing)
+
+    def test_checked_op_kinds_equal_the_model_op_kinds(self, monkeypatch):
+        # Both ways round: every op kind the C2 entries put on their tapes is
+        # one that a policy loss records, and the converse. grad_check is
+        # stubbed to one forward, which is all it takes to record the kinds.
+        checked = set()
+
+        def one_forward(fn, store, eps=1e-5):
+            checked.update(fn(store).tape.ops)
+            return 0.0
+
+        monkeypatch.setattr(verify, "grad_check", one_forward)
+        primitive_grad_checks()
+        model = ModelConfig()
+        used = set()
+        for shape in [(2, 1, 2), (8, 3, 8), (1, 1, 1), (2, 3, 1), (1, 2, 3), (3, 2, 4)]:
+            cfg = default_config(*shape)
+            tape = Tape()
+            loss_on_tape(tape, train_dataset(cfg, 2, 0), init_parameters(cfg, model, 0),
+                         cfg, model)
+            used.update(tape.ops)
+        assert checked == used, (sorted(checked - used), sorted(used - checked))
 
     def test_probes_only_parameters_the_tape_binds(self):
         # "unused" never reaches the tape: its gradient is exactly 0 and the
@@ -894,7 +922,7 @@ class TestDense:
         tape = Tape()
         x = tape.constant(np.array([[1.0, -1.0]]))
         w = tape.constant(np.array([[1.0], [1.0]]))
-        y = ad.dense(x, w, relu=True)
+        y = ad.dense(x, w, tape.constant(np.zeros(1)), relu=True)
         assert y.value.item() == 0.0
         grads = tape.backward(ad.sum_axis(y, (0, 1)))
         np.testing.assert_array_equal(grads[w.idx], np.zeros((2, 1)))
@@ -903,7 +931,7 @@ class TestDense:
         tape = Tape()
         x = tape.constant(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            ad.dense(x, tape.constant(np.ones((4, 2))))
+            ad.dense(x, tape.constant(np.ones((4, 2))), tape.constant(np.zeros(2)))
         with pytest.raises(ValueError):
             ad.dense(x, tape.constant(np.ones((3, 2))), tape.constant(np.ones((1, 2))))
 
@@ -923,14 +951,14 @@ class TestDense:
         assert kink_distance(tape) == 0.25
 
     def test_kink_distance_sees_relu_on_part_list(self):
-        # The node stores only (relu, has_bias); kink_distance recomputes the
+        # The node stores only its relu flag; kink_distance recomputes the
         # pre-activation 2 + b0 from both parts, W and b.
         tape = Tape()
         parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
         w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
         b = tape.constant(np.array([-2.0 + 1e-6, 0.5]))
         y = ad.dense(parts, w, b, relu=True)
-        assert tape.meta[y.idx] == (True, True)
+        assert tape.meta[y.idx] is True
         assert 0.99e-6 <= kink_distance(tape) <= 1.01e-6
         tape.values[b.idx][0] = -2.25
         assert kink_distance(tape) == 0.25
@@ -949,7 +977,7 @@ class TestDense:
         parts = [tape.constant(np.ones((1, 2, 1, 2))), tape.constant(np.ones((1, 1, 2, 1)))]
         w = tape.constant(np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]))
         r = ad.dense(parts, w, tape.constant(np.array([0.5, -1.0])), relu=True)
-        y = ad.dense(r, tape.constant(np.ones((2, 1))), relu=True)
+        y = ad.dense(r, tape.constant(np.ones((2, 1))), tape.constant(np.zeros(1)), relu=True)
         clamp = ad.max_with_scalar(r, 2.5 + 1e-6)
         loss = ad.sum_axis(ad.add(y, ad.sum_axis(clamp, -1, keepdims=True)), (0, 1, 2, 3))
         assert list(tape.rebuilds) == [r.idx]
@@ -992,7 +1020,8 @@ class TestDense:
             if virtual:
                 y = ad.dense(xs, w, b, relu=act == "relu")
             else:
-                full = [ad.broadcast_to(x, (2, 3, 3, x.shape[-1])) for x in xs]
+                full = [ad.add(x, tape.constant(np.zeros((2, 3, 3, x.shape[-1]))))
+                        for x in xs]
                 y = ad.dense(ad.concat(full, axis=-1), w, b, relu=act == "relu")
             value = y.value
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
@@ -1036,17 +1065,17 @@ class TestDense:
             tape = Tape()
             xs = [tape.constant(v) for v in inputs]
             w = tape.constant(wv)
-            b = tape.constant(bv) if bias else None
+            b = tape.constant(bv if bias else np.zeros(4))
             if virtual:
                 y = ad.dense(xs, w, b, relu=relu, reduce=reduce)
             else:
-                full = [ad.broadcast_to(x, lead + x.shape[-1:]) for x in xs]
+                full = [ad.add(x, tape.constant(np.zeros(lead + x.shape[-1:]))) for x in xs]
                 y = ad.dense(ad.concat(full, axis=-1), w, b, relu=relu, reduce=reduce)
             value = y.value
             weights = np.random.default_rng(6).standard_normal(y.shape)
             grads = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)),
                                               tuple(range(y.ndim))))
-            runs.append((value, [grads[v.idx] for v in xs + [w] + ([b] if bias else [])]))
+            runs.append((value, [grads[v.idx] for v in xs + [w, b]]))
         (y_virtual, g_virtual), (y_full, g_full) = runs
         np.testing.assert_allclose(y_virtual, y_full, rtol=1e-12, atol=1e-12)
         for gv, gf in zip(g_virtual, g_full):
@@ -1085,7 +1114,7 @@ class TestDense:
         tape = Tape()
         parts = [tape.constant(np.ones(s)) for s in shapes]
         with pytest.raises(ValueError):
-            ad.dense(parts, tape.constant(np.ones((6, 2))))
+            ad.dense(parts, tape.constant(np.ones((6, 2))), tape.constant(np.zeros(2)))
 
     def test_identity_layer_has_no_kink(self):
         spec = FnnSpec((2, 2))
