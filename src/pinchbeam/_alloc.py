@@ -3,11 +3,15 @@
 The forward/backward passes allocate many megabyte-sized temporaries. With
 glibc defaults those come from fresh mmap regions, so every op pays page
 faults; raising the mmap/trim thresholds keeps the buffers on the heap.
-Measured with the benchmark harness (three alternating 20 s pairs per
-workload, 2-CPU x86-64, glibc, OpenBLAS), the 75th-percentile operation time
-without it rose by 33% on single-sample C7 inference, 8% on the C5 training
-step and 16% on the K8 training step. Best effort: silently does nothing on
-non-glibc platforms.
+Measured at commit b62933c with the sweep-owned gradients and the chunked
+input-scale estimate applied, against a copy in which this function does
+nothing: five alternating 30 s ``perfbench/run.py`` runs per workload
+(seeds 1-5; 2-CPU x86-64, glibc 2.36, OpenBLAS 0.3.31, numpy 2.4.6), median
+of the per-pair ratios. Without it ``op_ms_p75`` rose by 16% on infer-c7
+(4/5 pairs), 11% on train-c5 (4/5) and 11% on train-k8 (5/5), while
+``peak_rss_mb`` moved by at most 0.5% either way: the 1 GiB trim threshold
+keeps every freed byte mapped, and the runs reuse it. Best effort: silently
+does nothing on non-glibc platforms.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ read-only view. So a VJP may write into a writable ``g`` (``dense`` masks
 its relu in place, and a reduced relu writes a part's adjoint into the
 masked adjoint it owns), and ``Tape.backward`` adds a second adjoint into a
 writable first one in place and releases each interior adjoint once its VJP
-has run; only leaf adjoints outlive the sweep.
+has run; only leaf adjoints outlive the sweep, and :func:`backward_into`
+keeps the parameters' ones as the store's gradients.
 
 Values released in the forward pass and in the sweep: ``Tape.backward``
 consumes the tape. Once the sweep has passed a node, its own VJP has run
@@ -724,12 +725,14 @@ def sqrt(a: Var) -> Var:
 
 
 class ParameterStore:
-    """Named float64 arrays with matching gradient slots.
+    """Named float64 arrays, and their gradients once a sweep has made them.
 
     Iteration everywhere is lexicographic by name, which makes optimizer
     updates and serialization order deterministic. Entries added with
     ``trainable=False`` are frozen constants (serialized, never updated,
-    skipped by gradient checks).
+    skipped by gradient checks). A store holds values only until
+    :func:`backward_into` (or :meth:`zero_grads`) fills ``grads``, one array
+    per entry in ``values`` order; inference never allocates them.
     """
 
     def __init__(self):
@@ -742,7 +745,6 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(value, dtype=np.float64)
         self.values[name] = arr
-        self.grads[name] = np.zeros_like(arr)
         if not trainable:
             self._frozen.add(name)
 
@@ -762,8 +764,8 @@ class ParameterStore:
         return sum(v.size for v in self.values.values())
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        """A fresh exactly-zero gradient for every entry."""
+        self.grads = {name: np.zeros_like(v) for name, v in self.values.items()}
 
     def grad_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(g * g)) for g in self.grads.values()))
@@ -798,17 +800,32 @@ class ParameterStore:
 
 
 def backward_into(store: ParameterStore, loss: Var) -> None:
-    """Zero the store's gradients, then accumulate d(loss)/d(theta).
+    """Replace the store's gradients with d(loss)/d(theta).
 
-    Parameters never touched by the tape keep an exactly-zero gradient; a
-    parameter bound more than once receives the sum of its slot adjoints.
+    The previous gradients are dropped before the sweep. Each parameter's
+    gradient is its leaf adjoint from :meth:`Tape.backward`, taken as it is
+    when it is an owned, writable, C-contiguous float64 array (the sweep
+    hands a writable adjoint to one node only) and copied otherwise. A
+    parameter bound more than once receives the sum of its slot adjoints in
+    ``param_slots`` order; one the loss does not reach gets exact zeros.
+    ``grads`` keeps the order of ``values``.
     """
-    store.zero_grads()
+    store.grads = {}
     grads = loss.tape.backward(loss)
+    acc: dict[str, np.ndarray] = {}
     for name, idx in loss.tape.param_slots:
         g = grads[idx]
-        if g is not None:
-            store.grads[name] += g
+        if g is None:
+            continue
+        if name in acc:
+            acc[name] += g
+        elif (g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable
+              and g.flags.owndata):
+            acc[name] = g
+        else:
+            acc[name] = np.array(g, dtype=np.float64)
+    store.grads = {name: acc[name] if name in acc else np.zeros_like(v)
+                   for name, v in store.values.items()}
 
 
 # ---------------------------------------------------------------------------

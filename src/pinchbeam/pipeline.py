@@ -27,7 +27,8 @@ def init_parameters(cfg: SystemConfig, model: ModelConfig, seed) -> ParameterSto
     """Fresh Glorot-initialized parameters for both sub-GNNs.
 
     Also freezes the effective-channel feature scale into the store under
-    ``tbf.input_scale`` so checkpoints are self-contained.
+    ``tbf.input_scale`` so checkpoints are self-contained. The store holds
+    values only; the first ``backward_into`` makes its gradients.
     """
     rng = np.random.default_rng(seed)
     store = ParameterStore()

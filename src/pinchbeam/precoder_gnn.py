@@ -32,6 +32,8 @@ HEAD_NAMES = ("p", "lambda")
 # Seed of the frozen input-scale estimate (stored in every checkpoint).
 INPUT_SCALE_SEED = 20260401
 INPUT_SCALE_SAMPLES = 1000
+# Draws per pass through the physics oracle; bounds the estimate's temporaries.
+INPUT_SCALE_CHUNK = 64
 
 # Additive floor under the softplus power head. Training gladly starves the
 # weaker user toward zero power, where sqrt(p) has an unbounded derivative;
@@ -71,19 +73,26 @@ def _input_scale_cached(cfg: SystemConfig, path_const_override_m2: float | None)
     # The override is compare=False, so cfg's hash leaves it out: it is
     # passed again only to key the cache.
     rng = np.random.default_rng(INPUT_SCALE_SEED)
-    users, layout = random_scenarios(rng, cfg, INPUT_SCALE_SAMPLES)
-    h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-    g = build_pinching_matrix(layout, cfg.guide_wavelength)
-    ht = effective_channel(h, g)
     # Re and Im of each draw in turn: the element order fixes the float sums.
-    return float(np.std(np.stack([ht.real, ht.imag], axis=1).ravel()))
+    parts = np.empty((INPUT_SCALE_SAMPLES, 2, cfg.N, cfg.K))
+    for start in range(0, INPUT_SCALE_SAMPLES, INPUT_SCALE_CHUNK):
+        chunk = parts[start:start + INPUT_SCALE_CHUNK]
+        users, layout = random_scenarios(rng, cfg, len(chunk))
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        ht = effective_channel(h, build_pinching_matrix(layout, cfg.guide_wavelength))
+        chunk[:, 0] = ht.real
+        chunk[:, 1] = ht.imag
+    return float(np.std(parts))
 
 
 def input_scale(cfg: SystemConfig) -> float:
     """Empirical std of effective-channel entries at this geometry.
 
-    Computed once from a fixed-seed Monte-Carlo draw and frozen into the
-    checkpoint; the power budget does not enter.
+    Computed once from a fixed-seed Monte-Carlo draw of
+    ``INPUT_SCALE_SAMPLES`` scenarios and frozen into the checkpoint; the
+    power budget does not enter. The draws go through the physics oracle
+    ``INPUT_SCALE_CHUNK`` at a time from one generator, which draws the
+    same stream as one pass, so the value does not depend on the chunk.
     """
     return _input_scale_cached(replace(cfg, power_budget_w=1.0, noise_power_w=1.0),
                                cfg.path_const_override_m2)

@@ -318,3 +318,30 @@ class TestInputScale:
         # Every checkpoint stores this value as tbf.input_scale; a changed
         # random stream would silently change what those checkpoints mean.
         assert tbf.input_scale(default_config(*shape)) == value
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 4096])
+    def test_independent_of_chunk(self, monkeypatch, chunk):
+        cfg = default_config(3, 2, 4)
+        tbf._input_scale_cached.cache_clear()
+        value = tbf.input_scale(cfg)
+        tbf._input_scale_cached.cache_clear()
+        monkeypatch.setattr(tbf, "INPUT_SCALE_CHUNK", chunk)
+        try:
+            assert tbf.input_scale(cfg) == value
+        finally:
+            tbf._input_scale_cached.cache_clear()
+
+    def test_traced_peak_is_bounded(self):
+        # (8, 3, 8): 2.3 MB, of which the (1000, 2, N, K) Re/Im array holds
+        # 1 MB; 14.3 MB while all 1000 draws went through the oracle at once.
+        import tracemalloc
+        cfg = default_config(8, 3, 8)
+        tbf._input_scale_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            tbf.input_scale(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            tbf._input_scale_cached.cache_clear()
+        assert peak <= 4e6
