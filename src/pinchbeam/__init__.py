@@ -7,7 +7,7 @@ negative sum spectral efficiency on a small hand-rolled reverse-mode tape.
 
 __version__ = "0.1.0"
 
-from .config import ModelConfig, SystemConfig, default_config, derive_constants
+from .config import ModelConfig, SystemConfig, default_config
 from .physics import (AntennaLayout, UserPositions, build_pinching_matrix,
                       check_feasibility, compute_channel, compute_se,
                       effective_channel, layout_positions, sample_users)
@@ -25,7 +25,6 @@ __all__ = [
     "compute_channel",
     "compute_se",
     "default_config",
-    "derive_constants",
     "effective_channel",
     "evaluate",
     "layout_positions",

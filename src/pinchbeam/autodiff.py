@@ -80,7 +80,9 @@ def _tape_array(value) -> np.ndarray:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum an adjoint down to ``shape`` (reverse of numpy broadcasting); if
-    nothing is summed, a read-only view of ``g`` (see the module docstring)."""
+    nothing is summed, a read-only view of ``g`` (see the module docstring).
+    ``g`` may be a numpy scalar, which arithmetic on 0-d operands returns."""
+    g = np.asarray(g)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -635,7 +637,7 @@ def sum_axis(a: Var, axis, keepdims: bool = False) -> Var:
                         "sum_axis", rebuild=rebuild)
 
 
-def mean_axis(a: Var, axis, keepdims: bool = False) -> Var:
+def mean_axis(a: Var, axis) -> Var:
     axes = _norm_axis(axis)
     shape = a.value.shape
     count = 1
@@ -643,12 +645,9 @@ def mean_axis(a: Var, axis, keepdims: bool = False) -> Var:
         count *= shape[ax]
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes) / count, shape),)
 
-    return a.tape._push(a.value.mean(axis=axes, keepdims=keepdims), (a.idx,), vjp,
-                        "mean_axis")
+    return a.tape._push(a.value.mean(axis=axes), (a.idx,), vjp, "mean_axis")
 
 
 def max_with_scalar(a: Var, s: float) -> Var:
@@ -697,15 +696,6 @@ def log1p(a: Var) -> Var:
         return (g / (1.0 + av),)
 
     return a.tape._push(np.log1p(av), (a.idx,), vjp, "log1p")
-
-
-def square(a: Var) -> Var:
-    av = a.value
-
-    def vjp(g):
-        return (2.0 * av * g,)
-
-    return a.tape._push(av * av, (a.idx,), vjp, "square")
 
 
 def sqrt(a: Var) -> Var:
@@ -899,40 +889,47 @@ class AdamState:
         return s
 
 
-def adam_step(store: ParameterStore, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+# Adam's moment decays and denominator floor (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParameterStore, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update from the gradients held in the store."""
     state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name in store.trainable_names():
         g = store.grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        store.values[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        store.values[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
 
-def grad_check(fn: Callable[[ParameterStore], Var], store: ParameterStore,
-               eps: float = 1e-5) -> float:
+# Central-difference step of grad_check.
+GRAD_CHECK_EPS = 1e-5
+
+
+def grad_check(fn: Callable[[ParameterStore], Var], store: ParameterStore) -> float:
     """Worst relative error of reverse-mode vs central finite differences.
 
     ``fn`` must build a fresh tape and return the scalar loss Var, reading
-    every trainable parameter it uses through :meth:`Tape.param`. Relative
-    error uses denominator max(|analytic|, |numeric|, 1e-12) per coordinate.
+    every trainable parameter it uses through :meth:`Tape.param`. Each probe
+    moves one coordinate by +-``GRAD_CHECK_EPS``. Relative error uses
+    denominator max(|analytic|, |numeric|, 1e-12) per coordinate.
     Only the parameters the loss's tape binds are probed: the loss does not
     read the others, so their difference and their gradient are both
     exactly 0.
     """
-    if not (1e-7 <= eps <= 1e-4):
-        raise InvalidConfigError(f"eps must be in [1e-7, 1e-4], got {eps}")
     loss = fn(store)
     bound = {name for name, _ in loss.tape.param_slots}
     backward_into(store, loss)
@@ -945,14 +942,14 @@ def grad_check(fn: Callable[[ParameterStore], Var], store: ParameterStore,
         flat = theta.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRAD_CHECK_EPS
             f_plus = float(fn(store).value)
-            flat[i] = orig - eps
+            flat[i] = orig - GRAD_CHECK_EPS
             f_minus = float(fn(store).value)
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise ValueError(f"non-finite loss while probing {name}[{i}]")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
             a = analytic[name].ravel()[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             worst = max(worst, err)

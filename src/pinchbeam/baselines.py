@@ -156,19 +156,6 @@ def random_precoder_search(h_tilde, p_max: float, noise_power: float,
     return float(np.max(se))
 
 
-def _channel_row(x: np.ndarray, user_xy: np.ndarray, wy: float,
-                 cfg: SystemConfig) -> np.ndarray:
-    """Effective channel of a single-antenna waveguide at x, for all users.
-
-    Returns (len(x), K) complex: conj(g) * h with the M = 1 pinching phase.
-    """
-    r = np.sqrt((x[:, None] - user_xy[None, :, 0]) ** 2
-                + (wy - user_xy[None, :, 1]) ** 2 + cfg.d ** 2)
-    h = np.sqrt(cfg.path_const) * np.exp(-2j * np.pi * r / cfg.wavelength) / r
-    g_conj = np.exp(2j * np.pi * x / cfg.guide_wavelength)
-    return g_conj[:, None] * h
-
-
 def grid_search_oracle(users: UserPositions, cfg: SystemConfig, grid_n: int = 1000,
                        power_grid_n: int = 50) -> OracleResult:
     """Exhaustive placement grid, guarded to M = 1 and K * N <= 2.
@@ -199,12 +186,13 @@ def grid_search_oracle(users: UserPositions, cfg: SystemConfig, grid_n: int = 10
         w = np.sqrt(p_max) * ht / np.linalg.norm(ht)
         return OracleResult(float(compute_se(ht, w, noise)), layout, w, grid_n)
 
-    # K = 2, N = 1.
-    rows = _channel_row(grid, users.positions[:, :2], wy[0], cfg)
+    # K = 2, N = 1: every grid position as one batched layout.
+    layouts = layout_positions(cfg, grid[:, None], np.zeros((grid_n, 1, 0)))
+    h = compute_channel(users, layouts, cfg.wavelength, cfg.path_const)
+    hts = effective_channel(h, build_pinching_matrix(layouts, cfg.guide_wavelength))
     best = (-np.inf, 0, None)
     for i in range(grid_n):
-        ht = rows[i][None, :]                                # (1, 2)
-        se, w = structure_power_sweep(ht, p_max, noise, power_grid_n)
+        se, w = structure_power_sweep(hts[i], p_max, noise, power_grid_n)
         if se > best[0]:
             best = (se, i, w)
     layout = layout_positions(cfg, np.array([grid[best[1]]]), np.zeros((1, 0)))

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
-import os
 import platform
 import sys
 from dataclasses import replace
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, baselines, training
 from ._alloc import tune_allocator
 from .config import (ModelConfig, SystemConfig, non_negative_integer,
-                     positive_integer)
+                     positive_integer, write_atomic)
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError, OracleIneligibleError)
 from .physics import UserPositions
@@ -74,18 +74,15 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 def _numeric_environment() -> dict:
@@ -159,7 +156,7 @@ def cmd_train(config_path, out_dir, seed, n_train, n_test, batch_size, epochs,
         train_cfg = TrainConfig(n_train=n_train, n_test=n_test, batch_size=batch_size,
                                 epochs=epochs, learning_rate=lr, seed=seed,
                                 snr_db=snr_db, grad_clip=grad_clip)
-        run_cfg = training.effective_config(train_cfg, cfg)
+        run_cfg = cfg.with_snr_db(snr_db)
     except InvalidConfigError as exc:
         _fail(EXIT_INVALID_CONFIG, str(exc))
     out = Path(out_dir)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -37,7 +38,8 @@ JSON_KEYS = (
 )
 
 
-def _check_finite(name: str, value) -> None:
+def check_finite(name: str, value) -> None:
+    """Raise InvalidConfigError unless ``value`` is a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
@@ -46,7 +48,7 @@ def _check_finite(name: str, value) -> None:
 def _integer(name: str, value, low: int) -> int:
     """``value`` as an int >= ``low``; bools, non-finite and non-integral
     numbers fail."""
-    _check_finite(name, value)
+    check_finite(name, value)
     if not float(value).is_integer():
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
     if int(value) < low:
@@ -64,21 +66,15 @@ def non_negative_integer(name: str, value) -> int:
     return _integer(name, value, 0)
 
 
-def derive_constants(carrier_freq_hz: float, refractive_index: float,
-                     c: float = SPEED_OF_LIGHT) -> tuple[float, float, float]:
-    """Free-space wavelength, guide wavelength and path-gain constant.
-
-    Returns (lam, lam_g, eta) with lam = c/f_c, lam_g = lam/n_eff and
-    eta = c/(2*pi*f_c) in m^2 (amplitude constant of the LoS channel).
-    """
-    if carrier_freq_hz <= 0:
-        raise InvalidConfigError(f"carrier frequency must be > 0, got {carrier_freq_hz}")
-    if refractive_index < 1.0:
-        raise InvalidConfigError(f"refractive index must be >= 1, got {refractive_index}")
-    lam = c / carrier_freq_hz
-    lam_g = lam / refractive_index
-    eta = c / (2.0 * math.pi * carrier_freq_hz)
-    return lam, lam_g, eta
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
+    so a reader sees the old file or the whole new one; newlines are
+    written as given."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class SystemConfig:
             object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         for name in ("region_side_m", "height_m", "carrier_freq_hz", "refractive_index",
                      "min_gap_m", "power_budget_w", "noise_power_w", "speed_of_light_m_s"):
-            _check_finite(name, getattr(self, name))
+            check_finite(name, getattr(self, name))
         for name in ("region_side_m", "height_m", "carrier_freq_hz", "power_budget_w",
                      "noise_power_w", "speed_of_light_m_s"):
             if getattr(self, name) <= 0:
@@ -166,9 +162,6 @@ class SystemConfig:
         n = np.arange(1, self.N + 1, dtype=np.float64)
         return (n - 0.5) * self.D / self.N
 
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.power_budget_w / self.noise_power_w)
-
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
         """Same deployment with the power budget set to snr * noise power.
 
@@ -205,7 +198,7 @@ class SystemConfig:
             raise InvalidConfigError(str(exc)) from exc
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        write_atomic(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "SystemConfig":

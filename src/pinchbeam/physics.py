@@ -49,10 +49,6 @@ class UserPositions:
     def xy(self) -> np.ndarray:
         return self.positions[..., :2]
 
-    @property
-    def n_users(self) -> int:
-        return self.positions.shape[-2]
-
 
 def sample_users(seed, config: SystemConfig) -> UserPositions:
     """K users i.i.d. uniform on the [0, D] x [0, D] square, z = 0.
@@ -115,31 +111,21 @@ class AntennaLayout:
         pos[..., 2] = self.height
         return pos
 
-    def feed_points(self) -> np.ndarray:
-        """(N, 3) feed point of each waveguide, at x = 0."""
-        n = self.n_waveguides
-        pts = np.zeros((n, 3))
-        pts[:, 1] = self.waveguide_y
-        pts[:, 2] = self.height
-        return pts
-
 
 def _sample(index) -> str:
     """Error-message prefix naming the offending sample of a batched call."""
     return f"sample {', '.join(str(int(i)) for i in index)}: " if len(index) else ""
 
 
-def layout_positions(config: SystemConfig, first_x: np.ndarray, gaps: np.ndarray,
-                     waveguide_y: np.ndarray | None = None) -> AntennaLayout:
+def layout_positions(config: SystemConfig, first_x: np.ndarray,
+                     gaps: np.ndarray) -> AntennaLayout:
     """Validated layout from first-antenna positions (..., N) and gaps (..., N, M-1).
 
     Raises ConstraintViolationError when a gap is below the minimum or any
     derived position leaves [0, D]; in a batch the message names the first
     offending sample.
     """
-    if waveguide_y is None:
-        waveguide_y = config.waveguide_y()
-    layout = AntennaLayout(first_x, gaps, waveguide_y, config.d)
+    layout = AntennaLayout(first_x, gaps, config.waveguide_y(), config.d)
     if layout.n_waveguides != config.N or layout.n_per_waveguide != config.M:
         raise InvalidConfigError(
             f"layout is {layout.n_waveguides}x{layout.n_per_waveguide}, "
@@ -229,10 +215,6 @@ class Violation:
     kind: str            # "gap_min" | "position_low" | "position_high" | "power"
     index: tuple | None  # (waveguide, slot) for geometry, None for power
     margin: float
-
-    def __str__(self):
-        where = f" at {self.index}" if self.index is not None else ""
-        return f"{self.kind}{where}: margin {self.margin:.3e}"
 
 
 # Relative tolerance on the power budget check.

@@ -53,7 +53,7 @@ def effective_channel_on_tape(tape: Tape, positions_x: Var, phi: np.ndarray,
     c2 = (wy[None, :, None] - phi[:, None, :, 1]) ** 2 + cfg.d ** 2
     dx = ad.sub(ad.reshape(positions_x, positions_x.shape + (1,)),
                 tape.constant(phi[:, None, None, :, 0]))
-    r = ad.sqrt(ad.add(ad.square(dx), tape.constant(c2[:, :, None, :])))
+    r = ad.sqrt(ad.add(ad.mul(dx, dx), tape.constant(c2[:, :, None, :])))
     if float(np.min(r.value)) < MIN_DISTANCE_M:
         raise SingularityError("a user coincides with a pinching antenna")
     h = ad.mul(ad.div(math.sqrt(cfg.path_const), r),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,7 +18,8 @@ import numpy as np
 from . import pipeline
 from ._alloc import tune_allocator
 from .autodiff import AdamState, ParameterStore, Tape, Var, adam_step, backward_into
-from .config import ModelConfig, SystemConfig, non_negative_integer, positive_integer
+from .config import (ModelConfig, SystemConfig, check_finite, non_negative_integer,
+                     positive_integer, write_atomic)
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError)
 from .physics import (UserPositions, build_pinching_matrix, compute_channel,
@@ -45,22 +45,22 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
     seed: int = 0
-    snr_db: float | None = 10.0  # when set, overrides the config power budget
+    snr_db: float = 10.0  # sets the power budget to snr * the config noise power
     grad_clip: float | None = None  # global-norm clip; off by default
 
     def __post_init__(self):
         for name in ("n_train", "n_test", "batch_size", "epochs"):
             object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         object.__setattr__(self, "seed", non_negative_integer("seed", self.seed))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise InvalidConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
-                                               and self.grad_clip > 0):
-            raise InvalidConfigError(
-                f"grad_clip must be None or finite and > 0, got {self.grad_clip}")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise InvalidConfigError(f"snr_db must be None or finite, got {self.snr_db}")
+        check_finite("learning_rate", self.learning_rate)
+        if self.learning_rate < 0:
+            raise InvalidConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        check_finite("snr_db", self.snr_db)
+        if self.grad_clip is not None:
+            check_finite("grad_clip", self.grad_clip)
+            if self.grad_clip <= 0:
+                raise InvalidConfigError(
+                    f"grad_clip must be None or > 0, got {self.grad_clip}")
 
 
 @dataclass
@@ -101,12 +101,6 @@ def loss_on_tape(tape: Tape, phi_batch: np.ndarray, store: ParameterStore,
     return ad.scalar_scale(ad.mean_axis(out.se, 0), -1.0)
 
 
-def effective_config(train_cfg: TrainConfig, cfg: SystemConfig) -> SystemConfig:
-    if train_cfg.snr_db is None:
-        return cfg
-    return cfg.with_snr_db(train_cfg.snr_db)
-
-
 def train(train_cfg: TrainConfig, cfg: SystemConfig,
           model: ModelConfig = ModelConfig()) -> tuple[ParameterStore, TrainReport]:
     """Mini-batch Adam on the negative mean SE; returns params and report.
@@ -114,7 +108,7 @@ def train(train_cfg: TrainConfig, cfg: SystemConfig,
     Aborts with DivergenceError on the first non-finite loss.
     """
     tune_allocator()
-    run_cfg = effective_config(train_cfg, cfg)
+    run_cfg = cfg.with_snr_db(train_cfg.snr_db)
     store = pipeline.init_parameters(run_cfg, model, _stream(train_cfg.seed, _INIT_STREAM))
     state = AdamState.for_store(store)
     data = train_dataset(run_cfg, train_cfg.n_train, train_cfg.seed)
@@ -205,10 +199,7 @@ def checkpoint_dict(store: ParameterStore, cfg: SystemConfig, seed: int,
 def save_checkpoint(path: str | Path, store: ParameterStore, cfg: SystemConfig,
                     seed: int, model: ModelConfig) -> None:
     """Atomic JSON write; decimal values round-trip exactly (repr floats)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint_dict(store, cfg, seed, model)) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(checkpoint_dict(store, cfg, seed, model)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -249,6 +240,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         cfg = SystemConfig.from_json_dict(doc["config"])
         model = ModelConfig.from_json_dict(doc["arch"])
         store = ParameterStore.from_entries(doc["entries"], frozen=FROZEN_PARAMETERS)
+        if not all(isinstance(name, str) for name in store.values):
+            raise TypeError("entry names must be strings")
         seed = non_negative_integer("checkpoint seed", doc["seed"])
     except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise IncompatibleCheckpointError(f"malformed checkpoint: {exc}") from exc

@@ -73,8 +73,8 @@ def test_c2_gradient_suite():
 
 def test_c3_constraint_suite():
     cfg = default_config(2, 3, 2)
-    checks = [check_layout_feasibility(cfg, 33, trials=10, batch=100),
-              check_power_exactness(cfg, 33, trials=10, batch=100)]
+    checks = [check_layout_feasibility(cfg, 33, trials=10),
+              check_power_exactness(cfg, 33, trials=10)]
     report("C3 constraints",
            all(c.passed for c in checks),
            "10 param draws x 100 inputs: "

@@ -204,6 +204,20 @@ class TestEvalCommand:
         assert result.exit_code == 4, result.output
         assert "pbf.head.gap.W0" in result.output
 
+    def test_non_string_entry_name_exit_4(self, runner, tmp_path):
+        cfg = default_config(1, 1, 1)
+        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=6, message_dim=6)
+        ckpt = tmp_path / "checkpoint.json"
+        training.save_checkpoint(ckpt, pipeline.init_parameters(cfg, model, 0),
+                                 cfg, 0, model)
+        doc = json.loads(ckpt.read_text())
+        doc["entries"][0]["name"] = 5
+        ckpt.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--n-test",
+                                      "2", "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 4, result.output
+        assert "names must be strings" in result.output
+
 
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, runner, config_file, tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchbeam import verify
-from pinchbeam.config import (ModelConfig, SystemConfig, default_config,
-                              derive_constants)
+from pinchbeam.config import ModelConfig, SystemConfig, default_config
 from pinchbeam.errors import (ConstraintViolationError, InvalidConfigError,
                               SingularityError)
 from pinchbeam.physics import (AntennaLayout, UserPositions,
@@ -26,31 +25,30 @@ def make_layout(cfg, first_x, gaps=None):
 
 class TestDeriveConstants:
     def test_default_carrier(self):
-        lam, lam_g, eta = derive_constants(28e9, 1.4)
-        assert lam == pytest.approx(1.0707e-2, rel=1e-4)
-        assert lam_g == pytest.approx(7.648e-3, rel=1e-4)
-        assert lam_g == lam / 1.4
-        assert eta == pytest.approx(2.99792458e8 / (2 * math.pi * 28e9), rel=1e-15)
+        cfg = default_config(1, 1, 1)
+        assert cfg.wavelength == pytest.approx(1.0707e-2, rel=1e-4)
+        assert cfg.guide_wavelength == pytest.approx(7.648e-3, rel=1e-4)
+        assert cfg.guide_wavelength == cfg.wavelength / 1.4
+        assert cfg.path_const == pytest.approx(2.99792458e8 / (2 * math.pi * 28e9), rel=1e-15)
 
     def test_unit_refractive_index(self):
-        lam, lam_g, _ = derive_constants(28e9, 1.0)
-        assert lam_g == lam
+        cfg = SystemConfig(n_waveguides=1, n_pinch_per_wg=1, n_users=1, refractive_index=1.0)
+        assert cfg.guide_wavelength == cfg.wavelength
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidConfigError):
-            derive_constants(-1.0, 1.4)
+            SystemConfig(n_waveguides=1, n_pinch_per_wg=1, n_users=1, carrier_freq_hz=-1.0)
         with pytest.raises(InvalidConfigError):
-            derive_constants(28e9, 0.9)
+            SystemConfig(n_waveguides=1, n_pinch_per_wg=1, n_users=1, refractive_index=0.9)
 
 
 class TestSystemConfig:
     def test_defaults_match_derivations(self):
         cfg = default_config(2, 3, 2)
-        lam, lam_g, eta = derive_constants(cfg.carrier_freq_hz, cfg.refractive_index)
-        assert cfg.wavelength == lam
-        assert cfg.guide_wavelength == lam_g
-        assert cfg.path_const == eta
-        assert cfg.min_gap_m == lam_g  # default minimum gap is one guide wavelength
+        assert cfg.wavelength == 2.99792458e8 / 28e9
+        assert cfg.guide_wavelength == cfg.wavelength / 1.4
+        assert cfg.path_const == 2.99792458e8 / (2.0 * math.pi * 28e9)
+        assert cfg.min_gap_m == cfg.guide_wavelength  # default minimum gap is one guide wavelength
 
     def test_json_round_trip(self, tmp_path):
         cfg = default_config(2, 3, 4, snr_db=17.0)
@@ -141,7 +139,6 @@ class TestLayout:
         layout = make_layout(cfg, [2.0])
         pos = layout.antenna_positions()
         np.testing.assert_allclose(pos, [[[2.0, 5.0, 3.0]]])
-        np.testing.assert_allclose(layout.feed_points(), [[0.0, 5.0, 3.0]])
 
     def test_cumulative_positions(self):
         cfg = default_config(1, 3, 1)

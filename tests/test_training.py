@@ -161,22 +161,21 @@ class TestTrain:
         batch = TrainConfig(batch_size=16.0).batch_size
         assert batch == 16 and isinstance(batch, int)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3, True, None, "0.1"])
     def test_learning_rate_must_be_finite_nonnegative(self, lr):
         with pytest.raises(InvalidConfigError):
             TrainConfig(learning_rate=lr)
 
-    @pytest.mark.parametrize("clip", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("clip", [-1.0, 0.0, math.nan, math.inf, True, "1.0"])
     def test_grad_clip_must_be_finite_positive(self, clip):
         with pytest.raises(InvalidConfigError):
             TrainConfig(grad_clip=clip)
         assert TrainConfig(grad_clip=None).grad_clip is None
 
-    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, True, None, "10"])
     def test_snr_db_must_be_finite(self, snr):
         with pytest.raises(InvalidConfigError):
             TrainConfig(snr_db=snr)
-        assert TrainConfig(snr_db=None).snr_db is None
 
 
 class TestEvaluate:
@@ -248,6 +247,17 @@ class TestCheckpoints:
         doc["entries"] = doc["entries"][1:]  # drop one parameter
         path.write_text(json.dumps(doc))
         with pytest.raises(IncompatibleCheckpointError):
+            load_checkpoint(path)
+
+    def test_non_string_entry_name_rejected(self, tmp_path):
+        cfg = default_config(1, 1, 1)
+        store = pipeline.init_parameters(cfg, MICRO, 0)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, store, cfg, 0, MICRO)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["name"] = 5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IncompatibleCheckpointError, match="names must be strings"):
             load_checkpoint(path)
 
     def test_checkpoint_names_follow_scheme(self):
