@@ -45,6 +45,17 @@ its parts and output from the tape's value list when it runs instead of
 capturing them, and no closure holds a ``Var`` or the ``Tape``: reference
 counting alone frees what the sweep drops, as it frees a dropped tape.
 
+Forward-only runs: ``Tape(record=False)`` keeps each node's op name and the
+parameter bindings (``param_slots``) and nothing else, so ``len(tape)`` and
+``tape.ops`` read as on a recording tape and ``values`` stays empty. Each
+``Var`` holds its own value, so reference counting frees an interior value
+once the model code drops its handle; no VJP, parent list or rebuild is
+kept, and ``dense`` makes neither its reduced-relu mask nor its rebuild.
+``backward`` and ``release`` raise ValueError. The model code runs the same
+on both kinds of tape: inference (``pipeline.policy_forward``) and the
+forward-only checks in :mod:`pinchbeam.verify` use this one, losses and
+gradient checks a recording one.
+
 Sums over a layer's output: a relu or identity layer whose output only feeds
 a sum takes the sum into its ``dense`` node (``reduce``), which stores the
 summed value and, for its VJP, a mask of the summed entries packed to 1 bit
@@ -121,6 +132,20 @@ class Var:
         return f"Var(idx={self.idx}, shape={'released' if v is RELEASED else v.shape})"
 
 
+class _HeldVar(Var):
+    """Node of a tape that records nothing. Its ``value`` slot shadows
+    :attr:`Var.value`, so the value lives as long as the handle."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
+        super().__init__(tape, idx)
+        self.value = value
+
+    def __repr__(self):
+        return f"Var(idx={self.idx}, shape={self.value.shape})"
+
+
 class Tape:
     """Append-only record of forward operations.
 
@@ -131,9 +156,15 @@ class Tape:
     them to a function that recomputes it from the parents' values (read
     through the accessor it is passed); :meth:`value` reads a node's value.
     A released entry of ``values`` is :data:`RELEASED`.
+
+    With ``record=False`` the tape is for forward-only runs (module
+    docstring): ``ops`` and ``param_slots`` fill as on a recording tape,
+    while ``values``, ``parents``, ``vjps``, ``meta`` and ``rebuilds`` stay
+    empty and each node's :class:`Var` holds its own value.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.values: list[np.ndarray] = []
         self.parents: list[tuple[int, ...]] = []
         self.vjps: list[Callable | None] = []
@@ -143,7 +174,7 @@ class Tape:
         self.rebuilds: dict[int, Callable] = {}
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.ops)
 
     def value(self, i: int) -> np.ndarray:
         """Node i's value. A released one is rebuilt from its parents' values
@@ -162,6 +193,7 @@ class Tape:
         forward op reads them. Each must record a rebuild, which ``backward``
         runs before the VJPs that read it; ValueError if one does not, so
         nothing is dropped that cannot be rebuilt."""
+        self._check_records("release")
         for v in nodes:
             if v.idx not in self.rebuilds:
                 raise ValueError(f"node {v.idx} ({self.ops[v.idx]}) records no rebuild")
@@ -171,16 +203,23 @@ class Tape:
     def _released(self, i: int) -> ValueError:
         return ValueError(f"node {i} ({self.ops[i]}) was released by a backward sweep")
 
+    def _check_records(self, what: str) -> None:
+        if not self.record:
+            raise ValueError(f"cannot {what} on a tape that records nothing")
+
     def _push(self, value: np.ndarray, parents: tuple[int, ...],
               vjp: Callable | None, op: str, meta=None, rebuild=None) -> Var:
+        idx = len(self.ops)
+        self.ops.append(op)
+        if not self.record:
+            return _HeldVar(self, idx, _tape_array(value))
         self.values.append(_tape_array(value))
         self.parents.append(parents)
         self.vjps.append(vjp)
-        self.ops.append(op)
         self.meta.append(meta)
         if rebuild is not None:
-            self.rebuilds[len(self.values) - 1] = rebuild
-        return Var(self, len(self.values) - 1)
+            self.rebuilds[idx] = rebuild
+        return Var(self, idx)
 
     def constant(self, value) -> Var:
         """Leaf node; receives an adjoint but propagates nowhere."""
@@ -213,6 +252,7 @@ class Tape:
         ``backward`` on a swept tape raises ValueError, as does
         :meth:`value` of a released node that cannot be rebuilt.
         """
+        self._check_records("run backward")
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.size != 1:
@@ -409,7 +449,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
     ``verify.kink_distance`` knows to recompute the pre-activation. Without
     ``reduce``, a node whose every part has fewer rows than its output
     records a rebuild from its parents, so ``Tape.release`` may release it
-    (module docstring).
+    (module docstring). On a tape that records nothing the node makes
+    neither the mask nor the rebuild, since only the VJP reads them.
     """
     parts = as_parts(x)
     xvs, wv = [p.value for p in parts], w.value
@@ -424,7 +465,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
     blocks = row_blocks(xvs, wv)
     y = dense_preactivation(xvs, blocks, b.value)
     full = y.shape
-    mask = y > 0.0 if relu and reduce is not None else None
+    record = w.tape.record  # only the VJP reads the mask and the rebuild
+    mask = y > 0.0 if relu and reduce is not None and record else None
     if relu:
         np.maximum(y, 0.0, out=y)
     if reduce is not None:
@@ -434,9 +476,10 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
         else:
             # The sum minus the diagonal, rounded as sub(sum_axis, diagonal).
             diag, axis, pos = _diagonal_axes(full, *reduce)
-            off = ~np.eye(full[axis], dtype=bool).reshape(
-                [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
-            mask = off if mask is None else np.logical_and(mask, off, out=mask)
+            if record:
+                off = ~np.eye(full[axis], dtype=bool).reshape(
+                    [n if i in (diag, axis) else 1 for i, n in enumerate(full)])
+                mask = off if mask is None else np.logical_and(mask, off, out=mask)
             y = y.sum(axis=axis) - np.moveaxis(np.diagonal(y, axis1=diag, axis2=axis), -1, pos)
         if mask is not None:
             mask_shape, mask = mask.shape, np.packbits(mask.ravel())  # 1 bit per entry
@@ -493,7 +536,8 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
         return (*gxs, gw, gb)
 
     rebuild = None
-    if reduce is None and all(math.prod(s[:-1]) < math.prod(full[:-1]) for s in shapes):
+    if record and reduce is None and all(math.prod(s[:-1]) < math.prod(full[:-1])
+                                         for s in shapes):
         # Every part is smaller than the output: Tape.release may release
         # the value and this rebuilds it from the parents, bit for bit.
         w_idx, b_idx = w.idx, b.idx

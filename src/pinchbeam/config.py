@@ -22,6 +22,10 @@ from .errors import InvalidConfigError
 # the config so results can be re-derived under a different convention.
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
+# Fraction of the region length that the placement GNN's span projection
+# reserves, so rounding never pushes an antenna past the region edge.
+SPAN_MARGIN_FRACTION = 1e-3
+
 JSON_KEYS = (
     "n_waveguides",
     "n_pinch_per_wg",
@@ -116,10 +120,11 @@ class SystemConfig:
             object.__setattr__(self, "min_gap_m", self.guide_wavelength)
         if self.min_gap_m < 0:
             raise InvalidConfigError(f"min_gap_m must be > 0, got {self.min_gap_m}")
-        if (self.n_pinch_per_wg - 1) * self.min_gap_m >= self.region_side_m:
+        if self.excess_cap <= 0:
             raise InvalidConfigError(
                 f"(M-1)*min_gap = {(self.n_pinch_per_wg - 1) * self.min_gap_m:.4g} m "
-                f"leaves no feasible layout in a {self.region_side_m} m region")
+                f"leaves no feasible layout in a {self.region_side_m} m region "
+                f"less its {SPAN_MARGIN_FRACTION:g} span margin")
 
     # Short aliases used throughout the numerics.
     @property
@@ -149,6 +154,13 @@ class SystemConfig:
     @property
     def guide_wavelength(self) -> float:
         return self.wavelength / self.refractive_index
+
+    @property
+    def excess_cap(self) -> float:
+        """Most that a waveguide's gaps may exceed min_gap in total: the
+        region length, less the span margin and the M-1 minimum gaps.
+        ``__post_init__`` rejects a config where it is not positive."""
+        return (self.D - SPAN_MARGIN_FRACTION * self.D) - (self.M - 1) * self.min_gap_m
 
     @property
     def path_const(self) -> float:

@@ -99,9 +99,12 @@ class PolicyResult:
 
 def policy_forward(phi: np.ndarray, store: ParameterStore, cfg: SystemConfig,
                    model: ModelConfig) -> PolicyResult:
-    """Single-sample inference; materializes the layout and precoder."""
+    """Single-sample inference; materializes the layout and precoder.
+
+    Runs on a tape that records nothing (``Tape(record=False)``), so each
+    interior value is freed once the model code has read it."""
     phi = np.asarray(phi, dtype=np.float64)
-    out = forward_on_tape(Tape(), phi[None], store, cfg, model)
+    out = forward_on_tape(Tape(record=False), phi[None], store, cfg, model)
     layout = AntennaLayout(out.placement.first_x.value[0],
                            out.placement.gaps.value[0],
                            cfg.waveguide_y(), cfg.d)

@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import FnnSpec, ParameterStore, Tape, Var, fnn_forward, init_fnn
 from .config import ModelConfig, SystemConfig
-from .errors import InvalidConfigError
 
 # f is composed of (ff, qf1, qf2); the processor q of (fq, qq1, qq2).
 SUBNET_NAMES = ("ff", "qf1", "qf2", "fq", "qq1", "qq2")
@@ -36,9 +35,6 @@ _FRAC_EPS = 1e-9
 # which the placement landscape is phase-benign). Dividing the head output
 # slows that subsystem without changing what it can express.
 X1_TEMPERATURE = 8.0
-
-# Fraction of the region length reserved by the span projection.
-SPAN_MARGIN_FRACTION = 1e-3
 
 
 def index_feature(n_waveguides: int, n_per_wg: int) -> np.ndarray:
@@ -279,11 +275,7 @@ def output_actions(tape: Tape, d_last: Var, store: ParameterStore,
     x1_units = ad.mean_axis(ad.reshape(x1_edge, d_last.shape[:-1]), (-2, -1))
 
     n_gaps = cfg.M - 1
-    margin = SPAN_MARGIN_FRACTION * cfg.D
-    cap = (cfg.D - margin) - n_gaps * cfg.min_gap_m
-    if cap <= 0:
-        raise InvalidConfigError(
-            f"(M-1)*min_gap = {n_gaps * cfg.min_gap_m:.4g} m leaves no placement room")
+    cap = cfg.excess_cap  # > 0: SystemConfig rejects a config without room
     mask = tape.constant((np.asarray(s, dtype=np.float64) >= 2.0).astype(np.float64))
     excess = ad.sub(ad.sum_axis(ad.mul(gap_slots, mask), -1), n_gaps * cfg.min_gap_m)
     rho = ad.div(cap, ad.max_with_scalar(excess, cap))

@@ -146,11 +146,12 @@ def check_pbf_equivariance(cfg: SystemConfig, seed: int, trials: int = 10) -> Pr
         store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((seed, t)))
         phi = rng.uniform(0.0, cfg.D, (1, cfg.K, 2))
         s = pbf.index_feature(cfg.N, cfg.M)
-        x1, gaps = pbf.pbf_actions(Tape(), phi, s, store, cfg, model)
+        x1, gaps = pbf.pbf_actions(Tape(record=False), phi, s, store, cfg, model)
         pu = rng.permutation(cfg.K)
         wg, slots = _nested_permutation(rng, cfg.N, cfg.M)
         s_perm = s[wg][np.arange(cfg.N)[:, None], slots]
-        x1p, gapsp = pbf.pbf_actions(Tape(), phi[:, pu], s_perm, store, cfg, model)
+        x1p, gapsp = pbf.pbf_actions(Tape(record=False), phi[:, pu], s_perm, store, cfg,
+                                     model)
         expect_x1 = x1.value[:, wg]
         expect_gaps = gaps.value[:, wg][:, np.arange(cfg.N)[:, None], slots]
         worst = max(worst, float(np.max(np.abs(x1p.value - expect_x1))))
@@ -166,13 +167,24 @@ def check_layout_feasibility(cfg: SystemConfig, seed: int, trials: int = 10) -> 
     for t in range(trials):
         store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((seed, t)))
         phi = rng.uniform(0.0, cfg.D, (_BATCH, cfg.K, 2))
-        out = pbf.pbf_forward(Tape(), phi, store, cfg, model)
+        out = pbf.pbf_forward(Tape(record=False), phi, store, cfg, model)
         if out.gaps.value.size:
             worst = max(worst, float(np.max(cfg.min_gap_m - out.gaps.value)))
         x = out.positions_x.value
         worst = max(worst, float(np.max(-x)), float(np.max(x - cfg.D)))
     return _check("layout_feasible_by_construction", worst, 0.0,
                   "gaps >= min_gap and positions within [0, D], exactly")
+
+
+def _tbf_outputs(ht: np.ndarray, store: ParameterStore, cfg: SystemConfig,
+                 model: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, lam, W) of one precoder forward: ``tbf.tbf_forward``'s steps, with
+    p and lam kept."""
+    tape = Tape(record=False)
+    h = tape.constant(ht)
+    p, lam = tbf.tbf_powers(tape, h, store, cfg, model)
+    w = tbf.recover_precoder(tape, h, p, lam, cfg.noise_power_w)
+    return p.value, lam.value, tbf.normalize_power(tape, w, cfg.power_budget_w).value
 
 
 def check_tbf_equivariance(cfg: SystemConfig, seed: int, trials: int = 10) -> PropertyCheck:
@@ -183,21 +195,13 @@ def check_tbf_equivariance(cfg: SystemConfig, seed: int, trials: int = 10) -> Pr
         store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((seed, t)))
         ht = rng.standard_normal((1, cfg.N, cfg.K)) * 0.01 \
             + 1j * rng.standard_normal((1, cfg.N, cfg.K)) * 0.01
-        tape = Tape()
-        p, lam = tbf.tbf_powers(tape, tape.constant(ht), store, cfg, model)
-        tape = Tape()
-        w = tbf.tbf_forward(tape, tape.constant(ht), store, cfg, model)
-        wv = w.value
+        p, lam, w = _tbf_outputs(ht, store, cfg, model)
         pu = rng.permutation(cfg.K)
         pa = rng.permutation(cfg.N)
-        htp = ht[:, pa][:, :, pu]
-        tape = Tape()
-        p2, lam2 = tbf.tbf_powers(tape, tape.constant(htp), store, cfg, model)
-        tape = Tape()
-        w2 = tbf.tbf_forward(tape, tape.constant(htp), store, cfg, model)
-        worst = max(worst, float(np.max(np.abs(p2.value - p.value[:, pu]))))
-        worst = max(worst, float(np.max(np.abs(lam2.value - lam.value[:, pu]))))
-        worst = max(worst, float(np.max(np.abs(w2.value - wv[:, pa][:, :, pu]))))
+        p2, lam2, w2 = _tbf_outputs(ht[:, pa][:, :, pu], store, cfg, model)
+        worst = max(worst, float(np.max(np.abs(p2 - p[:, pu]))))
+        worst = max(worst, float(np.max(np.abs(lam2 - lam[:, pu]))))
+        worst = max(worst, float(np.max(np.abs(w2 - w[:, pa][:, :, pu]))))
     return _check("tbf_equivariance", worst, 1e-9,
                   "powers permute with users; precoder rows with waveguides")
 
@@ -209,7 +213,7 @@ def check_power_exactness(cfg: SystemConfig, seed: int, trials: int = 10) -> Pro
     for t in range(trials):
         store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((seed, t)))
         phi = rng.uniform(0.0, cfg.D, (_BATCH, cfg.K, 2))
-        out = pipeline.forward_on_tape(Tape(), phi, store, cfg, model)
+        out = pipeline.forward_on_tape(Tape(record=False), phi, store, cfg, model)
         power = np.sum(np.abs(out.w.value) ** 2, axis=(-2, -1))
         worst = max(worst, float(np.max(np.abs(power - cfg.power_budget_w)))
                     / cfg.power_budget_w)

@@ -109,6 +109,50 @@ class TestTapeBasics:
         np.testing.assert_array_equal(g1, store.grads["w"])
 
 
+class TestTapeWithoutRecord:
+    """``Tape(record=False)``: handles hold their values, the tape only the
+    op names."""
+
+    def _dense(self, tape):
+        rng = np.random.default_rng(0)
+        x = [tape.constant(rng.standard_normal((2, 3, 1, 4))),
+             tape.constant(rng.standard_normal((2, 1, 3, 2)))]
+        w, b = tape.constant(rng.standard_normal((6, 5))), tape.constant(np.zeros(5))
+        return ad.dense(x, w, b, relu=True), ad.dense(x, w, b, relu=True, reduce=(1, 2))
+
+    def test_same_values_and_ops_as_a_recording_tape(self):
+        recorded, bare = Tape(), Tape(record=False)
+        for a, b in zip(self._dense(recorded), self._dense(bare)):
+            np.testing.assert_array_equal(b.value, a.value)
+        assert len(bare) == len(recorded) == 6
+        assert bare.ops == recorded.ops
+        assert recorded.rebuilds
+        assert bare.values == bare.parents == bare.vjps == bare.meta == []
+        assert bare.rebuilds == {}
+
+    def test_value_is_freed_with_its_handle(self):
+        tape = Tape(record=False)
+        y = ad.scalar_scale(tape.constant(np.ones(3)), 2.0)
+        ref = weakref.ref(y.value)
+        del y
+        assert ref() is None
+
+    def test_backward_and_release_raise(self):
+        tape = Tape(record=False)
+        r, _ = self._dense(tape)
+        loss = ad.sum_axis(r, (0, 1, 2, 3))
+        with pytest.raises(ValueError, match="records nothing"):
+            tape.backward(loss)
+        with pytest.raises(ValueError, match="records nothing"):
+            tape.release(r)
+
+    def test_repr(self):
+        tape = Tape(record=False)
+        v = tape.constant(np.zeros((2, 3)))
+        assert repr(v) == "Var(idx=0, shape=(2, 3))"
+        assert isinstance(v, ad.Var)
+
+
 class TestPrimitives:
     def test_abs2(self):
         tape = Tape()

@@ -89,6 +89,20 @@ class TestTrainCommand:
         assert "region_side_m" in result.output
         assert not out.exists()
 
+    def test_no_room_past_span_margin_exit_2(self, runner, tmp_path):
+        # (M-1)*min_gap is below D but above D less the span margin: the
+        # config is rejected on load, not by the first forward pass.
+        doc = default_config(1, 2, 1).to_json_dict()
+        doc["min_gap_m"] = 9.995
+        config = tmp_path / "tight.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--config", str(config),
+                                      "--out", str(out)] + TRAIN_ARGS)
+        assert result.exit_code == 2, result.output
+        assert "span margin" in result.output
+        assert not out.exists()
+
     def test_writes_three_files(self, runner, config_file, tmp_path):
         out = train_once(runner, config_file, tmp_path / "run")
         assert (out / "checkpoint.json").exists()

@@ -71,6 +71,9 @@ class TestSystemConfig:
         with pytest.raises(InvalidConfigError):
             SystemConfig(n_waveguides=1, n_pinch_per_wg=3, n_users=1,
                          region_side_m=1.0, min_gap_m=0.6)
+        # 9.995 m < D = 10 m, but the placement GNN reserves 1e-3 D.
+        with pytest.raises(InvalidConfigError, match="span margin"):
+            SystemConfig(n_waveguides=1, n_pinch_per_wg=2, n_users=1, min_gap_m=9.995)
 
     def test_counts_validated(self):
         with pytest.raises(InvalidConfigError):

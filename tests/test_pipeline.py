@@ -100,3 +100,47 @@ class TestComplexTape:
         after = tape.ops[out.h_tilde.idx + 1:]
         assert "concat" not in after and "slice_axis" not in after
         assert out.h_tilde.value.dtype == out.w.value.dtype == np.complex128
+
+
+class TestForwardWithoutRecording:
+    """Inference runs on a tape that records nothing; the outputs and the
+    node count are those of a recording tape."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (8, 3, 8), (3, 2, 4), (1, 1, 1), (2, 3, 1)])
+    def test_outputs_and_nodes_equal_a_recording_tape(self, shape):
+        cfg = default_config(*shape)
+        model = ModelConfig()
+        store = pipeline.init_parameters(cfg, model, 0)
+        phi = np.random.default_rng(5).uniform(0, cfg.D, (3, cfg.K, 2))
+        recorded, bare = Tape(), Tape(record=False)
+        a = pipeline.forward_on_tape(recorded, phi, store, cfg, model)
+        b = pipeline.forward_on_tape(bare, phi, store, cfg, model)
+        for x, y in ((a.placement.first_x, b.placement.first_x),
+                     (a.placement.gaps, b.placement.gaps),
+                     (a.placement.positions_x, b.placement.positions_x),
+                     (a.h_tilde, b.h_tilde), (a.w, b.w), (a.se, b.se)):
+            np.testing.assert_array_equal(y.value, x.value)
+        assert len(bare) == len(recorded)
+        assert bare.ops == recorded.ops
+        assert bare.values == []
+
+    def test_policy_forward_peak_at_c7(self):
+        # B = 1, N = K = 8, M = 3 with the default model, after a warm-up
+        # call: 3.4 MB; 6.4 MB while policy_forward ran on a recording tape
+        # that kept every interior value, VJP and rebuild to its return.
+        import tracemalloc
+
+        from pinchbeam.training import test_dataset
+        cfg = default_config(8, 3, 8)
+        model = ModelConfig()
+        store = pipeline.init_parameters(cfg, model, 0)
+        phi = test_dataset(cfg, 2, 0)
+        pipeline.policy_forward(phi[0], store, cfg, model)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipeline.policy_forward(phi[1], store, cfg, model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6

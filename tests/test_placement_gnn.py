@@ -4,7 +4,7 @@ import pytest
 from pinchbeam import autodiff as ad
 from pinchbeam import placement_gnn as pbf
 from pinchbeam.autodiff import ParameterStore, Tape, grad_check
-from pinchbeam.config import ModelConfig, default_config
+from pinchbeam.config import SPAN_MARGIN_FRACTION, ModelConfig, default_config
 from pinchbeam.physics import check_feasibility
 from pinchbeam.pipeline import init_parameters
 
@@ -173,7 +173,7 @@ class TestOutputActions:
         d = np.ones((1, 1, 4, 1, 4))
         _, gaps = self._actions(cfg, d, gap_bias=5.0)
         span = gaps[0, 0, 1:].sum()
-        budget = cfg.D * (1 - pbf.SPAN_MARGIN_FRACTION)
+        budget = cfg.D * (1 - SPAN_MARGIN_FRACTION)
         assert span <= budget + 1e-12
         excess = gaps[0, 0] - cfg.min_gap_m
         np.testing.assert_allclose(excess / excess[0], 1.0, rtol=1e-12)
