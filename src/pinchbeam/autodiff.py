@@ -62,12 +62,24 @@ summed value and, for its VJP, a mask of the summed entries packed to 1 bit
 per entry instead of the full-resolution output. The placement GNN sums its
 other-waveguide branch over slots and its processor over the other users
 this way, and takes its leave-one-out sums as total minus own inside the
-weight fold (``placement_gnn.nested_pe_hidden``). ``sum_others`` is the leave-one-out
-sum as a single node; the precoder GNN uses it.
+weight fold (``placement_gnn.nested_pe_hidden``).
+
+Weight folds: :func:`fold` pushes one node whose value numpy code computes
+from its parents' values, with a written-out VJP. Both GNNs fold linear
+layers that follow each other into the weights and the bias of one
+``dense`` node this way, on weight-sized arrays (``placement_gnn`` and
+``precoder_gnn``'s ``fold_weights`` and ``fold_bias``), so each fold is one
+node, on a recording tape and on one that records nothing alike.
+
+Per-node cost: ``_push`` converts a value only if it is not already a
+float64 or complex128 ndarray, ``Var.value`` reads the value list directly
+unless the entry is :data:`RELEASED`, and :func:`dense_preactivation` plans
+how to add up its products once per tuple of part leading shapes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -84,8 +96,14 @@ RELEASED = np.empty(0)
 RELEASED.flags.writeable = False
 
 
+_TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 def _tape_array(value) -> np.ndarray:
-    """``value`` as complex128 if it is complex, else as float64."""
+    """``value`` as complex128 if it is complex, else as float64. An ndarray
+    that already has one of these dtypes is returned as it is."""
+    if type(value) is np.ndarray and value.dtype in _TAPE_DTYPES:
+        return value
     return np.asarray(value, dtype=np.complex128 if np.iscomplexobj(value) else np.float64)
 
 
@@ -117,7 +135,8 @@ class Var:
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.value(self.idx)
+        v = self.tape.values[self.idx]
+        return v if v is not RELEASED else self.tape.value(self.idx)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -387,6 +406,19 @@ def _fits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     return all(m in (1, n) for m, n in zip(small, big))
 
 
+@functools.lru_cache(maxsize=256)
+def _sum_plan(leading: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
+                                                            tuple[int | None, ...]]:
+    """How :func:`dense_preactivation` adds up the products of parts with
+    these leading shapes: the parts by product size, smallest first (ties in
+    part order), and for each the first later one its product broadcasts
+    into, or None if it starts a group of its own."""
+    order = tuple(sorted(range(len(leading)), key=lambda i: math.prod(leading[i])))
+    hosts = tuple(next((j for j in order[pos + 1:] if _fits(leading[i], leading[j])), None)
+                  for pos, i in enumerate(order))
+    return order, hosts
+
+
 def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
                         bv: np.ndarray) -> np.ndarray:
     """``concat(xvs, -1) @ W + b`` as :func:`dense` computes it, before its relu.
@@ -401,16 +433,16 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
     distance is measured on the exact values the node clamped.
     """
     n_out = blocks[0].shape[1]
-    prods = sorted(((xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
-                    for xv, wb in zip(xvs, blocks)), key=np.size)
-    prods[0] += bv
+    prods = [(xv.reshape(-1, wb.shape[0]) @ wb).reshape(xv.shape[:-1] + (n_out,))
+             for xv, wb in zip(xvs, blocks)]
+    order, hosts = _sum_plan(tuple(xv.shape[:-1] for xv in xvs))
+    prods[order[0]] += bv
     groups = []
-    for i, p in enumerate(prods):
-        hosts = [q for q in prods[i + 1:] if _fits(p.shape, q.shape)]
-        if hosts:
-            hosts[0] += p
+    for i, host in zip(order, hosts):
+        if host is None:
+            groups.append(prods[i])
         else:
-            groups.append(p)
+            prods[host] += prods[i]
     y = groups.pop()
     for p in reversed(groups):
         y = y + p  # parts that cross: the sum grows to their broadcast shape
@@ -551,6 +583,20 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
                         rebuild=rebuild)
 
 
+def fold(op: str, parents: Sequence[Var], fn: Callable) -> Var:
+    """One node whose value ``fn`` computes from its parents' values.
+
+    ``fn(*values)`` returns the value and its VJP, which maps the node's
+    adjoint to one adjoint per parent. The model code folds the weights of
+    linear layers that follow each other into the weights of one ``dense``
+    node this way, on weight-sized arrays, with the VJP written out in
+    numpy. Like every VJP, ``fn``'s captures arrays and numbers only, never a
+    ``Var`` or the ``Tape`` (module docstring).
+    """
+    value, vjp = fn(*(p.value for p in parents))
+    return parents[0].tape._push(value, tuple(p.idx for p in parents), vjp, op)
+
+
 def solve(a: Var, b: Var) -> Var:
     """X with A @ X = B for square A (stacked); differentiable in A and B.
 
@@ -639,19 +685,6 @@ def diagonal(a: Var, axis1: int, axis2: int) -> Var:
 
     out = np.moveaxis(np.diagonal(a.value, axis1=a1, axis2=a2), -1, pos)
     return a.tape._push(np.ascontiguousarray(out), (a.idx,), vjp, "diagonal")
-
-
-def sum_others(a: Var, axis: int) -> Var:
-    """Leave-one-out sum along ``axis``: ``out[.., i, ..] = sum_{j != i} a[.., j, ..]``.
-
-    Same shape as ``a``; one node for ``sum(a, axis, keepdims) - a``, whose
-    adjoint has the same form. A length-1 axis gives exact zeros.
-    """
-    def vjp(g):
-        return (g.sum(axis, keepdims=True) - g,)
-
-    av = a.value
-    return a.tape._push(av.sum(axis, keepdims=True) - av, (a.idx,), vjp, "sum_others")
 
 
 def _norm_axis(axis) -> tuple[int, ...]:

@@ -97,7 +97,7 @@ class SystemConfig:
     noise_power_w: float = 1.0
     speed_of_light_m_s: float = SPEED_OF_LIGHT
     waveguide_y_mode: str = "uniform"
-    # Not serialized: overrides eta = c/(2*pi*f_c) when set.
+    # Not serialized: overrides eta = c/(2*pi*f_c), a length in m, when set.
     path_const_override_m2: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -110,6 +110,11 @@ class SystemConfig:
                      "noise_power_w", "speed_of_light_m_s"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.path_const_override_m2 is not None:
+            check_finite("path_const_override_m2", self.path_const_override_m2)
+            if self.path_const_override_m2 <= 0:
+                raise InvalidConfigError(f"path_const_override_m2 must be > 0, got "
+                                         f"{self.path_const_override_m2}")
         if self.refractive_index < 1.0:
             raise InvalidConfigError(
                 f"refractive_index must be >= 1, got {self.refractive_index}")
@@ -164,7 +169,8 @@ class SystemConfig:
 
     @property
     def path_const(self) -> float:
-        """Amplitude constant eta (m^2); square root enters the channel gain."""
+        """Amplitude constant eta = c/(2 pi f_c), a length in m; its square
+        root enters the channel gain."""
         if self.path_const_override_m2 is not None:
             return self.path_const_override_m2
         return self.speed_of_light_m_s / (2.0 * math.pi * self.carrier_freq_hz)

@@ -14,6 +14,7 @@ construction of the output stage, not by penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -119,6 +120,75 @@ def _hidden(tape: Tape, store: ParameterStore, prefix: str, zs: list[Var],
     return ad.dense(zs, w0, tape.param(store, f"{prefix}.b0"), relu=True, reduce=reduce)
 
 
+def fold_weights(w0: Var, w_outs: Sequence[Var], width: int, rows: Sequence[int]) -> Var:
+    """Main's folded first-layer weights ``[W0_z, -F_1, F_1, -F_2, F_2, ...]``
+    as one node (:func:`nested_pe_hidden`).
+
+    ``W0_z`` is the first ``width`` rows of main's ``W0``, and ``F_i =
+    W_out_i W0_i``, where ``W_out_i`` is a branch's output weights and
+    ``W0_i`` the rows of ``W0`` from ``rows[i]`` that read it. The value and
+    the adjoints are bit for bit those of the slice, matmul, negation and
+    concat nodes the fold stands for, as the sweep would run them: a
+    branch's rows of the ``W0`` adjoint are added into zeros, as the sum of
+    the slices' zero-padded adjoints adds them (which turns -0.0 into 0.0).
+    """
+    def fn(w0v, *wouts):
+        w0_rows = [w0v[r:r + wo.shape[1]] for r, wo in zip(rows, wouts)]
+        blocks = [w0v[:width]]
+        for wo, wr in zip(wouts, w0_rows):
+            f = wo @ wr
+            blocks += [f * -1.0, f]
+
+        def vjp(g):
+            gw0 = np.zeros(w0v.shape)
+            gw0[:width] = g[:width]
+            gouts, start = [], width
+            for r, wo, wr in zip(rows, wouts, w0_rows):
+                h = wo.shape[0]
+                gf = g[start + h:start + 2 * h] + g[start:start + h] * -1.0
+                start += 2 * h
+                gouts.append(gf @ wr.T)
+                gw0[r:r + wr.shape[0]] += wo.T @ gf
+            return (gw0, *gouts)
+
+        return (np.concatenate(blocks) if wouts else blocks[0]), vjp
+
+    return ad.fold("pbf_weight_fold", [w0, *w_outs], fn)
+
+
+def fold_bias(b0: Var, w0: Var, b_outs: Sequence[Var], counts: Sequence[int],
+              rows: Sequence[int]) -> Var:
+    """Main's folded first-layer bias ``b0 + sum_i count_i b_out_i W0_i`` as
+    one node (:func:`nested_pe_hidden`), with ``W0_i`` as in
+    :func:`fold_weights`.
+
+    The terms are added last branch first, each as the identity ``dense``
+    of the count-scaled bias that it stands for, and the value and the
+    adjoints are bit for bit those of those nodes. The adjoint of ``W0``
+    holds the branches' rows and zeros elsewhere.
+    """
+    def fn(b0v, w0v, *bouts):
+        scaled = [bo * float(c) for bo, c in zip(bouts, counts)]
+        w0_rows = [w0v[r:r + bo.shape[0]] for r, bo in zip(rows, bouts)]
+        b = b0v
+        for sv, wr in zip(reversed(scaled), reversed(w0_rows)):
+            b = (sv.reshape(1, -1) @ wr).reshape(-1) + b
+
+        def vjp(g):
+            gw0 = np.zeros(w0v.shape)
+            gouts = []
+            for r, c, sv, wr in zip(rows, counts, scaled, w0_rows):
+                g2 = g.reshape(1, -1)
+                gouts.append((g2 @ wr.T).reshape(-1) * float(c))
+                gw0[r:r + wr.shape[0]] = sv.reshape(1, -1).T @ g2
+                g = g2.sum(axis=0)
+            return (g, gw0, *gouts)
+
+        return b, vjp
+
+    return ad.fold("pbf_bias_fold", [b0, w0, *b_outs], fn)
+
+
 def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
                      names: tuple[str, str, str], specs: dict[str, FnnSpec],
                      reduce: int | tuple[int, int] | None = None) -> Var:
@@ -137,8 +207,9 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     F_a, -F_b, F_b]``, where S is a keepdims sum over slots (M) or
     waveguides (N) and ``s_b = S_M r_b`` comes from ``other``'s dense node
     with the sum fused into it (r_b itself is never stored). The bias is
-    ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The fold is computed on the
-    tape from the stored parameters and touches only weight-sized arrays.
+    ``b0 + (M-1) b_a W0_s + (N-1) M b_b W0_o``. The weights and the bias
+    are one node each (:func:`fold_weights`, :func:`fold_bias`), computed
+    from the stored parameters on weight-sized arrays.
     Besides main's hidden state, r_a is the only value stored at the
     resolution of ``z``'s broadcast. Where ``z``'s parts cross, as in the
     processor's pair, r_a's dense node is smaller in every part than in its
@@ -149,7 +220,8 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     A branch whose index set is empty (``same`` at M = 1, ``other`` at
     N = 1) would add exact zeros, so it is not built: its parts, its row
     blocks and its bias term drop out, and its parameters never reach the
-    tape (their gradients stay exactly zero). ``z`` may also lack a
+    tape (their gradients stay exactly zero); with neither branch, the bias
+    is b0 itself. ``z`` may also lack a
     trailing empty part (:func:`pbf_layer` at K = 1); every first layer then
     reads the leading rows of its weights that the parts present cover.
     """
@@ -159,41 +231,31 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
     hidden = {}  # own and total hidden state of each branch with a non-empty index set
     # other goes on the tape first, so the reverse sweep reaches r_a right
     # after main and frees r_a's rebuilt value and adjoint before s_b's VJP.
-    # At B=8, (8,3,8) the step's traced peak is then 44.8 MB, set inside
-    # layer 3's processor main VJP, instead of 49.2 MB with same first.
+    # At B=8, (8,3,8) the step's traced peak is then 44.1 MB, set inside
+    # layer 3's processor main VJP, instead of 48.6 MB with same first.
     if n > 1:
         s_b = _hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
         hidden[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
     if m > 1:
         r_a = _hidden(tape, store, f"{prefix}.{same_name}", zs)
         hidden[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
-    parts = {name: hidden[name] for name in (same_name, other_name) if name in hidden}
-    counts = {same_name: m - 1, other_name: (n - 1) * m}
-
-    outs = {name: _output_params(tape, specs[name], store, f"{prefix}.{name}")
-            for name in parts}
-    w0 = tape.param(store, f"{prefix}.{main_name}.W0")
-    b0 = tape.param(store, f"{prefix}.{main_name}.b0")
+    branches = [name for name in (same_name, other_name) if name in hidden]
     md = specs[same_name].widths[-1]
-    zw = w0.shape[0] - 2 * md
-    first_row = {same_name: zw, other_name: zw + md}
-    w0_rows = {name: ad.slice_axis(w0, 0, first_row[name], first_row[name] + md)
-               for name in parts}
-    blocks = [ad.slice_axis(w0, 0, 0, sum(p.shape[-1] for p in zs))]
-    for name in parts:
-        fold = ad.matmul(outs[name][0], w0_rows[name])
-        blocks += [ad.scalar_scale(fold, -1.0), fold]
-    w = ad.concat(blocks, axis=0) if parts else blocks[0]
-    scaled = {name: ad.scalar_scale(outs[name][1], counts[name]) for name in parts}
-    b = b0
-    for name in reversed(parts):
-        b = ad.dense(scaled[name], w0_rows[name], b)
-    h = ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
+    zw = specs[main_name].widths[0] - 2 * md
+    rows = [zw if name == same_name else zw + md for name in branches]
+    outs = [_output_params(tape, specs[name], store, f"{prefix}.{name}") for name in branches]
+    w0 = tape.param(store, f"{prefix}.{main_name}.W0")
+    b = tape.param(store, f"{prefix}.{main_name}.b0")
+    w = fold_weights(w0, [o[0] for o in outs], sum(p.shape[-1] for p in zs), rows)
+    if branches:
+        counts = {same_name: m - 1, other_name: (n - 1) * m}
+        b = fold_bias(b, w0, [o[1] for o in outs], [counts[name] for name in branches], rows)
+    h = ad.dense(zs + [p for name in branches for p in hidden[name]], w, b, relu=True,
                  reduce=reduce)
     # Main was r_a's last forward reader: where r_a can be rebuilt, it and
     # its slot sum go now, and the sweep rebuilds them for main's VJP.
-    if same_name in parts and parts[same_name][0].idx in tape.rebuilds:
-        tape.release(*parts[same_name])
+    if same_name in hidden and hidden[same_name][0].idx in tape.rebuilds:
+        tape.release(*hidden[same_name])
     return h
 
 

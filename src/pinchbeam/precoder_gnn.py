@@ -8,7 +8,11 @@ the exact power budget. Edge states have shape (B, N, K, width).
 Unlike the placement network, the per-user message here depends only on the
 sending user's edges, and the inner update functions are plain linear maps
 (the combiner's main map carries the only nonlinearity), equivariant to
-waveguide permutations.
+waveguide permutations. A layer is therefore the exchangeable-matrix layer
+of Hartford et al., "Deep Models of Interactions Across Sets" (ICML 2018),
+relu(d A + S_N d B + S_K d C + S_NK d D + beta) with sums S over waveguides
+and users, and it runs as one ``dense`` node whose weights and bias are
+folded from the stored subnet weights (:func:`tbf_layer`).
 """
 
 from __future__ import annotations
@@ -103,29 +107,105 @@ def tbf_init_edges(tape: Tape, ht: Var, scale: float) -> Var:
     return ad.scalar_scale(cx.real_imag(ht), 1.0 / scale)
 
 
-def waveguide_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore,
-                     prefix: str, names: tuple[str, str],
-                     specs: dict[str, FnnSpec]) -> Var:
-    """Row map on (B, N, R, d): y_n = main([z_n, sum_{i != n} ctx(z_i)]).
+def _blocks(w: int, w_fq: np.ndarray, w_qf: np.ndarray, w_ff: np.ndarray):
+    """Row blocks ``(F_d, F_c), (R_d, R_m), (G_d, G_m, G_c)`` of fq, qf and ff's
+    W0 at input width ``w`` (views)."""
+    md = w_fq.shape[1]
+    return ((w_fq[:w], w_fq[w:]), (w_qf[:w], w_qf[w:]),
+            (w_ff[:w], w_ff[w:w + md], w_ff[w + md:]))
 
-    ``z`` is one Var or a list of parts (see :func:`ad.dense`); the sum runs
-    over the waveguide axis 1.
+
+def fold_weights(qq: Var, fq: Var, qf: Var, ff: Var, n: int) -> Var:
+    """The row blocks ``[A; B; C; D]`` of a :func:`tbf_layer` node as one node.
+
+    ``qq``, ``fq``, ``qf`` and ``ff`` are the subnets' W0. With row blocks
+    ``fq = [F_d; F_c]``, ``qf = [R_d; R_m]``, ``ff = [G_d; G_m; G_c]``,
+    ``P = W_qq F_c`` and ``U = R_m G_c``::
+
+        A = G_d - F_d G_m + P G_m - R_d G_c + F_d U - P U
+        B = -P G_m + R_d G_c - F_d U - (N-2) P U
+        C = F_d G_m - P G_m - F_d U + P U
+        D = P G_m + F_d U + (N-2) P U
+
+    computed as ``E = F_d - P``, ``C = E (G_m - U)``, ``D = P (G_m + (N-1)
+    U) + E U``, ``A = G_d - C - R_d G_c`` and ``B = R_d G_c - D``.
     """
-    main_name, ctx_name = names
-    zs = ad.as_parts(z)
-    a = fnn_forward(tape, specs[ctx_name], store, f"{prefix}.{ctx_name}", zs)
-    ctx = ad.sum_others(a, 1)
-    return fnn_forward(tape, specs[main_name], store, f"{prefix}.{main_name}",
-                       zs + [ctx])
+    def fn(w_qq, w_fq, w_qf, w_ff):
+        (f_d, f_c), (r_d, r_m), (g_d, g_m, g_c) = _blocks(w_qq.shape[0], w_fq, w_qf, w_ff)
+        p, u = w_qq @ f_c, r_m @ g_c
+        e, v, q = f_d - p, g_m - u, g_m + (n - 1) * u
+        rg, c = r_d @ g_c, e @ v
+        d = p @ q + e @ u
+
+        def vjp(g):
+            ga, gb, gc, gd = np.split(g, 4)
+            gc, grg, gd = gc - ga, gb - ga, gd - gb
+            ge = gc @ v.T + gd @ u.T
+            gv, gq = e.T @ gc, p.T @ gd
+            gp = gd @ q.T - ge
+            gu = e.T @ gd - gv + (n - 1) * gq
+            return (gp @ f_c.T,
+                    np.concatenate([ge, w_qq.T @ gp]),
+                    np.concatenate([grg @ g_c.T, gu @ g_c.T]),
+                    np.concatenate([ga, gv + gq, r_d.T @ grg + r_m.T @ gu]))
+
+        return np.concatenate([g_d - c - rg, rg - d, c, d]), vjp
+
+    return ad.fold("tbf_weight_fold", [qq, fq, qf, ff], fn)
+
+
+def fold_bias(b_qq: Var, b_fq: Var, b_qf: Var, b_ff: Var, fq: Var, qf: Var, ff: Var,
+              n: int, k: int) -> Var:
+    """The bias of a :func:`tbf_layer` node as one node::
+
+        beta = (K-1) c G_m + (N-1) ((K-1) c R_m + b_qf) G_c + b_ff,
+        c = (N-1) b_qq F_c + b_fq
+
+    with the row blocks of :func:`fold_weights`; ``fq``, ``qf`` and ``ff``
+    are the subnets' W0, whose rows that read ``d`` get zero adjoints.
+    """
+    def fn(bv_qq, bv_fq, bv_qf, bv_ff, w_fq, w_qf, w_ff):
+        w = w_fq.shape[0] - bv_qq.shape[0]
+        (_, f_c), (_, r_m), (_, g_m, g_c) = _blocks(w, w_fq, w_qf, w_ff)
+        c = (n - 1) * (bv_qq @ f_c) + bv_fq
+        e = (k - 1) * (c @ r_m) + bv_qf
+
+        def vjp(g):
+            ge = (n - 1) * (g @ g_c.T)
+            gc = (k - 1) * (g @ g_m.T + ge @ r_m.T)
+            grads = [np.zeros(w_fq.shape), np.zeros(w_qf.shape), np.zeros(w_ff.shape)]
+            grads[0][w:] = (n - 1) * np.outer(bv_qq, gc)
+            grads[1][w:] = (k - 1) * np.outer(c, ge)
+            grads[2][w:] = np.concatenate([(k - 1) * np.outer(c, g),
+                                           (n - 1) * np.outer(e, g)])
+            return ((n - 1) * (gc @ f_c.T), gc, ge, g, *grads)
+
+        return (k - 1) * (c @ g_m) + (n - 1) * (e @ g_c) + bv_ff, vjp
+
+    return ad.fold("tbf_bias_fold", [b_qq, b_fq, b_qf, b_ff, fq, qf, ff], fn)
 
 
 def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
               in_width: int, model: ModelConfig) -> Var:
-    """One edge-update layer: d (B, N, K, w) -> (B, N, K, hidden)."""
-    specs = layer_specs(in_width, model)
-    q_out = waveguide_pe_map(tape, d, store, prefix, ("fq", "qq"), specs)
-    msg = ad.sum_others(q_out, -2)
-    return waveguide_pe_map(tape, [d, msg], store, prefix, ("ff", "qf"), specs)
+    """One edge-update layer: d (B, N, K, w) -> (B, N, K, hidden).
+
+    The layer composes the four subnets (all linear but ``ff``'s relu):
+    ``q = fq([d, S'_N qq(d)])``, the message ``S'_K q`` and ``ff([d,
+    message, S'_N qf([d, message])])``, where ``S'`` is a leave-one-out sum
+    over waveguides (N, axis 1) or users (K, axis 2). Expanded, that is the
+    exchangeable layer ``relu(d A + S_N d B + S_K d C + S_NK d D + beta)``
+    with keepdims sums S, so it runs as one ``dense`` node over the parts
+    ``[d, S_N d, S_K d, S_NK d]``, whose weights and bias are folded from
+    the stored ones (:func:`fold_weights`, :func:`fold_bias`). ``in_width``
+    and ``model`` are implied by the stored weights.
+    """
+    _, n, k, _ = d.shape
+    w = {name: tape.param(store, f"{prefix}.{name}.W0") for name in SUBNET_NAMES}
+    b = [tape.param(store, f"{prefix}.{name}.b0") for name in ("qq", "fq", "qf", "ff")]
+    s_n = ad.sum_axis(d, 1, keepdims=True)
+    parts = [d, s_n, ad.sum_axis(d, 2, keepdims=True), ad.sum_axis(s_n, 2, keepdims=True)]
+    return ad.dense(parts, fold_weights(w["qq"], w["fq"], w["qf"], w["ff"], n),
+                    fold_bias(*b, w["fq"], w["qf"], w["ff"], n, k), relu=True)
 
 
 def output_powers(tape: Tape, d_last: Var, store: ParameterStore,

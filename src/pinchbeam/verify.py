@@ -389,11 +389,6 @@ def primitive_grad_checks(seed: int = 0) -> dict[str, float]:
         lambda t, s: ad.diagonal(t.param(s, "x"), 2, 3), (2, 3, 4, 5))
     run("diagonal_last2", {"x": u((3, 4, 4))},
         lambda t, s: ad.diagonal(t.param(s, "x"), -2, -1), (3, 4))
-    # The leave-one-out sums, over an inner and a negative axis.
-    run("sum_others", {"x": u((2, 3, 4))},
-        lambda t, s: ad.sum_others(t.param(s, "x"), 1), (2, 3, 4))
-    run("sum_others_negative_axis", {"x": u((2, 3, 4, 5))},
-        lambda t, s: ad.sum_others(t.param(s, "x"), -2), (2, 3, 4, 5))
     # dense with its relu output summed inside the node, over an axis (kept)
     # and over the off-diagonal of two, on two parts that broadcast across
     # each other as the placement processor's pair does. Every coordinate
@@ -453,6 +448,27 @@ def primitive_grad_checks(seed: int = 0) -> dict[str, float]:
         return y
 
     run("dense_released_in_forward", p, released_in_forward, (2, 3, 3, 3))
+    # The weight and bias folds of both GNNs, with every branch built: the
+    # placement main net's first layer at z width 3 reading two branches
+    # of width 2 from hidden width 4, and the precoder layer at N = 3,
+    # K = 4 from input width 2 (message width 3, hidden width 4). The
+    # folded biases read only the rows of the weights that follow the
+    # branches and the messages, so their entries leave out the other rows
+    # (z width 0, input width 0), whose adjoints are exact zeros.
+    run("pbf_weight_fold", {"w0": u((7, 5)), "wa": u((4, 2)), "wb": u((4, 2))},
+        lambda t, s: pbf.fold_weights(t.param(s, "w0"), [t.param(s, "wa"), t.param(s, "wb")],
+                                      3, [3, 5]), (19, 5), nonzero=True)
+    run("pbf_bias_fold", {"b0": u((5,)), "w0": u((4, 5)), "ba": u((2,)), "bb": u((2,))},
+        lambda t, s: pbf.fold_bias(t.param(s, "b0"), t.param(s, "w0"),
+                                   [t.param(s, "ba"), t.param(s, "bb")], [2, 3], [0, 2]),
+        (5,), nonzero=True)
+    run("tbf_weight_fold", {"qq": u((2, 3)), "fq": u((5, 3)), "qf": u((5, 3)), "ff": u((8, 4))},
+        lambda t, s: tbf.fold_weights(*(t.param(s, n) for n in ("qq", "fq", "qf", "ff")), 3),
+        (8, 4), nonzero=True)
+    run("tbf_bias_fold", {"b_qq": u((3,)), "b_fq": u((3,)), "b_qf": u((3,)), "b_ff": u((4,)),
+                          "fq": u((3, 3)), "qf": u((3, 3)), "ff": u((6, 4))},
+        lambda t, s: tbf.fold_bias(*(t.param(s, n) for n in (
+            "b_qq", "b_fq", "b_qf", "b_ff", "fq", "qf", "ff")), 3, 4), (4,), nonzero=True)
     return results
 
 

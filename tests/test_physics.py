@@ -105,6 +105,15 @@ class TestSystemConfig:
         with pytest.raises(InvalidConfigError, match="snr_db"):
             default_config(2, 1, 2, snr_db=snr_db)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, 0.0, True])
+    def test_path_const_override_validated(self, value):
+        # Each used to get through: -1.0 to a NaN input scale and a math
+        # domain error in the channel, NaN to an SE of nan, 0.0 to a
+        # ZeroDivisionError, and True to eta = 1.0.
+        with pytest.raises(InvalidConfigError, match="path_const_override_m2"):
+            SystemConfig(n_waveguides=1, n_pinch_per_wg=1, n_users=1,
+                         path_const_override_m2=value)
+
     def test_waveguide_y_uniform(self):
         cfg = default_config(4, 1, 1)
         np.testing.assert_allclose(cfg.waveguide_y(), [1.25, 3.75, 6.25, 8.75])

@@ -126,7 +126,7 @@ class TestForwardWithoutRecording:
 
     def test_policy_forward_peak_at_c7(self):
         # B = 1, N = K = 8, M = 3 with the default model, after a warm-up
-        # call: 3.4 MB; 6.4 MB while policy_forward ran on a recording tape
+        # call: 3.3 MB; 6.4 MB while policy_forward ran on a recording tape
         # that kept every interior value, VJP and rebuild to its return.
         import tracemalloc
 

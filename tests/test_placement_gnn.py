@@ -293,6 +293,46 @@ def _unfolded_pbf_layer(tape, d, store, prefix, in_width, model):
     return nested([d, msg], ("ff", "qf1", "qf2"))
 
 
+def _nested_pe_hidden_of_nodes(tape, z, store, prefix, names, specs, reduce=None):
+    """nested_pe_hidden with main's folded first-layer weights and bias
+    built from slice_axis, matmul, scalar_scale, concat and dense nodes."""
+    main_name, same_name, other_name = names
+    zs = ad.as_parts(z)
+    n, m = np.broadcast_shapes(*(p.shape[:-1] for p in zs))[1:3]
+    hidden = {}
+    if n > 1:
+        s_b = pbf._hidden(tape, store, f"{prefix}.{other_name}", zs, 2)
+        hidden[other_name] = [s_b, ad.sum_axis(s_b, 1, keepdims=True)]
+    if m > 1:
+        r_a = pbf._hidden(tape, store, f"{prefix}.{same_name}", zs)
+        hidden[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
+    parts = {name: hidden[name] for name in (same_name, other_name) if name in hidden}
+    counts = {same_name: m - 1, other_name: (n - 1) * m}
+    outs = {name: pbf._output_params(tape, specs[name], store, f"{prefix}.{name}")
+            for name in parts}
+    w0 = tape.param(store, f"{prefix}.{main_name}.W0")
+    b0 = tape.param(store, f"{prefix}.{main_name}.b0")
+    md = specs[same_name].widths[-1]
+    zw = w0.shape[0] - 2 * md
+    first_row = {same_name: zw, other_name: zw + md}
+    w0_rows = {name: ad.slice_axis(w0, 0, first_row[name], first_row[name] + md)
+               for name in parts}
+    blocks = [ad.slice_axis(w0, 0, 0, sum(p.shape[-1] for p in zs))]
+    for name in parts:
+        fold = ad.matmul(outs[name][0], w0_rows[name])
+        blocks += [ad.scalar_scale(fold, -1.0), fold]
+    w = ad.concat(blocks, axis=0) if parts else blocks[0]
+    scaled = {name: ad.scalar_scale(outs[name][1], counts[name]) for name in parts}
+    b = b0
+    for name in reversed(parts):
+        b = ad.dense(scaled[name], w0_rows[name], b)
+    h = ad.dense(zs + [p for pair in parts.values() for p in pair], w, b, relu=True,
+                 reduce=reduce)
+    if same_name in parts and parts[same_name][0].idx in tape.rebuilds:
+        tape.release(*parts[same_name])
+    return h
+
+
 def _skipped_subnets(n, m, k):
     """Subnets of a pbf layer whose leave-one-out set is empty at (N, M, K)."""
     skipped = set()
@@ -343,6 +383,38 @@ class TestFoldedOutputLayers:
                 assert np.max(np.abs(ref)) > 0.0, (n, m, k, name)
                 err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-12, (n, m, k, name, err)
+
+    @pytest.mark.parametrize("shape,batch", [((2, 1, 2), 64), ((8, 3, 8), 8),
+                                             ((3, 2, 4), 5), ((1, 1, 1), 3)])
+    def test_fold_nodes_bit_equal_to_the_nodes_they_fold(self, shape, batch, monkeypatch):
+        # pbf_forward's outputs and every pbf.* gradient of a weighted sum
+        # of them are bit for bit those of folds built from one node per
+        # slice, product, negation, concat and bias term, with random
+        # biases so that every bias term is live.
+        cfg = default_config(*shape)
+        model = ModelConfig()
+        store = init_parameters(cfg, model, 0)
+        rng = np.random.default_rng(23)
+        for name in store.names():
+            if name.startswith("pbf.") and ".b" in name:
+                store.values[name][...] = rng.uniform(-0.3, 0.3, store.values[name].shape)
+        phi = rng.uniform(0.0, cfg.D, (batch, cfg.K, 2))
+        weights = {f: rng.uniform(0.5, 1.5, (batch, cfg.N) if f == "first_x" else
+                                  (batch, cfg.N, cfg.M - (f == "gaps")))
+                   for f in ("first_x", "gaps", "positions_x")}
+
+        def run():
+            tape = Tape()
+            out = pbf.pbf_forward(tape, phi, store, cfg, model)
+            values = [getattr(out, f).value.tobytes() for f in weights]
+            terms = [ad.sum_axis(ad.mul(getattr(out, f), tape.constant(wf)), tuple(range(wf.ndim)))
+                     for f, wf in weights.items()]
+            ad.backward_into(store, ad.add(ad.add(terms[0], terms[1]), terms[2]))
+            return values, {n: g.tobytes() for n, g in store.grads.items() if n.startswith("pbf.")}
+
+        folded = run()
+        monkeypatch.setattr(pbf, "nested_pe_hidden", _nested_pe_hidden_of_nodes)
+        assert run() == folded
 
     def test_only_same_branch_hidden_state_at_pair_resolution(self):
         # The leave-one-out sums are taken as total minus own inside the
@@ -411,7 +483,7 @@ class TestFoldedOutputLayers:
             tracemalloc.stop()
 
     def test_training_step_peak_at_k8(self):
-        # B = 8, N = K = 8, M = 3: 44.8 MB, set inside layer 3's processor
+        # B = 8, N = K = 8, M = 3: 44.1 MB, set inside layer 3's processor
         # main VJP, now that the forward pass releases r_a and its slot sum
         # once main has read them and main's VJP drops each sum of its
         # adjoint once its last part has used it. 55.8 MB while they stayed
@@ -420,9 +492,39 @@ class TestFoldedOutputLayers:
         assert self._traced_peak((8, 3, 8), 8) <= 48e6
 
     def test_training_step_peak_at_c5(self):
-        # B = 64, N = K = 2, M = 1: 8.2 MB; 11.2 MB while the sweep kept
-        # every forward value to its end.
-        assert self._traced_peak((2, 1, 2), 64) <= 9.5e6
+        # B = 64, N = K = 2, M = 1: 6.8 MB, set inside the last precoder
+        # layer's weight-fold VJP; 8.2 MB while the precoder layer ran as
+        # four dense and three leave-one-out nodes and the placement folds
+        # as 10-13 nodes each, 11.2 MB while the sweep kept every forward
+        # value to its end.
+        assert self._traced_peak((2, 1, 2), 64) <= 7e6
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (8, 3, 8)])
+    def test_only_folds_read_parameters_alone(self, shape):
+        # On C5 and K8 loss tapes the interior nodes whose parents are all
+        # parameters are the folds (two per nested map, two per precoder
+        # layer) and, where K > 2, the processor output layer's
+        # count-scaled bias (K-1) b, one per placement layer: 18 at C5 and
+        # 21 at K8, against 42 and 75 while the folds took 10-13 nodes each
+        # and the precoder layer was unfolded.
+        from collections import Counter
+
+        from pinchbeam.training import loss_on_tape, train_dataset
+        cfg = default_config(*shape)
+        model = ModelConfig()
+        tape = Tape()
+        loss_on_tape(tape, train_dataset(cfg, 2, 0), init_parameters(cfg, model, 0), cfg, model)
+        params = {idx for _, idx in tape.param_slots}
+        found = Counter(tape.ops[i] for i, parents in enumerate(tape.parents)
+                        if parents and all(p in params for p in parents))
+        layers = model.pbf_layers
+        expected = Counter({"pbf_weight_fold": 2 * layers, "pbf_bias_fold": 2 * layers,
+                            "tbf_weight_fold": model.tbf_layers,
+                            "tbf_bias_fold": model.tbf_layers})
+        if cfg.K > 2:
+            expected["scalar_scale"] = layers
+        assert found == expected
+        assert sum(found.values()) == {(2, 1, 2): 18, (8, 3, 8): 21}[shape]
 
     def test_processor_builds_other_before_same(self):
         # In every processor layer of a K8 loss tape qq2's dense node (the

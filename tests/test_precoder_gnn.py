@@ -41,60 +41,129 @@ class TestInitEdges:
         assert np.all(d.value == 0.0)
 
 
+def _layer_store(in_width, seed, random_biases=False):
+    """The four subnets of ``tbf.layer1`` at ``in_width``; ``random_biases``
+    redraws every weight and bias (init_fnn leaves the biases at zero,
+    which would hide the folded bias)."""
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    specs = tbf.layer_specs(in_width, MICRO)
+    for name in tbf.SUBNET_NAMES:
+        ad.init_fnn(store, f"tbf.layer1.{name}", specs[name], rng)
+    if random_biases:
+        for name in store.names():
+            store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
+    return store
+
+
+def _tbf_layer_value(d, store):
+    tape = Tape()
+    return tbf.tbf_layer(tape, tape.constant(d), store, "tbf.layer1", d.shape[-1],
+                         MICRO).value
+
+
+def _sum_others(a, axis):
+    """Leave-one-out sum along ``axis``, as total minus own."""
+    return ad.sub(ad.sum_axis(a, axis, keepdims=True), a)
+
+
+def _unfolded_tbf_layer(tape, d, store, prefix, in_width, model):
+    """tbf_layer as its four subnets: each waveguide map y_n = main([z_n,
+    sum_{i != n} ctx(z_i)]) runs its subnets in full and takes the
+    leave-one-out sums of their outputs."""
+    specs = tbf.layer_specs(in_width, model)
+
+    def waveguide_pe_map(zs, main, ctx):
+        a = ad.fnn_forward(tape, specs[ctx], store, f"{prefix}.{ctx}", zs)
+        return ad.fnn_forward(tape, specs[main], store, f"{prefix}.{main}",
+                              zs + [_sum_others(a, 1)])
+
+    msg = _sum_others(waveguide_pe_map([d], "fq", "qq"), -2)
+    return waveguide_pe_map([d, msg], "ff", "qf")
+
+
 class TestWaveguidePeMap:
-    def _apply(self, z, seed=0):
-        specs = tbf.layer_specs(z.shape[-1], MICRO)
-        store = ParameterStore()
-        rng = np.random.default_rng(seed)
-        ad.init_fnn(store, "tbf.layer1.qq", specs["qq"], rng)
-        ad.init_fnn(store, "tbf.layer1.fq", specs["fq"], rng)
-        tape = Tape()
-        return tbf.waveguide_pe_map(tape, tape.constant(z), store, "tbf.layer1",
-                                    ("fq", "qq"), specs).value
+    """tbf_layer is equivariant to waveguide permutations, and a single
+    waveguide's context is empty."""
 
     def test_single_waveguide_empty_context(self):
+        # At N = 1 the waveguide contexts of qq and qf are exact zeros: the
+        # layer is ff([d, msg, 0]) with msg the leave-one-out sum over users
+        # of fq([d, 0]). The fold leaves qq's and qf's terms to cancel, so
+        # the two agree to rounding.
         rng = np.random.default_rng(1)
-        z = rng.standard_normal((1, 1, 3, 2))
-        specs = tbf.layer_specs(2, MICRO)
-        store = ParameterStore()
-        ad.init_fnn(store, "tbf.layer1.qq", specs["qq"], rng)
-        ad.init_fnn(store, "tbf.layer1.fq", specs["fq"], rng)
-        tape = Tape()
-        out = tbf.waveguide_pe_map(tape, tape.constant(z), store, "tbf.layer1",
-                                   ("fq", "qq"), specs)
-        manual_in = np.concatenate([z, np.zeros((1, 1, 3, MICRO.message_dim))], -1)
-        tape2 = Tape()
-        manual = ad.fnn_forward(tape2, specs["fq"], store, "tbf.layer1.fq",
-                                tape2.constant(manual_in))
-        np.testing.assert_allclose(out.value, manual.value, atol=1e-15)
+        d = rng.standard_normal((1, 1, 3, 2))
+        store = _layer_store(2, 1, random_biases=True)
+        v = {name: store.values[f"tbf.layer1.{name}"] for name in ("fq.W0", "fq.b0", "ff.W0",
+                                                                   "ff.b0")}
+        q = d @ v["fq.W0"][:2] + v["fq.b0"]
+        msg = q.sum(axis=2, keepdims=True) - q
+        manual = np.maximum(d @ v["ff.W0"][:2] + msg @ v["ff.W0"][2:2 + MICRO.message_dim]
+                            + v["ff.b0"], 0.0)
+        np.testing.assert_allclose(_tbf_layer_value(d, store), manual, rtol=0, atol=1e-13)
 
     def test_identical_rows_identical_outputs(self):
         rng = np.random.default_rng(2)
-        row = rng.standard_normal((1, 1, 3, 2))
-        z = np.repeat(row, 4, axis=1)
-        out = self._apply(z)
+        z = np.repeat(rng.standard_normal((1, 1, 3, 2)), 4, axis=1)
+        out = _tbf_layer_value(z, _layer_store(2, 0, random_biases=True))
         for n in range(1, 4):
             np.testing.assert_allclose(out[:, n], out[:, 0], atol=1e-12)
 
     def test_row_permutation(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((2, 4, 3, 2))
-        out = self._apply(z)
+        store = _layer_store(2, 0, random_biases=True)
+        out = _tbf_layer_value(z, store)
         perm = rng.permutation(4)
-        out_p = self._apply(z[:, perm])
-        np.testing.assert_allclose(out_p, out[:, perm], atol=1e-9)
+        np.testing.assert_allclose(_tbf_layer_value(z[:, perm], store), out[:, perm],
+                                   atol=1e-9)
+
+
+class TestFoldedLayer:
+    @pytest.mark.parametrize("in_width", [2, MICRO.hidden])
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 4), (8, 8), (1, 3), (2, 1)])
+    def test_matches_unfolded_reference(self, n, k, in_width):
+        # At the (N, K) of C5, (3, 2, 4), K8, (1, 2, 3) and (2, 3, 1), with
+        # random weights and biases: value and every parameter gradient of
+        # a weighted sum to 1e-12 of the subnets run in full. A gradient the
+        # reference has at exactly 0 (qq's at N = 1, whose terms cancel in
+        # the fold) is held to 1e-12 of the layer's largest gradient.
+        rng = np.random.default_rng(40)
+        store = _layer_store(in_width, 41, random_biases=True)
+        d = rng.standard_normal((2, n, k, in_width))
+        weights = rng.uniform(0.5, 1.5, (2, n, k, MICRO.hidden))
+
+        def run(layer_fn):
+            tape = Tape()
+            out = layer_fn(tape, tape.constant(d), store, "tbf.layer1", in_width, MICRO)
+            value = out.value  # read before the sweep releases it
+            ad.backward_into(store, ad.sum_axis(ad.mul(out, tape.constant(weights)),
+                                                tuple(range(4))))
+            return value, {name: g.copy() for name, g in store.grads.items()}
+
+        value, grads = run(tbf.tbf_layer)
+        ref_value, ref_grads = run(_unfolded_tbf_layer)
+        assert np.max(ref_value) > 0.0 and np.min(ref_value) == 0.0  # the relu acts
+        assert np.max(np.abs(value - ref_value)) <= 1e-12 * np.max(np.abs(ref_value))
+        largest = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            scale = np.max(np.abs(ref)) or largest
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
+
+    def test_one_dense_node_and_two_folds_per_layer(self):
+        # The layer pushes its eight parameters, three keepdims sums of d,
+        # the two folds and one dense node.
+        store = _layer_store(2, 0)
+        tape = Tape()
+        tbf.tbf_layer(tape, tape.constant(np.ones((1, 3, 2, 2))), store, "tbf.layer1", 2,
+                      MICRO)
+        assert sorted(tape.ops[1:]) == sorted(
+            ["const"] * 8 + ["sum_axis"] * 3 + ["tbf_weight_fold", "tbf_bias_fold", "dense"])
 
 
 class TestTbfLayer:
     def _layer(self, d, seed=0):
-        specs = tbf.layer_specs(d.shape[-1], MICRO)
-        store = ParameterStore()
-        rng = np.random.default_rng(seed)
-        for name in tbf.SUBNET_NAMES:
-            ad.init_fnn(store, f"tbf.layer1.{name}", specs[name], rng)
-        tape = Tape()
-        return tbf.tbf_layer(tape, tape.constant(d), store, "tbf.layer1",
-                             d.shape[-1], MICRO).value
+        return _tbf_layer_value(d, _layer_store(d.shape[-1], seed))
 
     def test_single_user(self):
         rng = np.random.default_rng(4)
