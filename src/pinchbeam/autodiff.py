@@ -444,8 +444,10 @@ def dense_preactivation(xvs: Sequence[np.ndarray], blocks: Sequence[np.ndarray],
         else:
             prods[host] += prods[i]
     y = groups.pop()
-    for p in reversed(groups):
-        y = y + p  # parts that cross: the sum grows to their broadcast shape
+    if groups:  # parts that cross: their sum takes their broadcast shape
+        y = np.broadcast_to(y, np.broadcast_shapes(y.shape, *(p.shape for p in groups))).copy()
+        for p in reversed(groups):
+            y += p
     return y
 
 
@@ -528,7 +530,11 @@ def dense(x: Var | Sequence[Var], w: Var, b: Var,
         if reduce is not None:
             g = np.broadcast_to(g if diag is None else np.expand_dims(g, axis), full)
             if mask is not None:
-                g = g * np.unpackbits(mask, count=math.prod(mask_shape)).view(bool).reshape(
+                # C order: the write-back below writes through g.reshape(-1,
+                # n_out), which silently copies any other layout, and g, still
+                # the masked adjoint, would be returned as the part's gradient.
+                g = np.array(g, order="C")
+                g *= np.unpackbits(mask, count=math.prod(mask_shape)).view(bool).reshape(
                     mask_shape)
         elif relu:
             g = np.multiply(g, values[idx] > 0.0, out=g if g.flags.writeable else None)

@@ -1,8 +1,8 @@
 """Heuristic baseline and brute-force searches used to ground the tests.
 
-The baseline (single antenna per waveguide) places each antenna at the x-axis
-position of the user closest to that waveguide and applies zero-forcing with
-equal per-user power. The grid searches are deliberately guarded to desk
+The baseline clusters each waveguide's antennas at the minimum gap around the
+user closest to that waveguide and applies zero-forcing with equal per-user
+power, at every (N, M, K). The grid searches are deliberately guarded to desk
 scale; they exist to estimate optima, not to run large systems.
 """
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .errors import (DegenerateInputError, InvalidConfigError,
-                     OracleIneligibleError, RankDeficientError)
+from .errors import DegenerateInputError, OracleIneligibleError, RankDeficientError
 from .physics import (AntennaLayout, UserPositions, build_pinching_matrix,
                       compute_channel, compute_se, effective_channel,
                       layout_positions)
@@ -54,20 +53,24 @@ class BaselineResult:
 
 
 def baseline_closest_user(users: UserPositions, cfg: SystemConfig) -> BaselineResult:
-    """Closest-user placement + zero-forcing; defined for M = 1 only.
+    """Closest-user placement + zero-forcing, at every (N, M, K).
 
     "Closest" means closest to the waveguide axis (the line y = y_n, z = d);
-    x does not enter since the antenna can slide along the guide. Ties break
-    toward the lowest user index.
+    x does not enter since the antennas can slide along the guide. Ties break
+    toward the lowest user index. Waveguide n's antennas sit ``min_gap_m``
+    apart, centred on that user's x and shifted into [0, D].
     """
-    if cfg.M != 1:
-        raise InvalidConfigError(f"baseline is defined for one antenna per waveguide, M={cfg.M}")
     wy = cfg.waveguide_y()
     # Squared distance of user k to waveguide n's axis: (y_k - y_n)^2 + d^2.
     dist2 = (users.positions[None, :, 1] - wy[:, None]) ** 2 + cfg.d ** 2
     chosen = np.argmin(dist2, axis=1)
-    first_x = users.positions[chosen, 0]
-    layout = layout_positions(cfg, first_x, np.zeros((cfg.N, 0)))
+    gaps = np.full((cfg.N, cfg.M - 1), cfg.min_gap_m)
+    # The end antennas' distance as the layout's own cumulative sum makes it.
+    span = AntennaLayout(np.zeros(cfg.N), gaps, wy, cfg.d).x_positions()[:, -1]
+    first_x = np.clip(users.positions[chosen, 0] - span / 2, 0.0, cfg.D - span)
+    # D - span may round up, so that first_x + span lands one ulp past D.
+    first_x = np.where(first_x + span > cfg.D, np.nextafter(first_x, 0.0), first_x)
+    layout = layout_positions(cfg, first_x, gaps)
     h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
     g = build_pinching_matrix(layout, cfg.guide_wavelength)
     ht = effective_channel(h, g)

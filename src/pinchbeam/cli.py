@@ -227,7 +227,6 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     """SE vs SNR for the learned policy and the closest-user + ZF baseline.
 
     Noise power is pinned to 1 W and the budget set to 10^(SNR/10) W per row.
-    The baseline column stays empty unless M = 1.
     """
     n_samples = _count("--n-samples", n_samples)
     seed = _seed(seed)
@@ -260,14 +259,10 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     rows = []
     for snr, cfg_snr in zip(snrs, snr_cfgs):
         result = training.evaluate(ckpt.store, cfg_snr, ckpt.model, n_samples, seed)
-        if ckpt.cfg.M == 1:
-            data = training.test_dataset(cfg_snr, n_samples, seed)
-            base = np.mean([baselines.baseline_se(UserPositions.from_xy(data[i]), cfg_snr)
-                            for i in range(n_samples)])
-            base_field = float(base)
-        else:
-            base_field = ""
-        rows.append([snr, result.mean_se, base_field, n_samples])
+        data = training.test_dataset(cfg_snr, n_samples, seed)
+        base = np.mean([baselines.baseline_se(UserPositions.from_xy(data[i]), cfg_snr)
+                        for i in range(n_samples)])
+        rows.append([snr, result.mean_se, float(base), n_samples])
     csv_path = out / "sweep.csv"
     _write_csv(csv_path, ["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"],
                rows)
@@ -281,12 +276,10 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_dir", required=True)
 def cmd_baseline(config_path, n_samples, seed, out_dir):
-    """Closest-user + zero-forcing baseline on a fresh test stream (M = 1)."""
+    """Closest-user + zero-forcing baseline on a fresh test stream, at any shape."""
     n_samples = _count("--n-samples", n_samples)
     seed = _seed(seed)
     cfg = _load_config(config_path)
-    if cfg.M != 1:
-        _fail(EXIT_INVALID_CONFIG, "baseline is defined for M = 1 only")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = training.test_dataset(cfg, n_samples, seed)

@@ -380,11 +380,8 @@ def pbf_forward(tape: Tape, phi: np.ndarray, store: ParameterStore,
     s = index_feature(cfg.N, cfg.M)
     first_x, gap_slots = pbf_actions(tape, phi, s, store, cfg, model)
     gaps = ad.slice_axis(gap_slots, -1, 1, cfg.M)
-    if cfg.M > 1:
-        csum = ad.matmul(gaps, tape.constant(np.triu(np.ones((cfg.M - 1, cfg.M - 1)))))
-        zeros = tape.constant(np.zeros(gaps.shape[:-1] + (1,)))
-        offsets = ad.concat([zeros, csum], axis=-1)
-    else:
-        offsets = tape.constant(np.zeros(first_x.shape + (1,)))
+    csum = ad.matmul(gaps, tape.constant(np.triu(np.ones((cfg.M - 1, cfg.M - 1)))))
+    zeros = tape.constant(np.zeros(gaps.shape[:-1] + (1,)))
+    offsets = ad.concat([zeros, csum], axis=-1)
     positions_x = ad.add(ad.reshape(first_x, first_x.shape + (1,)), offsets)
     return PbfOut(first_x, gaps, positions_x)

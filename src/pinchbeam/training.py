@@ -233,9 +233,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise IncompatibleCheckpointError(f"checkpoint {path} is not valid JSON") from exc
     if not isinstance(doc, dict):
         raise IncompatibleCheckpointError(f"checkpoint {path} is not a JSON object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise IncompatibleCheckpointError(
-            f"unsupported checkpoint format {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:  # not true, 1.0
+        raise IncompatibleCheckpointError(f"unsupported checkpoint format {version!r}")
     try:
         cfg = SystemConfig.from_json_dict(doc["config"])
         model = ModelConfig.from_json_dict(doc["arch"])

@@ -700,6 +700,29 @@ class TestReducedDense:
         unpacked = np.unpackbits(packed[0], count=mask.size).astype(bool)
         np.testing.assert_array_equal(unpacked.reshape(mask.shape), mask)
 
+    def test_write_back_into_a_full_resolution_part(self):
+        # A masked adjoint of 4*24*24*64 floats (1.18 MB) spans two row
+        # blocks, so the VJP writes the adjoint of the part as wide as the
+        # output at full resolution back into it; each gradient still
+        # equals the unfused composition's.
+        rng = np.random.default_rng(43)
+        shapes = ((4, 24, 1, 8), (4, 1, 24, 8), (4, 24, 24, 64))
+        inputs = [rng.standard_normal(s) for s in shapes]
+        wv, bv = rng.standard_normal((80, 64)) / 8, rng.standard_normal(64)
+        weights = rng.standard_normal((4, 24, 64))
+        grads = []
+        for fused in (True, False):
+            tape = Tape()
+            leaves = [tape.constant(v) for v in inputs + [wv, bv]]
+            if fused:
+                y = ad.dense(leaves[:3], *leaves[3:], relu=True, reduce=(1, 2))
+            else:
+                y = _reduce(ad.dense(leaves[:3], *leaves[3:], relu=True), (1, 2))
+            adj = tape.backward(ad.sum_axis(ad.mul(y, tape.constant(weights)), (0, 1, 2)))
+            grads.append([adj[v.idx] for v in leaves])
+        for g, gr in zip(*grads):
+            np.testing.assert_allclose(g, gr, rtol=1e-12, atol=1e-12 * np.max(np.abs(gr)))
+
     def test_kink_distance_sees_reduced_relu(self):
         # kink_distance recomputes the full pre-activation from the parents,
         # though the node stores only its sum.

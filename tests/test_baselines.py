@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from pinchbeam.baselines import (OracleResult, baseline_closest_user,
                                  random_precoder_search, structure_power_sweep,
                                  zero_forcing)
 from pinchbeam.config import default_config
-from pinchbeam.errors import (InvalidConfigError, OracleIneligibleError,
-                              RankDeficientError)
+from pinchbeam.errors import OracleIneligibleError, RankDeficientError
 from pinchbeam.physics import (UserPositions, build_pinching_matrix,
                                check_feasibility, compute_channel, compute_se,
-                               effective_channel, random_feasible_layout,
-                               sample_users)
+                               effective_channel, layout_positions,
+                               random_feasible_layout, sample_users)
+from pinchbeam.training import test_dataset as held_out_dataset
 
 
 def physical_channel(cfg, seed):
@@ -23,6 +24,12 @@ def physical_channel(cfg, seed):
     h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
     g = build_pinching_matrix(layout, cfg.guide_wavelength)
     return effective_channel(h, g)
+
+
+def closest_user_x(cfg, xy):
+    """x of the user closest to each waveguide axis, lowest index on ties."""
+    dist2 = (xy[None, :, 1] - cfg.waveguide_y()[:, None]) ** 2 + cfg.d ** 2
+    return xy[np.argmin(dist2, axis=1), 0]
 
 
 class TestZeroForcing:
@@ -88,10 +95,51 @@ class TestBaseline:
         res = baseline_closest_user(users, cfg)
         assert res.layout.first_x[0] == pytest.approx(2.0)
 
-    def test_multi_antenna_unsupported(self):
-        cfg = default_config(1, 2, 1)
-        with pytest.raises(InvalidConfigError):
-            baseline_closest_user(sample_users(0, cfg), cfg)
+    def test_single_antenna_is_closest_user_then_zf(self):
+        # At M = 1 the cluster has no span: the antenna sits at the closest
+        # user's x, bit for bit, and W is ZF on that layout's channel.
+        cfg = default_config(2, 1, 2)
+        for xy in held_out_dataset(cfg, 500, 1):
+            users = UserPositions.from_xy(xy)
+            res = baseline_closest_user(users, cfg)
+            x = closest_user_x(cfg, xy)
+            layout = layout_positions(cfg, x, np.zeros((cfg.N, 0)))
+            ht = effective_channel(
+                compute_channel(users, layout, cfg.wavelength, cfg.path_const),
+                build_pinching_matrix(layout, cfg.guide_wavelength))
+            assert not res.used_pinv
+            assert res.layout.first_x.tobytes() == x.tobytes()
+            assert res.layout.gaps.shape == (cfg.N, 0)
+            assert res.h_tilde.tobytes() == ht.tobytes()
+            assert res.w.tobytes() == zero_forcing(ht, cfg.power_budget_w).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (4, 3, 4), (8, 3, 8), (1, 2, 1)])
+    def test_cluster_layout_feasible(self, shape):
+        # Random draws, then every user at x = 0 and every user at x = D.
+        cfg = default_config(*shape)
+        rng = np.random.default_rng(5)
+        span = (cfg.M - 1) * cfg.min_gap_m
+        for i in range(60):
+            xy = rng.uniform(0.0, cfg.D, size=(cfg.K, 2))
+            if i % 3:
+                xy[:, 0] = 0.0 if i % 3 == 1 else cfg.D
+            res = baseline_closest_user(UserPositions.from_xy(xy), cfg)
+            assert check_feasibility(res.layout, res.w, cfg) == []
+            assert np.all(res.layout.gaps == cfg.min_gap_m)
+            # Centred on the closest user unless that would leave [0, D].
+            np.testing.assert_allclose(
+                res.layout.first_x + span / 2,
+                np.clip(closest_user_x(cfg, xy), span / 2, cfg.D - span / 2),
+                rtol=0.0, atol=1e-12)
+            assert np.all(np.isfinite(res.w))
+
+    def test_cluster_end_rounding_kept_inside_region(self):
+        # fl(D - span) + span rounds one ulp past D at this D, gap and M.
+        cfg = replace(default_config(1, 4, 1), region_side_m=10.631004817341024,
+                      min_gap_m=0.04338144659510087)
+        res = baseline_closest_user(UserPositions.from_xy([[cfg.D, 1.0]]), cfg)
+        assert check_feasibility(res.layout, res.w, cfg) == []
+        assert res.layout.x_positions()[0, -1] == pytest.approx(cfg.D, abs=1e-12)
 
     def test_user_permutation_leaves_se(self):
         cfg = default_config(2, 1, 2)

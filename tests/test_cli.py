@@ -247,9 +247,22 @@ class TestSweepCommand:
         rows = list(csv.reader(csv1.decode().splitlines()))
         assert rows[0] == ["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"]
         assert len(rows) == 3
-        # Baseline present for M = 1 and nondecreasing in SNR.
+        # Baseline present and nondecreasing in SNR.
         assert rows[1][2] != ""
         assert float(rows[1][2]) <= float(rows[2][2])
+
+    def test_baseline_filled_at_multi_antenna_waveguides(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        default_config(2, 3, 2).save(config)
+        out = train_once(runner, config, tmp_path / "run")
+        result = runner.invoke(main, ["sweep", "--checkpoint", str(out / "checkpoint.json"),
+                                      "--snr-db", "0,10,20", "--n-samples", "4",
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(open(tmp_path / "s" / "sweep.csv")))
+        base = [float(row["mean_se_baseline"]) for row in rows]
+        assert len(base) == 3 and base[0] > 0
+        assert base[0] <= base[1] <= base[2]
 
     def test_snr_list_validation(self, runner, config_file, tmp_path):
         out = train_once(runner, config_file, tmp_path / "run")
@@ -348,13 +361,16 @@ class TestBaselineCommand:
         assert result.exit_code == 2, result.output
         assert "JSON object" in result.output
 
-    def test_m2_rejected(self, runner, tmp_path):
-        path = tmp_path / "m2.json"
-        default_config(1, 2, 1).save(path)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_multi_antenna_waveguides(self, runner, tmp_path, m):
+        path = tmp_path / "config.json"
+        default_config(2, m, 2).save(path)
         result = runner.invoke(main, ["baseline", "--config", str(path),
-                                      "--n-samples", "2",
+                                      "--n-samples", "5",
                                       "--out", str(tmp_path / "b")])
-        assert result.exit_code == 2
+        assert result.exit_code == 0, result.output
+        mean_se = json.loads((tmp_path / "b" / "baseline.json").read_text())["mean_se"]
+        assert np.isfinite(mean_se) and mean_se > 0
 
 
 class TestOracleCommand:

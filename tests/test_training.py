@@ -238,6 +238,18 @@ class TestCheckpoints:
         with pytest.raises(IncompatibleCheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_int(self, tmp_path, version):
+        # Each equals format 1 under == or after a cast, but is not format 1.
+        cfg = default_config(1, 1, 1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, pipeline.init_parameters(cfg, MICRO, 0), cfg, 0, MICRO)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IncompatibleCheckpointError, match="unsupported checkpoint format"):
+            load_checkpoint(path)
+
     def test_entry_names_validated(self, tmp_path):
         cfg = default_config(1, 1, 1)
         store = pipeline.init_parameters(cfg, MICRO, 0)
