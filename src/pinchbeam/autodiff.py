@@ -804,8 +804,8 @@ class ParameterStore:
     updates and serialization order deterministic. Entries added with
     ``trainable=False`` are frozen constants (serialized, never updated,
     skipped by gradient checks). A store holds values only until
-    :func:`backward_into` (or :meth:`zero_grads`) fills ``grads``, one array
-    per entry in ``values`` order; inference never allocates them.
+    :func:`backward_into` fills ``grads``, one array per entry in ``values``
+    order; inference never allocates them.
     """
 
     def __init__(self):
@@ -827,18 +827,8 @@ class ParameterStore:
     def trainable_names(self) -> list[str]:
         return [n for n in sorted(self.values) if n not in self._frozen]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
     def n_parameters(self) -> int:
         return sum(v.size for v in self.values.values())
-
-    def zero_grads(self) -> None:
-        """A fresh exactly-zero gradient for every entry."""
-        self.grads = {name: np.zeros_like(v) for name, v in self.values.items()}
 
     def grad_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(g * g)) for g in self.grads.values()))
@@ -867,6 +857,8 @@ class ParameterStore:
         frozen = set(frozen)
         store = cls()
         for e in entries:
+            if not all(type(v) in (int, float) for v in e["values"]):  # not "1.5", true
+                raise TypeError(f"entry {e['name']} values must be numbers")
             store.add(e["name"], np.asarray(e["values"], dtype=np.float64)
                       .reshape(e["shape"]), trainable=e["name"] not in frozen)
         return store

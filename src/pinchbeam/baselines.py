@@ -2,8 +2,10 @@
 
 The baseline clusters each waveguide's antennas at the minimum gap around the
 user closest to that waveguide and applies zero-forcing with equal per-user
-power, at every (N, M, K). The grid searches are deliberately guarded to desk
-scale; they exist to estimate optima, not to run large systems.
+power, at every (N, M, K). It and ``zero_forcing`` take optional leading batch
+axes; a batched call equals the stack of its per-draw calls bit for bit. The
+grid searches are deliberately guarded to desk scale; they exist to estimate
+optima, not to run large systems.
 """
 
 from __future__ import annotations
@@ -23,73 +25,82 @@ from .precoder_gnn import normalize_power_np
 _RANK_RTOL = 1e-10
 
 
+def _full_rank(ht: np.ndarray) -> np.ndarray:
+    """(...) bool: the draw's (N, K) effective channel has K <= N and full
+    column rank to the condition-number guard."""
+    sv = np.linalg.svd(ht, compute_uv=False)
+    return (ht.shape[-1] <= ht.shape[-2]) & (sv[..., -1] > _RANK_RTOL * sv[..., 0])
+
+
 def zero_forcing(h_tilde, p_max: float) -> np.ndarray:
-    """ZF precoder with equal per-user power and ||W||^2 = p_max.
+    """ZF precoder (..., N, K) with equal per-user power and ||W||^2 = p_max.
 
     Directions follow H (H^H H)^{-1}; each column is normalized, then scaled
-    by sqrt(p_max / K). Requires K <= N and full column rank.
+    by sqrt(p_max / K). Requires K <= N and full column rank in every draw.
     """
     ht = np.asarray(h_tilde, dtype=np.complex128)
-    n, k = ht.shape
-    if k > n:
-        raise RankDeficientError(f"zero-forcing needs K <= N, got K={k}, N={n}")
-    sv = np.linalg.svd(ht, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * sv[0]:
-        raise RankDeficientError("effective channel is (numerically) rank deficient")
-    gram = ht.conj().T @ ht
+    k = ht.shape[-1]
+    if not np.all(_full_rank(ht)):
+        raise RankDeficientError(f"zero-forcing needs K <= N and full column rank, "
+                                 f"got a (numerically) rank deficient {ht.shape} channel")
+    gram = ht.conj().swapaxes(-1, -2) @ ht
     w = ht @ np.linalg.solve(gram, np.eye(k, dtype=np.complex128))
-    w = w / np.linalg.norm(w, axis=0, keepdims=True)
+    w = w / np.linalg.norm(w, axis=-2, keepdims=True)
     return w * np.sqrt(p_max / k)
 
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """One sample's baseline: plain complex128 (N, K) arrays, no batch axes."""
+    """The baseline of one draw or of a batch: plain complex128 arrays with
+    the users' leading axes (...)."""
 
     layout: AntennaLayout
-    w: np.ndarray        # (N, K) complex
-    h_tilde: np.ndarray  # (N, K) complex
-    used_pinv: bool      # True when ZF fell back to a pseudo-inverse
+    w: np.ndarray          # (..., N, K) complex
+    h_tilde: np.ndarray    # (..., N, K) complex
+    used_pinv: np.ndarray  # (...) bool, True where ZF fell back to a pseudo-inverse
 
 
 def baseline_closest_user(users: UserPositions, cfg: SystemConfig) -> BaselineResult:
-    """Closest-user placement + zero-forcing, at every (N, M, K).
+    """Closest-user placement + zero-forcing, at every (N, M, K), per draw.
 
     "Closest" means closest to the waveguide axis (the line y = y_n, z = d);
     x does not enter since the antennas can slide along the guide. Ties break
     toward the lowest user index. Waveguide n's antennas sit ``min_gap_m``
-    apart, centred on that user's x and shifted into [0, D].
+    apart, centred on that user's x and shifted into [0, D]. A draw whose
+    channel is rank deficient gets the normalized pseudo-inverse instead of ZF.
     """
     wy = cfg.waveguide_y()
     # Squared distance of user k to waveguide n's axis: (y_k - y_n)^2 + d^2.
-    dist2 = (users.positions[None, :, 1] - wy[:, None]) ** 2 + cfg.d ** 2
-    chosen = np.argmin(dist2, axis=1)
-    gaps = np.full((cfg.N, cfg.M - 1), cfg.min_gap_m)
+    dist2 = (users.positions[..., None, :, 1] - wy[:, None]) ** 2 + cfg.d ** 2
+    chosen = np.argmin(dist2, axis=-1)
+    gaps = np.full(chosen.shape + (cfg.M - 1,), cfg.min_gap_m)
     # The end antennas' distance as the layout's own cumulative sum makes it.
-    span = AntennaLayout(np.zeros(cfg.N), gaps, wy, cfg.d).x_positions()[:, -1]
-    first_x = np.clip(users.positions[chosen, 0] - span / 2, 0.0, cfg.D - span)
+    span = AntennaLayout(np.zeros(chosen.shape), gaps, wy, cfg.d).x_positions()[..., -1]
+    first_x = np.clip(np.take_along_axis(users.positions[..., 0], chosen, axis=-1)
+                      - span / 2, 0.0, cfg.D - span)
     # D - span may round up, so that first_x + span lands one ulp past D.
     first_x = np.where(first_x + span > cfg.D, np.nextafter(first_x, 0.0), first_x)
     layout = layout_positions(cfg, first_x, gaps)
     h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
     g = build_pinching_matrix(layout, cfg.guide_wavelength)
     ht = effective_channel(h, g)
-    used_pinv = False
-    try:
-        w = zero_forcing(ht, cfg.power_budget_w)
-    except RankDeficientError:
-        w = np.linalg.pinv(ht.conj().T)
-        norms = np.linalg.norm(w, axis=0, keepdims=True)
+    used_pinv = ~_full_rank(ht)
+    w = np.empty_like(ht)
+    if not np.all(used_pinv):
+        w[~used_pinv] = zero_forcing(ht[~used_pinv], cfg.power_budget_w)
+    if np.any(used_pinv):
+        wp = np.linalg.pinv(ht[used_pinv].conj().swapaxes(-1, -2))
+        norms = np.linalg.norm(wp, axis=-2, keepdims=True)
         if np.any(norms == 0.0):
             raise DegenerateInputError("pseudo-inverse produced a zero column")
-        w = w / norms * np.sqrt(cfg.power_budget_w / cfg.K)
-        used_pinv = True
+        w[used_pinv] = wp / norms * np.sqrt(cfg.power_budget_w / cfg.K)
     return BaselineResult(layout, w, ht, used_pinv)
 
 
-def baseline_se(users: UserPositions, cfg: SystemConfig) -> float:
+def baseline_se(users: UserPositions, cfg: SystemConfig) -> float | np.ndarray:
+    """The baseline's sum SE per draw: a float for one draw, else (...)."""
     res = baseline_closest_user(users, cfg)
-    return float(compute_se(res.h_tilde, res.w, cfg.noise_power_w))
+    return compute_se(res.h_tilde, res.w, cfg.noise_power_w)
 
 
 # ---------------------------------------------------------------------------

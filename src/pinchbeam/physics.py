@@ -225,7 +225,7 @@ def check_feasibility(layout: AntennaLayout | None, w, config: SystemConfig) -> 
     """Every violated constraint of the placement/power problem; empty iff feasible.
 
     ``w`` may be None to check geometry only. Violations are data, not errors.
-    Checks one sample: a batched layout raises ValueError.
+    Checks one sample: a batched layout or precoder raises ValueError.
     """
     out: list[Violation] = []
     if layout is not None:
@@ -244,6 +244,8 @@ def check_feasibility(layout: AntennaLayout | None, w, config: SystemConfig) -> 
                 elif x[n, m] > config.D:
                     out.append(Violation("position_high", (n, m), x[n, m] - config.D))
     if w is not None:
+        if np.ndim(w) != 2:
+            raise ValueError(f"check_feasibility takes one (N, K) precoder, got {np.shape(w)}")
         power = float(np.sum(np.abs(np.asarray(w, dtype=np.complex128)) ** 2))
         if power > config.power_budget_w * (1.0 + POWER_RTOL):
             out.append(Violation("power", None, power - config.power_budget_w))

@@ -93,19 +93,21 @@ def forward_on_tape(tape: Tape, phi: np.ndarray, store: ParameterStore,
 @dataclass(frozen=True)
 class PolicyResult:
     layout: AntennaLayout
-    w: np.ndarray       # (N, K) complex precoder
-    se: float           # SE evaluated on the tape path
+    w: np.ndarray             # (..., N, K) complex precoder
+    se: float | np.ndarray    # (...,) SE on the tape path; a float for one draw
 
 
 def policy_forward(phi: np.ndarray, store: ParameterStore, cfg: SystemConfig,
                    model: ModelConfig) -> PolicyResult:
-    """Single-sample inference; materializes the layout and precoder.
+    """Inference on one draw (K, 2) or a batch (B, K, 2); materializes the
+    layout and precoder with the same leading axes.
 
     Runs on a tape that records nothing (``Tape(record=False)``), so each
     interior value is freed once the model code has read it."""
     phi = np.asarray(phi, dtype=np.float64)
-    out = forward_on_tape(Tape(record=False), phi[None], store, cfg, model)
-    layout = AntennaLayout(out.placement.first_x.value[0],
-                           out.placement.gaps.value[0],
-                           cfg.waveguide_y(), cfg.d)
-    return PolicyResult(layout, out.w.value[0], float(out.se.value[0]))
+    one = phi.ndim == 2
+    out = forward_on_tape(Tape(record=False), phi[None] if one else phi, store, cfg, model)
+    first_x, gaps, w, se = (v.value[0] if one else v.value for v in (
+        out.placement.first_x, out.placement.gaps, out.w, out.se))
+    return PolicyResult(AntennaLayout(first_x, gaps, cfg.waveguide_y(), cfg.d), w,
+                        float(se) if one else se)

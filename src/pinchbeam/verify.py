@@ -2,8 +2,8 @@
 
 Each check returns a PropertyCheck with the measured worst-case value and its
 threshold, so reports stay interpretable when something regresses. The
-physics checks call the plain-numpy oracle one sample at a time and compare
-the complex128 arrays it returns; that oracle also takes leading batch axes.
+physics and solver checks call the plain-numpy oracle once on a batch of
+``_DRAWS`` draws and compare the complex128 arrays it returns draw by draw.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import precoder_gnn as tbf
 from .autodiff import ParameterStore, Tape, grad_check
 from .config import SPEED_OF_LIGHT, ModelConfig, SystemConfig, default_config
 from .physics import (build_pinching_matrix, compute_channel, compute_se,
-                      effective_channel, random_feasible_layout, sample_users)
+                      effective_channel, random_feasible_layout, random_scenarios)
 from .training import loss_on_tape
 
 # Random draws per physics and solver check.
@@ -55,74 +55,66 @@ def _check(name: str, value: float, threshold: float, detail: str = "") -> Prope
 # physics properties
 
 
+def _complex_normal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def check_channel_magnitude(cfg: SystemConfig, seed: int) -> PropertyCheck:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_DRAWS):
-        users = sample_users(rng, cfg)
-        layout = random_feasible_layout(rng, cfg)
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-        ant = layout.antenna_positions().reshape(-1, 3)
-        r = np.linalg.norm(users.positions[None] - ant[:, None], axis=2)
-        err = np.abs(np.abs(h) * r - math.sqrt(cfg.path_const)) / math.sqrt(cfg.path_const)
-        worst = max(worst, float(err.max()))
-    return _check("channel_magnitude_law", worst, 1e-12,
+    users, layout = random_scenarios(np.random.default_rng(seed), cfg, _DRAWS)
+    h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+    ant = layout.antenna_positions().reshape(_DRAWS, -1, 3)
+    r = np.linalg.norm(users.positions[:, None] - ant[:, :, None], axis=-1)
+    err = np.abs(np.abs(h) * r - math.sqrt(cfg.path_const)) / math.sqrt(cfg.path_const)
+    return _check("channel_magnitude_law", float(err.max()), 1e-12,
                   "|h| * r == sqrt(eta), relative")
 
 
 def check_pinching_block_diagonal(cfg: SystemConfig, seed: int) -> PropertyCheck:
-    rng = np.random.default_rng(seed)
-    layout = random_feasible_layout(rng, cfg)
+    layout = random_feasible_layout(np.random.default_rng(seed), cfg)
     g = build_pinching_matrix(layout, cfg.guide_wavelength)
-    mask = np.ones_like(g, dtype=bool)
-    m = cfg.M
-    for n in range(cfg.N):
-        mask[n * m:(n + 1) * m, n] = False
-    worst = float(np.max(np.abs(g[mask]))) if mask.any() else 0.0
-    return _check("pinching_block_diagonal", worst, 0.0, "off-block entries exactly zero")
+    off_block = np.kron(np.eye(cfg.N), np.ones((cfg.M, 1))) == 0.0
+    return _check("pinching_block_diagonal", float(np.max(np.abs(g[off_block]), initial=0.0)),
+                  0.0, "off-block entries exactly zero")
 
 
 def check_pinching_energy(cfg: SystemConfig, seed: int) -> PropertyCheck:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_DRAWS):
-        layout = random_feasible_layout(rng, cfg)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        w = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        err = abs(np.linalg.norm(g @ w) - np.linalg.norm(w)) / np.linalg.norm(w)
-        worst = max(worst, float(err))
-    return _check("pinching_energy_preserving", worst, 1e-12, "||G w|| == ||w||, relative")
+    _, layout = random_scenarios(rng, cfg, _DRAWS)
+    g = build_pinching_matrix(layout, cfg.guide_wavelength)
+    w = _complex_normal(rng, (_DRAWS, cfg.N, cfg.K))
+    norm = np.linalg.norm(w, axis=(-2, -1))
+    err = np.abs(np.linalg.norm(g @ w, axis=(-2, -1)) - norm) / norm
+    return _check("pinching_energy_preserving", float(err.max()), 1e-12,
+                  "||G w|| == ||w||, relative")
 
 
 def check_effective_channel(cfg: SystemConfig, seed: int) -> PropertyCheck:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_DRAWS):
-        users = sample_users(rng, cfg)
-        layout = random_feasible_layout(rng, cfg)
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g)
-        w = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        direct = h.conj().T @ (g @ w)
-        via = ht.conj().T @ w
-        err = np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12)
-        worst = max(worst, float(err.max()))
-    return _check("effective_channel_consistency", worst, 1e-12,
+    users, layout = random_scenarios(rng, cfg, _DRAWS)
+    h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+    g = build_pinching_matrix(layout, cfg.guide_wavelength)
+    ht = effective_channel(h, g)
+    w = _complex_normal(rng, (_DRAWS, cfg.N, cfg.K))
+    direct = h.conj().swapaxes(-1, -2) @ (g @ w)
+    via = ht.conj().swapaxes(-1, -2) @ w
+    err = np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12)
+    return _check("effective_channel_consistency", float(err.max()), 1e-12,
                   "h_k^H G w == h_tilde_k^H w, relative")
 
 
 def check_se_permutation(cfg: SystemConfig, seed: int) -> PropertyCheck:
     rng = np.random.default_rng(seed)
+    ht = _complex_normal(rng, (_DRAWS, cfg.N, cfg.K))
+    w = _complex_normal(rng, (_DRAWS, cfg.N, cfg.K))
+    se = compute_se(ht, w, cfg.noise_power_w)
+    # A fresh user and waveguide relabeling per draw.
+    pu = rng.permuted(np.tile(np.arange(cfg.K), (_DRAWS, 1, 1)), axis=-1)
+    pa = rng.permuted(np.tile(np.arange(cfg.N)[:, None], (_DRAWS, 1, 1)), axis=-2)
     worst = 0.0
-    for _ in range(_DRAWS):
-        ht = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        w = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        se = compute_se(ht, w, cfg.noise_power_w)
-        pu = rng.permutation(cfg.K)
-        pa = rng.permutation(cfg.N)
-        worst = max(worst, abs(se - compute_se(ht[:, pu], w[:, pu], cfg.noise_power_w)))
-        worst = max(worst, abs(se - compute_se(ht[pa], w[pa], cfg.noise_power_w)))
+    for perm, axis in ((pu, -1), (pa, -2)):
+        relabeled = compute_se(np.take_along_axis(ht, perm, axis),
+                               np.take_along_axis(w, perm, axis), cfg.noise_power_w)
+        worst = max(worst, float(np.max(np.abs(se - relabeled))))
     return _check("se_permutation_invariance", worst, 1e-9,
                   "user/waveguide relabeling leaves SE unchanged")
 
@@ -237,33 +229,28 @@ def check_e2e_user_permutation(cfg: SystemConfig, seed: int, trials: int = 10) -
 
 def check_solve_residual(cfg: SystemConfig, seed: int) -> PropertyCheck:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_DRAWS):
-        ht = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        p = rng.uniform(0.1, 1.0, cfg.K)
-        lam = rng.uniform(0.0, 1.0, cfg.K)
-        w = tbf.recover_precoder_np(ht, p, lam, cfg.noise_power_w)
-        # (Lam H^H H + noise I) X == H^H W_target reconstruction check:
-        hth = ht.conj().T @ ht
-        a = lam[:, None] * hth + cfg.noise_power_w * np.eye(cfg.K)
-        x = np.linalg.solve(a, np.sqrt(p)[:, None] * np.eye(cfg.K, dtype=complex))
-        resid = np.linalg.norm(a @ x - np.sqrt(p)[:, None] * np.eye(cfg.K)) \
-            / np.linalg.norm(np.sqrt(p))
-        worst = max(worst, float(resid),
-                    float(np.max(np.abs(w - ht @ x)) / max(1.0, np.max(np.abs(w)))))
-    return _check("precoder_solve_residual", worst, 1e-10,
+    ht = _complex_normal(rng, (_DRAWS, cfg.N, cfg.K))
+    p = rng.uniform(0.1, 1.0, (_DRAWS, cfg.K))
+    lam = rng.uniform(0.0, 1.0, (_DRAWS, cfg.K))
+    w = tbf.recover_precoder_np(ht, p, lam, cfg.noise_power_w)
+    # (Lam H^H H + noise I) X == H^H W_target reconstruction check:
+    hth = ht.conj().swapaxes(-1, -2) @ ht
+    a = lam[..., None] * hth + cfg.noise_power_w * np.eye(cfg.K)
+    target = np.sqrt(p)[..., None] * np.eye(cfg.K, dtype=complex)
+    x = np.linalg.solve(a, target)
+    resid = np.linalg.norm(a @ x - target, axis=(-2, -1)) / np.linalg.norm(np.sqrt(p), axis=-1)
+    recovered = np.max(np.abs(w - ht @ x), axis=(-2, -1)) \
+        / np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1)))
+    return _check("precoder_solve_residual", float(max(resid.max(), recovered.max())), 1e-10,
                   "direct solve residual, relative")
 
 
 def check_normalize_idempotent(cfg: SystemConfig, seed: int) -> PropertyCheck:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_DRAWS):
-        w = rng.standard_normal((cfg.N, cfg.K)) + 1j * rng.standard_normal((cfg.N, cfg.K))
-        once = tbf.normalize_power_np(w, cfg.power_budget_w)
-        twice = tbf.normalize_power_np(once, cfg.power_budget_w)
-        worst = max(worst, float(np.max(np.abs(once - twice))))
-    return _check("normalize_power_idempotent", worst, 1e-12, "W' == normalize(W')")
+    w = _complex_normal(np.random.default_rng(seed), (_DRAWS, cfg.N, cfg.K))
+    once = tbf.normalize_power_np(w, cfg.power_budget_w)
+    twice = tbf.normalize_power_np(once, cfg.power_budget_w)
+    return _check("normalize_power_idempotent", float(np.max(np.abs(once - twice))), 1e-12,
+                  "W' == normalize(W')")
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,42 @@ class TestBaseline:
             ses = [baseline_se(users, c) for c in cfgs]
             assert ses[0] <= ses[1] <= ses[2]
 
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (4, 3, 4), (8, 3, 8), (2, 1, 3)])
+    def test_batch_equals_per_draw_bytes(self, shape):
+        # (2, 1, 3) has K > N, so every draw takes the pseudo-inverse.
+        cfg = default_config(*shape)
+        xy = held_out_dataset(cfg, 200, 2)
+        batch = baseline_closest_user(UserPositions.from_xy(xy), cfg)
+        ses = baseline_se(UserPositions.from_xy(xy), cfg)
+        assert batch.used_pinv.shape == ses.shape == (200,)
+        assert np.all(batch.used_pinv) == (cfg.K > cfg.N)
+        for i in range(200):
+            users = UserPositions.from_xy(xy[i])
+            one = baseline_closest_user(users, cfg)
+            assert one.w.tobytes() == batch.w[i].tobytes()
+            assert one.h_tilde.tobytes() == batch.h_tilde[i].tobytes()
+            assert one.layout.first_x.tobytes() == batch.layout.first_x[i].tobytes()
+            assert one.layout.gaps.tobytes() == batch.layout.gaps[i].tobytes()
+            assert one.used_pinv == batch.used_pinv[i]
+            assert np.float64(baseline_se(users, cfg)).tobytes() == ses[i].tobytes()
+
+    def test_pinv_fallback_chosen_per_draw(self):
+        # Two users at one position make draw 2's channel rank deficient.
+        cfg = default_config(2, 1, 2)
+        xy = held_out_dataset(cfg, 5, 3)
+        xy[2] = [[4.0, 5.0], [4.0, 5.0]]
+        batch = baseline_closest_user(UserPositions.from_xy(xy), cfg)
+        assert batch.used_pinv.tolist() == [False, False, True, False, False]
+        for i in range(5):
+            one = baseline_closest_user(UserPositions.from_xy(xy[i]), cfg)
+            assert one.used_pinv == batch.used_pinv[i]
+            assert one.w.tobytes() == batch.w[i].tobytes()
+        with pytest.raises(RankDeficientError):
+            zero_forcing(batch.h_tilde, cfg.power_budget_w)
+        full = np.arange(5) != 2
+        assert zero_forcing(batch.h_tilde[full], cfg.power_budget_w).tobytes() \
+            == batch.w[full].tobytes()
+
     def test_duplicate_user_positions_pinv_fallback(self):
         cfg = default_config(2, 1, 2)
         users = UserPositions.from_xy([[4.0, 5.0], [4.0, 5.0]])

@@ -199,7 +199,8 @@ class TestEvalCommand:
         assert result.exit_code == 4, result.output
         assert "checkpoint seed" in result.output
 
-    @pytest.mark.parametrize("corruption", ["nan_weight", "transposed_weight"])
+    @pytest.mark.parametrize("corruption", ["nan_weight", "transposed_weight", "string_weight",
+                                            "bool_weight"])
     def test_bad_checkpoint_weights_exit_4(self, runner, tmp_path, corruption):
         cfg = default_config(1, 1, 1)
         model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=6, message_dim=6)
@@ -210,6 +211,8 @@ class TestEvalCommand:
         entry = next(e for e in doc["entries"] if e["name"] == "pbf.head.gap.W0")
         if corruption == "nan_weight":
             entry["values"][0] = float("nan")
+        elif corruption in ("string_weight", "bool_weight"):
+            entry["values"][0] = "1.5" if corruption == "string_weight" else True
         else:
             entry["shape"] = entry["shape"][::-1]
         ckpt.write_text(json.dumps(doc))

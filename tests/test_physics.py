@@ -405,6 +405,14 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="one layout"):
             check_feasibility(layout, None, cfg)
 
+    def test_batched_precoder_rejected(self):
+        # Summed over the batch, three in-budget precoders read as a power violation.
+        cfg = default_config(2, 2, 2)
+        w = np.full((3, 2, 2), math.sqrt(cfg.power_budget_w / 4.0), dtype=complex)
+        assert check_feasibility(None, w[0], cfg) == []
+        with pytest.raises(ValueError, match=r"one \(N, K\) precoder"):
+            check_feasibility(None, w, cfg)
+
     def test_position_out_of_region(self):
         cfg = default_config(1, 1, 1)
         layout = AntennaLayout([cfg.D + 0.5], np.zeros((1, 0)), cfg.waveguide_y(), cfg.d)

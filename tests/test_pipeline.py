@@ -144,3 +144,39 @@ class TestForwardWithoutRecording:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5e6
+
+    def test_evaluate_peak_at_c7(self):
+        # Evaluation runs C7-sized shapes one draw at a time, so three draws
+        # peak no higher than one policy_forward.
+        import tracemalloc
+
+        from pinchbeam import training
+        cfg = default_config(8, 3, 8)
+        model = ModelConfig()
+        store = pipeline.init_parameters(cfg, model, 0)
+        training.evaluate(store, cfg, model, 1, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training.evaluate(store, cfg, model, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4)])
+    def test_batched_policy_forward_stacks_single_draws(self, shape):
+        cfg = default_config(*shape)
+        store = pipeline.init_parameters(cfg, MICRO, 0)
+        phi = np.random.default_rng(2).uniform(0, cfg.D, (4, cfg.K, 2))
+        batch = pipeline.policy_forward(phi, store, cfg, MICRO)
+        assert batch.se.shape == (4,) and batch.w.shape == (4, cfg.N, cfg.K)
+        assert batch.layout.first_x.shape == (4, cfg.N)
+        assert batch.layout.gaps.shape == (4, cfg.N, cfg.M - 1)
+        for i in range(4):
+            one = pipeline.policy_forward(phi[i], store, cfg, MICRO)
+            assert isinstance(one.se, float)
+            assert one.se == pytest.approx(batch.se[i], rel=1e-12)
+            np.testing.assert_allclose(one.w, batch.w[i], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(one.layout.x_positions(),
+                                       batch.layout.x_positions()[i], rtol=1e-12)

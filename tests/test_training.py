@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ class TestEvaluate:
         assert res.mean_se == pytest.approx(res.per_sample_se.mean(), rel=1e-15)
         assert res.mean_time_s > 0.0
 
+    @pytest.mark.parametrize("shape,n_test", [((2, 1, 2), 200), ((4, 3, 4), 20),
+                                              ((8, 3, 8), 2)])
+    def test_matches_per_draw_results(self, shape, n_test):
+        # Chunks of 192, 8 and 1 draws: n_test leaves a short last chunk at
+        # (2, 1, 2) and (4, 3, 4).
+        cfg = default_config(*shape)
+        store = pipeline.init_parameters(cfg, MICRO, 3)
+        res = evaluate(store, cfg, MICRO, n_test, seed=4)
+        per_draw = [reference_se(phi, pipeline.policy_forward(phi, store, cfg, MICRO), cfg)
+                    for phi in held_out_dataset(cfg, n_test, 4)]
+        np.testing.assert_allclose(res.per_sample_se, per_draw, rtol=1e-12, atol=0.0)
+        again = evaluate(store, cfg, MICRO, n_test, seed=4)
+        assert again.per_sample_se.tobytes() == res.per_sample_se.tobytes()
+
     def test_outputs_feasible(self):
         cfg = default_config(2, 2, 2)
         store = pipeline.init_parameters(cfg, MICRO, 2)
@@ -200,6 +215,36 @@ class TestEvaluate:
         for i in range(5):
             result = pipeline.policy_forward(data[i], store, cfg, MICRO)
             assert check_feasibility(result.layout, result.w, cfg) == []
+
+
+class TestGradClip:
+    """``train`` scales the gradient to the clip's global norm only when it is larger."""
+
+    TC = TrainConfig(n_train=16, n_test=1, batch_size=8, epochs=2, learning_rate=1e-3,
+                     seed=4, snr_db=10.0)
+
+    def test_clip_below_the_norm_hands_adam_the_clip_norm(self, monkeypatch):
+        import pinchbeam.training as training_mod
+        norms = []
+
+        def recording_step(store, state, lr):
+            norms.append(store.grad_norm())
+            original_step(store, state, lr)
+
+        original_step = training_mod.adam_step
+        monkeypatch.setattr(training_mod, "adam_step", recording_step)
+        clip = 1e-6
+        train(replace(self.TC, grad_clip=clip), default_config(2, 1, 2), MICRO)
+        assert len(norms) == 4
+        for norm in norms:
+            assert abs(norm - clip) <= 1e-12 * clip
+
+    def test_clip_above_the_norm_changes_nothing(self):
+        cfg = default_config(2, 1, 2)
+        clipped, _ = train(replace(self.TC, grad_clip=1e9), cfg, MICRO)
+        plain, _ = train(self.TC, cfg, MICRO)
+        for name in plain.names():
+            assert clipped.values[name].tobytes() == plain.values[name].tobytes(), name
 
 
 class TestCheckpoints:
@@ -270,6 +315,20 @@ class TestCheckpoints:
         doc["entries"][0]["name"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(IncompatibleCheckpointError, match="names must be strings"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["1.5", True, False, None, [0.5], {"re": 0.5}])
+    def test_ill_typed_entry_values_rejected(self, tmp_path, value):
+        # np.asarray(..., dtype=float64) would read "1.5" as 1.5 and true as 1.0.
+        cfg = default_config(1, 1, 1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, pipeline.init_parameters(cfg, MICRO, 0), cfg, 0, MICRO)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["values"][0] = value
+        path.write_text(json.dumps(doc))
+        name = doc["entries"][0]["name"]
+        with pytest.raises(IncompatibleCheckpointError,
+                           match=f"entry {name} values must be numbers"):
             load_checkpoint(path)
 
     def test_checkpoint_names_follow_scheme(self):
