@@ -87,7 +87,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, SingularityError
+from .errors import SingularityError
 
 
 # The value of every released node, checked by identity: an empty read-only
@@ -894,53 +894,17 @@ def backward_into(store: ParameterStore, loss: Var) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fully-connected building block
+# fully-connected weights
 
 
-@dataclass(frozen=True)
-class FnnSpec:
-    """Widths (input first) of a fully-connected net: relu hidden layers and
-    an identity output layer, or a relu one if ``final_relu``."""
-
-    widths: tuple[int, ...]
-    final_relu: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 2:
-            raise InvalidConfigError("FnnSpec needs at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise InvalidConfigError(f"widths must be positive, got {self.widths}")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.widths) - 1
-
-
-def init_fnn(store: ParameterStore, prefix: str, spec: FnnSpec,
+def init_fnn(store: ParameterStore, prefix: str, widths: Sequence[int],
              rng: np.random.Generator) -> None:
-    """Glorot-uniform weights, zero biases, named ``{prefix}.W{i}`` / ``.b{i}``."""
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
+    """Glorot-uniform weights, zero biases, named ``{prefix}.W{i}`` / ``.b{i}``:
+    layer i maps width ``widths[i]`` to ``widths[i + 1]``."""
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
         store.add(f"{prefix}.W{i}", rng.uniform(-lim, lim, size=(fan_in, fan_out)))
         store.add(f"{prefix}.b{i}", np.zeros(fan_out))
-
-
-def fnn_forward(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
-                x: Var | Sequence[Var]) -> Var:
-    """Apply the net along the last axis of ``x`` (one Var or a list of parts,
-    see :func:`dense`); one dense node per layer."""
-    width = sum(p.shape[-1] for p in as_parts(x))
-    if width != spec.widths[0]:
-        raise ValueError(
-            f"input width {width} does not match spec width {spec.widths[0]}")
-    h = x
-    for i in range(spec.n_layers):
-        relu = spec.final_relu if i == spec.n_layers - 1 else True
-        h = dense(h, tape.param(store, f"{prefix}.W{i}"), tape.param(store, f"{prefix}.b{i}"),
-                  relu=relu)
-    return h
 
 
 # ---------------------------------------------------------------------------

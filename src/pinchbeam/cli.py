@@ -256,11 +256,11 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    users = UserPositions.from_xy(training.test_dataset(ckpt.cfg, n_samples, seed))
+    phi = training.test_dataset(ckpt.cfg, n_samples, seed)
     rows = []
     for snr, cfg_snr in zip(snrs, snr_cfgs):
         result = training.evaluate(ckpt.store, cfg_snr, ckpt.model, n_samples, seed)
-        base = np.mean(baselines.baseline_se(users, cfg_snr))
+        base = np.mean(training.baseline_ses(phi, cfg_snr))
         rows.append([snr, result.mean_se, float(base), n_samples])
     csv_path = out / "sweep.csv"
     _write_csv(csv_path, ["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"],
@@ -281,8 +281,7 @@ def cmd_baseline(config_path, n_samples, seed, out_dir):
     cfg = _load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ses = baselines.baseline_se(
-        UserPositions.from_xy(training.test_dataset(cfg, n_samples, seed)), cfg)
+    ses = training.baseline_ses(training.test_dataset(cfg, n_samples, seed), cfg)
     csv_path = out / "baseline_samples.csv"
     _write_csv(csv_path, ["sample_id", "se_bits_per_hz"],
                [[i, float(se)] for i, se in enumerate(ses)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .placement_gnn import PbfOut
 
 
 def init_parameters(cfg: SystemConfig, model: ModelConfig, seed) -> ParameterStore:
-    """Fresh Glorot-initialized parameters for both sub-GNNs.
+    """Fresh Glorot-initialized parameters for both sub-GNNs, drawn in the
+    order of their width tables (``param_widths``).
 
     Also freezes the effective-channel feature scale into the store under
     ``tbf.input_scale`` so checkpoints are self-contained. The store holds
@@ -32,8 +34,8 @@ def init_parameters(cfg: SystemConfig, model: ModelConfig, seed) -> ParameterSto
     """
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    pbf.init_params(store, cfg, model, rng)
-    tbf.init_params(store, cfg, model, rng)
+    for prefix, widths in chain(pbf.param_widths(model), tbf.param_widths(model)):
+        ad.init_fnn(store, prefix, widths, rng)
     store.add("tbf.input_scale", np.array(tbf.input_scale(cfg)), trainable=False)
     return store
 

@@ -14,16 +14,13 @@ construction of the output stage, not by penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import FnnSpec, ParameterStore, Tape, Var, fnn_forward, init_fnn
+from .autodiff import ParameterStore, Tape, Var
 from .config import ModelConfig, SystemConfig
-
-# f is composed of (ff, qf1, qf2); the processor q of (fq, qq1, qq2).
-SUBNET_NAMES = ("ff", "qf1", "qf2", "fq", "qq1", "qq2")
 
 # Keeps the sigmoid placement fraction strictly inside (0, 1) so that derived
 # positions stay inside [0, D] even after float rounding of the prefix sums.
@@ -59,51 +56,32 @@ def init_edges(tape: Tape, phi: np.ndarray, s: np.ndarray, cfg: SystemConfig) ->
     return tape.constant(feats)
 
 
-def layer_specs(in_width: int, model: ModelConfig) -> dict[str, FnnSpec]:
-    """Subnet widths for one layer whose edge input width is ``in_width``."""
+def layer_widths(in_width: int, model: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Widths (input first) of one layer's subnets at edge input width
+    ``in_width``, in init order: update f = (ff, qf1, qf2), processor q =
+    (fq, qq1, qq2), each a relu hidden layer and an identity output layer."""
     h, md = model.hidden, model.message_dim
-    pair = 2 * in_width
-    comb = in_width + md
-    return {
-        "qq1": FnnSpec((pair, h, md)),
-        "qq2": FnnSpec((pair, h, md)),
-        "fq": FnnSpec((pair + 2 * md, h, md)),
-        "qf1": FnnSpec((comb, h, md)),
-        "qf2": FnnSpec((comb, h, md)),
-        "ff": FnnSpec((comb + 2 * md, h, h)),
-    }
+    pair, comb = 2 * in_width, in_width + md
+    return {"ff": (comb + 2 * md, h, h), "qf1": (comb, h, md), "qf2": (comb, h, md),
+            "fq": (pair + 2 * md, h, md), "qq1": (pair, h, md), "qq2": (pair, h, md)}
 
 
-HEAD_NAMES = ("gap", "x1")
-
-
-def head_spec(model: ModelConfig) -> FnnSpec:
-    return FnnSpec((model.hidden, 1))
-
-
-def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
-                rng: np.random.Generator) -> None:
+def param_widths(model: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(parameter prefix, widths) of every subnet and head, in init order,
+    one layer at a time."""
     width = 3
     for layer in range(1, model.pbf_layers + 1):
-        specs = layer_specs(width, model)
-        for name in SUBNET_NAMES:
-            init_fnn(store, f"pbf.layer{layer}.{name}", specs[name], rng)
+        for name, widths in layer_widths(width, model).items():
+            yield f"pbf.layer{layer}.{name}", widths
         width = model.hidden
-    for name in HEAD_NAMES:
-        init_fnn(store, f"pbf.head.{name}", head_spec(model), rng)
+    for name in ("gap", "x1"):
+        yield f"pbf.head.{name}", (model.hidden, 1)
 
 
-def _output_params(tape: Tape, spec: FnnSpec, store: ParameterStore,
-                   prefix: str) -> tuple[Var, Var]:
-    last = spec.n_layers - 1
-    return tape.param(store, f"{prefix}.W{last}"), tape.param(store, f"{prefix}.b{last}")
-
-
-def _output_layer(tape: Tape, spec: FnnSpec, store: ParameterStore, prefix: str,
-                  h: Var, count: int) -> Var:
+def _output_layer(tape: Tape, store: ParameterStore, prefix: str, h: Var, count: int) -> Var:
     """A subnet's identity output layer applied to a sum of ``count`` hidden
     states: sum_i (r_i W + b) = (sum_i r_i) W + count * b."""
-    w, b = _output_params(tape, spec, store, prefix)
+    w, b = tape.param(store, f"{prefix}.W1"), tape.param(store, f"{prefix}.b1")
     return ad.dense(h, w, b if count == 1 else ad.scalar_scale(b, count))
 
 
@@ -190,13 +168,13 @@ def fold_bias(b0: Var, w0: Var, b_outs: Sequence[Var], counts: Sequence[int],
 
 
 def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
-                     names: tuple[str, str, str], specs: dict[str, FnnSpec],
+                     names: tuple[str, str, str],
                      reduce: int | tuple[int, int] | None = None) -> Var:
     """Hidden state of the main net of :func:`nested_pe_map`, summed as
     ``reduce`` says (:func:`ad.dense`).
 
     Every subnet has one hidden layer and an identity output layer
-    (:func:`layer_specs`), and a linear layer commutes with a sum. So
+    (:func:`layer_widths`), and a linear layer commutes with a sum. So
     ``same`` and ``other`` run to their hidden states only, and their
     output layers are folded into main's first layer: with ``F = W_out
     W0_rows`` (the branch's output weights times the rows of main's W0 that
@@ -240,10 +218,11 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
         r_a = _hidden(tape, store, f"{prefix}.{same_name}", zs)
         hidden[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
     branches = [name for name in (same_name, other_name) if name in hidden]
-    md = specs[same_name].widths[-1]
-    zw = specs[main_name].widths[0] - 2 * md
+    md = store.values[f"{prefix}.{same_name}.W1"].shape[1]
+    zw = store.values[f"{prefix}.{main_name}.W0"].shape[0] - 2 * md
     rows = [zw if name == same_name else zw + md for name in branches]
-    outs = [_output_params(tape, specs[name], store, f"{prefix}.{name}") for name in branches]
+    outs = [(tape.param(store, f"{prefix}.{name}.W1"), tape.param(store, f"{prefix}.{name}.b1"))
+            for name in branches]
     w0 = tape.param(store, f"{prefix}.{main_name}.W0")
     b = tape.param(store, f"{prefix}.{main_name}.b0")
     w = fold_weights(w0, [o[0] for o in outs], sum(p.shape[-1] for p in zs), rows)
@@ -260,7 +239,7 @@ def nested_pe_hidden(tape: Tape, z: Var | list[Var], store: ParameterStore, pref
 
 
 def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix: str,
-                  names: tuple[str, str, str], specs: dict[str, FnnSpec]) -> Var:
+                  names: tuple[str, str, str]) -> Var:
     """Row map equivariant to nested (waveguide, within-waveguide) permutations.
 
     ``z`` is one Var or a list of parts, read as their broadcast concat along
@@ -272,12 +251,11 @@ def nested_pe_map(tape: Tape, z: Var | list[Var], store: ParameterStore, prefix:
     The output layers of ``same`` and ``other`` are folded into main's first
     layer (:func:`nested_pe_hidden`), so they never run at row resolution.
     """
-    h = nested_pe_hidden(tape, z, store, prefix, names, specs)
-    return _output_layer(tape, specs[names[0]], store, f"{prefix}.{names[0]}", h, 1)
+    h = nested_pe_hidden(tape, z, store, prefix, names)
+    return _output_layer(tape, store, f"{prefix}.{names[0]}", h, 1)
 
 
-def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
-              in_width: int, model: ModelConfig) -> Var:
+def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str) -> Var:
     """One edge-update layer: d (B, N, M, K, w) -> (B, N, M, K, hidden).
 
     The message of user k is sum_{j != k} q(d_k, d_j) with the processor q
@@ -294,31 +272,19 @@ def pbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
 
     At K = 1 the message is an empty sum, so the processor is not built and
     the update reads d alone through the leading rows of its first-layer
-    weights.
+    weights. The widths come from the stored weights.
     """
-    specs = layer_specs(in_width, model)
     bsz, n, m, k, w = d.shape
     z = [d]
     if k > 1:
         pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
-        msg_h = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), specs,
-                                 (3, 4))
-        z.append(_output_layer(tape, specs["fq"], store, f"{prefix}.fq", msg_h, k - 1))
-    return nested_pe_map(tape, z, store, prefix, ("ff", "qf1", "qf2"), specs)
-
-
-def _edge_stack(tape: Tape, phi: np.ndarray, s: np.ndarray, store: ParameterStore,
-                cfg: SystemConfig, model: ModelConfig) -> Var:
-    d = init_edges(tape, phi, s, cfg)
-    width = 3
-    for layer in range(1, model.pbf_layers + 1):
-        d = pbf_layer(tape, d, store, f"pbf.layer{layer}", width, model)
-        width = model.hidden
-    return d
+        msg_h = nested_pe_hidden(tape, pair, store, prefix, ("fq", "qq1", "qq2"), (3, 4))
+        z.append(_output_layer(tape, store, f"{prefix}.fq", msg_h, k - 1))
+    return nested_pe_map(tape, z, store, prefix, ("ff", "qf1", "qf2"))
 
 
 def output_actions(tape: Tape, d_last: Var, store: ParameterStore,
-                   cfg: SystemConfig, model: ModelConfig, s: np.ndarray) -> tuple[Var, Var]:
+                   cfg: SystemConfig, s: np.ndarray) -> tuple[Var, Var]:
     """Heads + feasibility stage: final edge states -> per-slot actions.
 
     Returns (first_x (B, N), gap_slots (B, N, M)). The gap of slot (n, m) is
@@ -328,12 +294,13 @@ def output_actions(tape: Tape, d_last: Var, store: ParameterStore,
     first-antenna position takes a sigmoid fraction of the remaining room, so
     every emitted layout is feasible by construction.
     """
-    spec = head_spec(model)
-    gap_edge = fnn_forward(tape, spec, store, "pbf.head.gap", d_last)
+    gap_edge = ad.dense(d_last, tape.param(store, "pbf.head.gap.W0"),
+                        tape.param(store, "pbf.head.gap.b0"))
     gap_mean = ad.mean_axis(ad.reshape(gap_edge, d_last.shape[:-1]), -1)
     gap_slots = ad.add(ad.max_with_scalar(gap_mean, 0.0), cfg.min_gap_m)
 
-    x1_edge = fnn_forward(tape, spec, store, "pbf.head.x1", d_last)
+    x1_edge = ad.dense(d_last, tape.param(store, "pbf.head.x1.W0"),
+                       tape.param(store, "pbf.head.x1.b0"))
     x1_units = ad.mean_axis(ad.reshape(x1_edge, d_last.shape[:-1]), (-2, -1))
 
     n_gaps = cfg.M - 1
@@ -361,8 +328,10 @@ def pbf_actions(tape: Tape, phi: np.ndarray, s: np.ndarray, store: ParameterStor
     index features) permutes actions identically, and permuting index features
     within a waveguide permutes that waveguide's gap slots.
     """
-    d = _edge_stack(tape, phi, s, store, cfg, model)
-    return output_actions(tape, d, store, cfg, model, s)
+    d = init_edges(tape, phi, s, cfg)
+    for layer in range(1, model.pbf_layers + 1):
+        d = pbf_layer(tape, d, store, f"pbf.layer{layer}")
+    return output_actions(tape, d, store, cfg, s)
 
 
 @dataclass(frozen=True)

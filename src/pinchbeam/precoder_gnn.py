@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from . import cplx as cx
-from .autodiff import FnnSpec, ParameterStore, Tape, Var, fnn_forward, init_fnn
+from .autodiff import ParameterStore, Tape, Var
 from .config import ModelConfig, SystemConfig
 from .errors import DegenerateInputError, InvalidConfigError
 from .physics import (build_pinching_matrix, compute_channel, effective_channel,
                       random_scenarios)
-
-SUBNET_NAMES = ("ff", "qf", "fq", "qq")
-HEAD_NAMES = ("p", "lambda")
 
 # Seed of the frozen input-scale estimate (stored in every checkpoint).
 INPUT_SCALE_SEED = 20260401
@@ -45,31 +43,24 @@ INPUT_SCALE_CHUNK = 64
 POWER_FLOOR = 1e-8
 
 
-def layer_specs(in_width: int, model: ModelConfig) -> dict[str, FnnSpec]:
-    """One layer's update functions; all linear except the final combiner."""
+def layer_widths(in_width: int, model: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Widths (input first) of one layer's single-layer subnets at edge input
+    width ``in_width``, in init order (:func:`tbf_layer`)."""
     md = model.message_dim
-    return {
-        "qq": FnnSpec((in_width, md)),
-        "fq": FnnSpec((in_width + md, md)),
-        "qf": FnnSpec((in_width + md, md)),
-        "ff": FnnSpec((in_width + 2 * md, model.hidden), final_relu=True),
-    }
+    return {"ff": (in_width + 2 * md, model.hidden), "qf": (in_width + md, md),
+            "fq": (in_width + md, md), "qq": (in_width, md)}
 
 
-def head_spec(model: ModelConfig) -> FnnSpec:
-    return FnnSpec((model.hidden, 1))
-
-
-def init_params(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
-                rng: np.random.Generator) -> None:
+def param_widths(model: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(parameter prefix, widths) of every subnet and head, in init order,
+    one layer at a time."""
     width = 2
     for layer in range(1, model.tbf_layers + 1):
-        specs = layer_specs(width, model)
-        for name in SUBNET_NAMES:
-            init_fnn(store, f"tbf.layer{layer}.{name}", specs[name], rng)
+        for name, widths in layer_widths(width, model).items():
+            yield f"tbf.layer{layer}.{name}", widths
         width = model.hidden
-    for name in HEAD_NAMES:
-        init_fnn(store, f"tbf.head.{name}", head_spec(model), rng)
+    for name in ("p", "lambda"):
+        yield f"tbf.head.{name}", (model.hidden, 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,8 +176,7 @@ def fold_bias(b_qq: Var, b_fq: Var, b_qf: Var, b_ff: Var, fq: Var, qf: Var, ff: 
     return ad.fold("tbf_bias_fold", [b_qq, b_fq, b_qf, b_ff, fq, qf, ff], fn)
 
 
-def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
-              in_width: int, model: ModelConfig) -> Var:
+def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str) -> Var:
     """One edge-update layer: d (B, N, K, w) -> (B, N, K, hidden).
 
     The layer composes the four subnets (all linear but ``ff``'s relu):
@@ -196,11 +186,11 @@ def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
     exchangeable layer ``relu(d A + S_N d B + S_K d C + S_NK d D + beta)``
     with keepdims sums S, so it runs as one ``dense`` node over the parts
     ``[d, S_N d, S_K d, S_NK d]``, whose weights and bias are folded from
-    the stored ones (:func:`fold_weights`, :func:`fold_bias`). ``in_width``
-    and ``model`` are implied by the stored weights.
+    the stored ones (:func:`fold_weights`, :func:`fold_bias`). The widths
+    are implied by the stored weights.
     """
     _, n, k, _ = d.shape
-    w = {name: tape.param(store, f"{prefix}.{name}.W0") for name in SUBNET_NAMES}
+    w = {name: tape.param(store, f"{prefix}.{name}.W0") for name in ("ff", "qf", "fq", "qq")}
     b = [tape.param(store, f"{prefix}.{name}.b0") for name in ("qq", "fq", "qf", "ff")]
     s_n = ad.sum_axis(d, 1, keepdims=True)
     parts = [d, s_n, ad.sum_axis(d, 2, keepdims=True), ad.sum_axis(s_n, 2, keepdims=True)]
@@ -209,19 +199,19 @@ def tbf_layer(tape: Tape, d: Var, store: ParameterStore, prefix: str,
 
 
 def output_powers(tape: Tape, d_last: Var, store: ParameterStore,
-                  model: ModelConfig, p_max: float) -> tuple[Var, Var]:
+                  p_max: float) -> tuple[Var, Var]:
     """Pool over waveguides, head + softplus; p rescaled to sum to p_max.
 
     Returns (p, lam), each (B, K) and strictly positive. The rescaling of p is
     a conditioning choice only: the final precoder is power-normalized anyway.
     """
     pooled = ad.mean_axis(d_last, -3)
-    spec = head_spec(model)
-    p_raw = ad.add(ad.softplus(ad.reshape(
-        fnn_forward(tape, spec, store, "tbf.head.p", pooled), pooled.shape[:-1])),
-        POWER_FLOOR)
-    lam = ad.softplus(ad.reshape(
-        fnn_forward(tape, spec, store, "tbf.head.lambda", pooled), pooled.shape[:-1]))
+    p_head = ad.dense(pooled, tape.param(store, "tbf.head.p.W0"),
+                      tape.param(store, "tbf.head.p.b0"))
+    p_raw = ad.add(ad.softplus(ad.reshape(p_head, pooled.shape[:-1])), POWER_FLOOR)
+    lam_head = ad.dense(pooled, tape.param(store, "tbf.head.lambda.W0"),
+                        tape.param(store, "tbf.head.lambda.b0"))
+    lam = ad.softplus(ad.reshape(lam_head, pooled.shape[:-1]))
     total = ad.sum_axis(p_raw, -1, keepdims=True)
     p = ad.scalar_scale(ad.div(p_raw, total), p_max)
     return p, lam
@@ -258,11 +248,9 @@ def tbf_powers(tape: Tape, ht: Var, store: ParameterStore, cfg: SystemConfig,
     """The learned (p, lam) alone; the surface of the permutation property."""
     scale = float(store.values["tbf.input_scale"])
     d = tbf_init_edges(tape, ht, scale)
-    width = 2
     for layer in range(1, model.tbf_layers + 1):
-        d = tbf_layer(tape, d, store, f"tbf.layer{layer}", width, model)
-        width = model.hidden
-    return output_powers(tape, d, store, model, cfg.power_budget_w)
+        d = tbf_layer(tape, d, store, f"tbf.layer{layer}")
+    return output_powers(tape, d, store, cfg.power_budget_w)
 
 
 def tbf_forward(tape: Tape, ht: Var, store: ParameterStore, cfg: SystemConfig,

@@ -11,11 +11,13 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from . import pipeline
+from . import baselines, pipeline, placement_gnn, precoder_gnn
 from ._alloc import tune_allocator
 from .autodiff import AdamState, ParameterStore, Tape, Var, adam_step, backward_into
 from .config import (ModelConfig, SystemConfig, check_finite, non_negative_integer,
@@ -166,10 +168,16 @@ def reference_se(phi: np.ndarray, result: pipeline.PolicyResult,
 _EVAL_PAIR_ROWS = 8 * 3 * 8 ** 2
 
 
+def draw_chunks(cfg: SystemConfig, n: int) -> Iterator[slice]:
+    """Slices of ``n`` draws, each as many draws as keep a chunk's pair rows
+    within one C7 draw's (one draw at C7-sized shapes)."""
+    size = max(1, _EVAL_PAIR_ROWS // (cfg.N * cfg.M * cfg.K ** 2))
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
 def evaluate(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
              n_test: int, seed: int) -> EvalResult:
-    """Deterministic test-set evaluation, in chunks of as many draws as keep
-    a chunk's pair rows within one C7 draw's (one draw at C7-sized shapes).
+    """Deterministic test-set evaluation, chunked by :func:`draw_chunks`.
 
     The reported SE comes from the reference physics path applied to the
     materialized layouts and precoders, not from the tape. ``mean_time_s`` is
@@ -177,16 +185,24 @@ def evaluate(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
     """
     tune_allocator()
     data = test_dataset(cfg, n_test, seed)
-    chunk = max(1, _EVAL_PAIR_ROWS // (cfg.N * cfg.M * cfg.K ** 2))
     ses = np.empty(n_test)
     elapsed = 0.0
-    for start in range(0, n_test, chunk):
-        phi = data[start:start + chunk]
+    for chunk in draw_chunks(cfg, n_test):
+        phi = data[chunk]
         t0 = time.perf_counter()
         result = pipeline.policy_forward(phi, store, cfg, model)
         elapsed += time.perf_counter() - t0
-        ses[start:start + chunk] = reference_se(phi, result, cfg)
+        ses[chunk] = reference_se(phi, result, cfg)
     return EvalResult(float(ses.mean()), ses, elapsed / n_test)
+
+
+def baseline_ses(phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Closest-user + ZF baseline SE of each draw of ``phi`` (n, K, 2),
+    chunked by :func:`draw_chunks`; equal to one batched call bit for bit."""
+    ses = np.empty(len(phi))
+    for chunk in draw_chunks(cfg, len(phi)):
+        ses[chunk] = baselines.baseline_se(UserPositions.from_xy(phi[chunk]), cfg)
+    return ses
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +234,15 @@ class Checkpoint:
     model: ModelConfig
 
 
-def expected_parameter_shapes(cfg: SystemConfig,
-                              model: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every checkpoint entry the architecture needs, sorted."""
-    from . import placement_gnn, precoder_gnn
-    probe = ParameterStore()
-    rng = np.random.default_rng(0)
-    placement_gnn.init_params(probe, cfg, model, rng)
-    precoder_gnn.init_params(probe, cfg, model, rng)
-    probe.add("tbf.input_scale", np.zeros(()))
-    return {name: probe.values[name].shape for name in probe.names()}
+def expected_parameter_shapes(model: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every entry the architecture needs, in init order,
+    from the two GNNs' width tables; nothing is allocated."""
+    for prefix, widths in chain(placement_gnn.param_widths(model),
+                                precoder_gnn.param_widths(model)):
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            yield f"{prefix}.W{i}", (fan_in, fan_out)
+            yield f"{prefix}.b{i}", (fan_out,)
+    yield "tbf.input_scale", ()
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -253,7 +268,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         seed = non_negative_integer("checkpoint seed", doc["seed"])
     except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise IncompatibleCheckpointError(f"malformed checkpoint: {exc}") from exc
-    expected = expected_parameter_shapes(cfg, model)
+    # At most one entry past the checkpoint's own: an architecture that
+    # declares more layers than the entries hold fails before its table is built.
+    expected = dict(sorted(islice(expected_parameter_shapes(model), len(store.values) + 1)))
     if store.names() != list(expected):
         raise IncompatibleCheckpointError(
             "checkpoint entries do not match the declared architecture")

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from pinchbeam import autodiff as ad
 from pinchbeam import cplx as cx
 from pinchbeam import verify
-from pinchbeam.autodiff import (AdamState, FnnSpec, ParameterStore, Tape,
-                                adam_step, backward_into, fnn_forward,
-                                grad_check, init_fnn)
+from pinchbeam.autodiff import (AdamState, ParameterStore, Tape, adam_step,
+                                backward_into, grad_check, init_fnn)
 from pinchbeam.config import ModelConfig, default_config
-from pinchbeam.errors import InvalidConfigError, SingularityError
+from pinchbeam.errors import SingularityError
 from pinchbeam.pipeline import init_parameters
 from pinchbeam.training import loss_on_tape, train_dataset
 from pinchbeam.verify import kink_distance, primitive_grad_checks
@@ -841,51 +840,43 @@ class TestGradCheck:
         assert grad_check(f, store) <= 1e-9
 
 
+def _net(tape, store, x, n_layers, relu_out=False):
+    """``n_layers`` dense nodes on ``net.W{i}`` / ``net.b{i}``: relu hidden
+    layers and an identity output layer, or a relu one if ``relu_out``."""
+    for i in range(n_layers):
+        x = ad.dense(x, tape.param(store, f"net.W{i}"), tape.param(store, f"net.b{i}"),
+                     relu=relu_out or i < n_layers - 1)
+    return x
+
+
 class TestFnn:
     def test_identity_network(self):
-        spec = FnnSpec((3, 3))
         store = ParameterStore()
         store.add("net.W0", np.eye(3))
         store.add("net.b0", np.zeros(3))
         tape = Tape()
         x = np.random.default_rng(5).standard_normal((4, 3))
-        y = fnn_forward(tape, spec, store, "net", tape.constant(x))
+        y = _net(tape, store, tape.constant(x), 1)
         np.testing.assert_array_equal(y.value, x)
 
-    def test_relu_final_activation(self):
-        spec = FnnSpec((2, 1), final_relu=True)
-        store = ParameterStore()
-        store.add("net.W0", np.array([[1.0], [1.0]]))
-        store.add("net.b0", np.array([-10.0]))
-        tape = Tape()
-        y = fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
-        assert y.value.item() == 0.0
-
     def test_width_mismatch(self):
-        spec = FnnSpec((3, 2))
+        # A dense node whose input is wider than its W0 has rows is refused.
         store = ParameterStore()
-        init_fnn(store, "net", spec, np.random.default_rng(0))
+        init_fnn(store, "net", (3, 2), np.random.default_rng(0))
         tape = Tape()
         with pytest.raises(ValueError):
-            fnn_forward(tape, spec, store, "net", tape.constant(np.ones((2, 4))))
-
-    def test_spec_validation(self):
-        with pytest.raises(InvalidConfigError):
-            FnnSpec((3,))
-        with pytest.raises(InvalidConfigError):
-            FnnSpec((3, 0))
+            _net(tape, store, tape.constant(np.ones((2, 4))), 1)
 
     def test_random_fnn_gradient(self):
-        spec = FnnSpec((3, 5, 2))
         store = ParameterStore()
         rng = np.random.default_rng(11)
-        init_fnn(store, "net", spec, rng)
+        init_fnn(store, "net", (3, 5, 2), rng)
         x = rng.standard_normal((4, 3))
         w = rng.standard_normal((4, 2))
 
         def f(s):
             tape = Tape()
-            y = fnn_forward(tape, spec, store, "net", tape.constant(x))
+            y = _net(tape, store, tape.constant(x), 2)
             return ad.sum_axis(ad.mul(y, tape.constant(w)), (0, 1))
 
         # The hidden relu sits far from its kink next to the probe step.
@@ -893,26 +884,26 @@ class TestFnn:
         assert grad_check(f, store) <= 1e-6
 
     def test_glorot_init_bounds(self):
-        spec = FnnSpec((10, 20))
         store = ParameterStore()
-        init_fnn(store, "net", spec, np.random.default_rng(0))
-        lim = math.sqrt(6.0 / 30.0)
-        assert np.all(np.abs(store.values["net.W0"]) <= lim)
-        assert np.all(store.values["net.b0"] == 0.0)
+        init_fnn(store, "net", (10, 20, 5), np.random.default_rng(0))
+        assert [(n, store.values[n].shape) for n in store.values] == [
+            ("net.W0", (10, 20)), ("net.b0", (20,)), ("net.W1", (20, 5)), ("net.b1", (5,))]
+        for name, lim in (("net.W0", math.sqrt(6.0 / 30.0)), ("net.W1", math.sqrt(6.0 / 25.0))):
+            assert np.all(np.abs(store.values[name]) <= lim)
+        assert np.all(store.values["net.b0"] == 0.0) and np.all(store.values["net.b1"] == 0.0)
 
 
 class TestDense:
     @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_one_node_per_layer(self, act):
-        spec = FnnSpec((4, 6, 3), final_relu=act == "relu")
         store = ParameterStore()
-        init_fnn(store, "net", spec, np.random.default_rng(2))
+        init_fnn(store, "net", (4, 6, 3), np.random.default_rng(2))
         tape = Tape()
         x = tape.constant(np.ones((2, 5, 4)))
         n0 = len(tape)
-        fnn_forward(tape, spec, store, "net", x)
+        _net(tape, store, x, 2, relu_out=act == "relu")
         ops = tape.ops[n0:]
-        assert ops.count("dense") == spec.n_layers
+        assert ops.count("dense") == 2
         assert set(ops) == {"const", "dense"}
 
     @pytest.mark.parametrize("act", ["relu", "identity"])
@@ -958,18 +949,17 @@ class TestDense:
             ad.dense(x, tape.constant(np.ones((3, 2))), tape.constant(np.ones((1, 2))))
 
     def test_kink_distance_sees_fused_relu(self):
-        spec = FnnSpec((2, 3, 1))
         store = ParameterStore()
         store.add("net.W0", np.array([[0.0, 1.0, -1.0], [0.0, 1.0, -1.0]]))
         store.add("net.b0", np.array([-1e-6, 0.5, -0.5]))
         store.add("net.W1", np.ones((3, 1)))
         store.add("net.b1", np.zeros(1))
         tape = Tape()
-        fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
+        _net(tape, store, tape.constant(np.ones((1, 2))), 2)
         assert 0.0 < kink_distance(tape) <= 1e-6
         store.values["net.b0"][0] = 0.25
         tape = Tape()
-        fnn_forward(tape, spec, store, "net", tape.constant(np.ones((1, 2))))
+        _net(tape, store, tape.constant(np.ones((1, 2))), 2)
         assert kink_distance(tape) == 0.25
 
     def test_kink_distance_sees_relu_on_part_list(self):
@@ -1139,11 +1129,10 @@ class TestDense:
             ad.dense(parts, tape.constant(np.ones((6, 2))), tape.constant(np.zeros(2)))
 
     def test_identity_layer_has_no_kink(self):
-        spec = FnnSpec((2, 2))
         store = ParameterStore()
-        init_fnn(store, "net", spec, np.random.default_rng(0))
+        init_fnn(store, "net", (2, 2), np.random.default_rng(0))
         tape = Tape()
-        fnn_forward(tape, spec, store, "net", tape.constant(np.zeros((1, 2))))
+        _net(tape, store, tape.constant(np.zeros((1, 2))), 1)
         assert kink_distance(tape) == math.inf
 
 

@@ -1,17 +1,21 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pinchbeam import pipeline, training
-from pinchbeam.cli import main
+from pinchbeam import baselines, pipeline, training
+from pinchbeam.cli import _write_csv, main
 from pinchbeam.config import ModelConfig, default_config
+from pinchbeam.physics import UserPositions
 
 TRAIN_ARGS = ["--seed", "3", "--n-train", "32", "--n-test", "4", "--batch-size",
               "16", "--epochs", "2", "--layers", "1", "--hidden", "6",
@@ -235,6 +239,34 @@ class TestEvalCommand:
         assert result.exit_code == 4, result.output
         assert "names must be strings" in result.output
 
+    @pytest.mark.parametrize("field", ["pbf_layers", "tbf_layers", "hidden", "message_dim"])
+    def test_huge_declared_arch_exit_4(self, tmp_path, field):
+        # The entries' shapes come from the width tables, built no further
+        # than the checkpoint's entries go, so a declared width or layer
+        # count of 10**9 is refused without building anything that size.
+        # Run in a child process with 2 GB of address space, as a program
+        # that allocated by the declared size would exhaust it.
+        cfg = default_config(1, 1, 1)
+        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=6, message_dim=6)
+        ckpt = tmp_path / "checkpoint.json"
+        training.save_checkpoint(ckpt, pipeline.init_parameters(cfg, model, 0),
+                                 cfg, 0, model)
+        doc = json.loads(ckpt.read_text())
+        doc["arch"][field] = 10 ** 9
+        ckpt.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parents[1] / "src"
+        limit = 2 * 2 ** 30
+        t0 = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pinchbeam", "eval", "--checkpoint", str(ckpt),
+             "--n-test", "2", "--out", str(tmp_path / "eval")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                              (limit, limit)))
+        assert time.perf_counter() - t0 < 5.0
+        assert result.returncode == 4, result.stderr
+        assert "declared architecture" in result.stderr
+
 
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, runner, config_file, tmp_path):
@@ -336,8 +368,50 @@ class TestSweepCommand:
         assert float(row["mean_se_gpass"]) == pytest.approx(summary["mean_se"],
                                                             rel=1e-12)
 
+    def test_chunked_baseline_csv_equals_one_batch(self, runner, tmp_path):
+        # At (4, 3, 4) the baseline runs 8 draws at a time (8, 8 and 4 of
+        # 20); sweep.csv is byte for byte the one a single batched baseline
+        # call per SNR gives.
+        config = tmp_path / "config.json"
+        default_config(4, 3, 4).save(config)
+        out = train_once(runner, config, tmp_path / "run")
+        result = runner.invoke(main, ["sweep", "--checkpoint", str(out / "checkpoint.json"),
+                                      "--snr-db", "0,20", "--n-samples", "20", "--seed", "2",
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        ckpt = training.load_checkpoint(out / "checkpoint.json")
+        assert len(list(training.draw_chunks(ckpt.cfg, 20))) == 3
+        users = UserPositions.from_xy(training.test_dataset(ckpt.cfg, 20, 2))
+        rows = []
+        for snr in (0.0, 20.0):
+            cfg = replace(ckpt.cfg, noise_power_w=1.0).with_snr_db(snr)
+            policy = training.evaluate(ckpt.store, cfg, ckpt.model, 20, 2)
+            rows.append([snr, policy.mean_se, float(np.mean(baselines.baseline_se(users, cfg))),
+                         20])
+        _write_csv(tmp_path / "expected.csv",
+                   ["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"], rows)
+        assert ((tmp_path / "s" / "sweep.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
 
 class TestBaselineCommand:
+    def test_chunked_csv_equals_one_batch(self, runner, tmp_path):
+        # At (4, 3, 4) the baseline runs 8 draws at a time (8, 8 and 4 of
+        # 20); baseline_samples.csv is byte for byte the one a single
+        # batched call gives.
+        cfg = default_config(4, 3, 4)
+        cfg.save(tmp_path / "config.json")
+        result = runner.invoke(main, ["baseline", "--config", str(tmp_path / "config.json"),
+                                      "--n-samples", "20", "--seed", "2",
+                                      "--out", str(tmp_path / "b")])
+        assert result.exit_code == 0, result.output
+        ses = baselines.baseline_se(UserPositions.from_xy(training.test_dataset(cfg, 20, 2)),
+                                    cfg)
+        _write_csv(tmp_path / "expected.csv", ["sample_id", "se_bits_per_hz"],
+                   [[i, float(se)] for i, se in enumerate(ses)])
+        assert ((tmp_path / "b" / "baseline_samples.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
     def test_writes_outputs(self, runner, config_file_k2, tmp_path):
         result = runner.invoke(main, ["baseline", "--config", str(config_file_k2),
                                       "--n-samples", "5", "--seed", "1",

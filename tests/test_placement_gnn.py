@@ -15,6 +15,21 @@ def params_for(cfg, model=MICRO, seed=0):
     return init_parameters(cfg, model, seed)
 
 
+def _layer_store(in_width, rng, model=MICRO):
+    """The subnets of ``pbf.layer1`` at edge input width ``in_width``."""
+    store = ParameterStore()
+    for name, widths in pbf.layer_widths(in_width, model).items():
+        ad.init_fnn(store, f"pbf.layer1.{name}", widths, rng)
+    return store
+
+
+def _subnet(tape, store, prefix, x):
+    """A subnet run in full: relu hidden layer, identity output layer."""
+    h = ad.dense(x, tape.param(store, f"{prefix}.W0"), tape.param(store, f"{prefix}.b0"),
+                 relu=True)
+    return ad.dense(h, tape.param(store, f"{prefix}.W1"), tape.param(store, f"{prefix}.b1"))
+
+
 class TestInitEdges:
     def test_normalization_endpoints(self):
         cfg = default_config(1, 3, 1)
@@ -41,36 +56,26 @@ class TestInitEdges:
 
 class TestNestedPeMap:
     def _apply(self, z, cfg_n, cfg_m, seed=0):
-        model = MICRO
-        specs = pbf.layer_specs(z.shape[-1] // 2, model)
-        store = ParameterStore()
-        rng = np.random.default_rng(seed)
-        for name in pbf.SUBNET_NAMES:
-            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+        store = _layer_store(z.shape[-1] // 2, np.random.default_rng(seed))
         tape = Tape()
         out = pbf.nested_pe_map(tape, tape.constant(z), store, "pbf.layer1",
-                                ("fq", "qq1", "qq2"), specs)
+                                ("fq", "qq1", "qq2"))
         return out.value
 
     def test_empty_sums_single_slot(self):
         # N = M = 1: both context sums are empty and contribute exact zeros,
         # so the output must match feeding zero contexts by hand.
-        model = MICRO
         in_w = 3
-        specs = pbf.layer_specs(in_w, model)
-        store = ParameterStore()
         rng = np.random.default_rng(3)
-        for name in pbf.SUBNET_NAMES:
-            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+        store = _layer_store(in_w, rng)
         z = rng.standard_normal((1, 1, 1, 4, 2 * in_w))
         tape = Tape()
         out = pbf.nested_pe_map(tape, tape.constant(z), store, "pbf.layer1",
-                                ("fq", "qq1", "qq2"), specs)
+                                ("fq", "qq1", "qq2"))
         tape2 = Tape()
-        zeros = np.zeros((1, 1, 1, 4, model.message_dim))
+        zeros = np.zeros((1, 1, 1, 4, MICRO.message_dim))
         manual_in = np.concatenate([z, zeros, zeros], axis=-1)
-        manual = ad.fnn_forward(tape2, specs["fq"], store, "pbf.layer1.fq",
-                                tape2.constant(manual_in))
+        manual = _subnet(tape2, store, "pbf.layer1.fq", tape2.constant(manual_in))
         np.testing.assert_allclose(out.value, manual.value, atol=1e-15)
 
     def test_within_waveguide_permutation(self):
@@ -91,15 +96,10 @@ class TestNestedPeMap:
 
 
 class TestPbfLayer:
-    def _layer(self, d, model=MICRO, seed=0):
-        store = ParameterStore()
-        rng = np.random.default_rng(seed)
-        specs = pbf.layer_specs(d.shape[-1], model)
-        for name in pbf.SUBNET_NAMES:
-            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+    def _layer(self, d, seed=0):
+        store = _layer_store(d.shape[-1], np.random.default_rng(seed))
         tape = Tape()
-        return pbf.pbf_layer(tape, tape.constant(d), store, "pbf.layer1",
-                             d.shape[-1], model).value
+        return pbf.pbf_layer(tape, tape.constant(d), store, "pbf.layer1").value
 
     def test_single_user_empty_message(self):
         rng = np.random.default_rng(6)
@@ -132,8 +132,6 @@ class TestPbfLayer:
 class TestOutputActions:
     def _actions(self, cfg, d_last, gap_bias, x1_bias=0.0, s=None):
         """Zeroed heads with chosen biases make the head outputs exact."""
-        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=d_last.shape[-1],
-                            message_dim=4)
         store = ParameterStore()
         store.add("pbf.head.gap.W0", np.zeros((d_last.shape[-1], 1)))
         store.add("pbf.head.gap.b0", np.array([gap_bias]))
@@ -142,8 +140,7 @@ class TestOutputActions:
         if s is None:
             s = pbf.index_feature(d_last.shape[1], d_last.shape[2])
         tape = Tape()
-        x1, gaps = pbf.output_actions(tape, tape.constant(d_last), store, cfg,
-                                      model, s)
+        x1, gaps = pbf.output_actions(tape, tape.constant(d_last), store, cfg, s)
         return x1.value, gaps.value
 
     def test_negative_head_clamps_to_min_gap(self):
@@ -269,21 +266,19 @@ class TestPairTensorNotBuilt:
                 assert value.shape[-1] <= limit, (op, value.shape)
 
 
-def _unfolded_pbf_layer(tape, d, store, prefix, in_width, model):
+def _unfolded_pbf_layer(tape, d, store, prefix):
     """pbf_layer with every subnet run in full at row resolution: the qq1/qq2
     outputs are summed after their output layers, q_out is materialised at
     pair resolution and its diagonal taken with an eye mask."""
-    specs = pbf.layer_specs(in_width, model)
 
     def nested(zs, names):
         main, same, other = names
-        a = ad.fnn_forward(tape, specs[same], store, f"{prefix}.{same}", zs)
+        a = _subnet(tape, store, f"{prefix}.{same}", zs)
         same_sum = ad.sub(ad.sum_axis(a, 2, keepdims=True), a)
-        b = ad.fnn_forward(tape, specs[other], store, f"{prefix}.{other}", zs)
+        b = _subnet(tape, store, f"{prefix}.{other}", zs)
         per_wg = ad.sum_axis(b, 2, keepdims=True)
         other_sum = ad.sub(ad.sum_axis(per_wg, 1, keepdims=True), per_wg)
-        return ad.fnn_forward(tape, specs[main], store, f"{prefix}.{main}",
-                              zs + [same_sum, other_sum])
+        return _subnet(tape, store, f"{prefix}.{main}", zs + [same_sum, other_sum])
 
     bsz, n, m, k, w = d.shape
     pair = [ad.reshape(d, (bsz, n, m, k, 1, w)), ad.reshape(d, (bsz, n, m, 1, k, w))]
@@ -293,7 +288,7 @@ def _unfolded_pbf_layer(tape, d, store, prefix, in_width, model):
     return nested([d, msg], ("ff", "qf1", "qf2"))
 
 
-def _nested_pe_hidden_of_nodes(tape, z, store, prefix, names, specs, reduce=None):
+def _nested_pe_hidden_of_nodes(tape, z, store, prefix, names, reduce=None):
     """nested_pe_hidden with main's folded first-layer weights and bias
     built from slice_axis, matmul, scalar_scale, concat and dense nodes."""
     main_name, same_name, other_name = names
@@ -308,11 +303,11 @@ def _nested_pe_hidden_of_nodes(tape, z, store, prefix, names, specs, reduce=None
         hidden[same_name] = [r_a, ad.sum_axis(r_a, 2, keepdims=True)]
     parts = {name: hidden[name] for name in (same_name, other_name) if name in hidden}
     counts = {same_name: m - 1, other_name: (n - 1) * m}
-    outs = {name: pbf._output_params(tape, specs[name], store, f"{prefix}.{name}")
-            for name in parts}
+    outs = {name: (tape.param(store, f"{prefix}.{name}.W1"),
+                   tape.param(store, f"{prefix}.{name}.b1")) for name in parts}
     w0 = tape.param(store, f"{prefix}.{main_name}.W0")
     b0 = tape.param(store, f"{prefix}.{main_name}.b0")
-    md = specs[same_name].widths[-1]
+    md = store.values[f"{prefix}.{same_name}.W1"].shape[1]
     zw = w0.shape[0] - 2 * md
     first_row = {same_name: zw, other_name: zw + md}
     w0_rows = {name: ad.slice_axis(w0, 0, first_row[name], first_row[name] + md)
@@ -353,16 +348,13 @@ class TestFoldedOutputLayers:
         # the other shapes each empty one or more leave-one-out sets, which
         # pbf_layer skips while the reference still builds them.
         rng = np.random.default_rng(16)
-        specs = pbf.layer_specs(in_width, MICRO)
-        store = ParameterStore()
-        for name in pbf.SUBNET_NAMES:
-            ad.init_fnn(store, f"pbf.layer1.{name}", specs[name], rng)
+        store = _layer_store(in_width, rng)
         for name in store.names():
             store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
 
         def run(layer_fn, d, weights):
             tape = Tape()
-            out = layer_fn(tape, tape.constant(d), store, "pbf.layer1", in_width, MICRO)
+            out = layer_fn(tape, tape.constant(d), store, "pbf.layer1")
             loss = ad.sum_axis(ad.mul(out, tape.constant(weights)), tuple(range(5)))
             value = out.value  # read before the sweep releases it
             ad.backward_into(store, loss)
@@ -573,7 +565,7 @@ class TestEmptyBranchesSkipped:
             pbf.pbf_forward(tape, phi, store, cfg, MICRO)
             subnets = {name.split(".")[2] for name, _ in tape.param_slots
                        if name.startswith("pbf.layer")}
-            assert subnets == set(pbf.SUBNET_NAMES) - _skipped_subnets(n, m, k)
+            assert subnets == set(pbf.layer_widths(3, MICRO)) - _skipped_subnets(n, m, k)
             assert _pair_resolution_nodes(tape, b * n * m * k * k) == [
                 ("dense", f"pbf.layer{layer}.qq2")
                 for layer in range(1, MICRO.pbf_layers + 1) if n > 1]
@@ -593,7 +585,7 @@ class TestEmptyBranchesSkipped:
         from pinchbeam.training import expected_parameter_shapes, loss_on_tape
         cfg = default_config(2, 1, 2)
         store = params_for(cfg)
-        assert expected_parameter_shapes(cfg, MICRO) == {
+        assert dict(expected_parameter_shapes(MICRO)) == {
             name: store.values[name].shape for name in store.names()}
         before = {name: v.copy() for name, v in store.values.items()}
         phi = np.random.default_rng(20).uniform(0, cfg.D, (8, cfg.K, 2))

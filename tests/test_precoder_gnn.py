@@ -47,9 +47,8 @@ def _layer_store(in_width, seed, random_biases=False):
     which would hide the folded bias)."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    specs = tbf.layer_specs(in_width, MICRO)
-    for name in tbf.SUBNET_NAMES:
-        ad.init_fnn(store, f"tbf.layer1.{name}", specs[name], rng)
+    for name, widths in tbf.layer_widths(in_width, MICRO).items():
+        ad.init_fnn(store, f"tbf.layer1.{name}", widths, rng)
     if random_biases:
         for name in store.names():
             store.values[name][...] = rng.uniform(-0.5, 0.5, store.values[name].shape)
@@ -58,8 +57,7 @@ def _layer_store(in_width, seed, random_biases=False):
 
 def _tbf_layer_value(d, store):
     tape = Tape()
-    return tbf.tbf_layer(tape, tape.constant(d), store, "tbf.layer1", d.shape[-1],
-                         MICRO).value
+    return tbf.tbf_layer(tape, tape.constant(d), store, "tbf.layer1").value
 
 
 def _sum_others(a, axis):
@@ -67,16 +65,19 @@ def _sum_others(a, axis):
     return ad.sub(ad.sum_axis(a, axis, keepdims=True), a)
 
 
-def _unfolded_tbf_layer(tape, d, store, prefix, in_width, model):
+def _unfolded_tbf_layer(tape, d, store, prefix):
     """tbf_layer as its four subnets: each waveguide map y_n = main([z_n,
     sum_{i != n} ctx(z_i)]) runs its subnets in full and takes the
-    leave-one-out sums of their outputs."""
-    specs = tbf.layer_specs(in_width, model)
+    leave-one-out sums of their outputs. Every subnet is one linear layer;
+    ``ff``, the last, is followed by a relu."""
+
+    def linear(name, x, relu=False):
+        return ad.dense(x, tape.param(store, f"{prefix}.{name}.W0"),
+                        tape.param(store, f"{prefix}.{name}.b0"), relu=relu)
 
     def waveguide_pe_map(zs, main, ctx):
-        a = ad.fnn_forward(tape, specs[ctx], store, f"{prefix}.{ctx}", zs)
-        return ad.fnn_forward(tape, specs[main], store, f"{prefix}.{main}",
-                              zs + [_sum_others(a, 1)])
+        a = linear(ctx, zs)
+        return linear(main, zs + [_sum_others(a, 1)], relu=main == "ff")
 
     msg = _sum_others(waveguide_pe_map([d], "fq", "qq"), -2)
     return waveguide_pe_map([d, msg], "ff", "qf")
@@ -135,7 +136,7 @@ class TestFoldedLayer:
 
         def run(layer_fn):
             tape = Tape()
-            out = layer_fn(tape, tape.constant(d), store, "tbf.layer1", in_width, MICRO)
+            out = layer_fn(tape, tape.constant(d), store, "tbf.layer1")
             value = out.value  # read before the sweep releases it
             ad.backward_into(store, ad.sum_axis(ad.mul(out, tape.constant(weights)),
                                                 tuple(range(4))))
@@ -155,8 +156,7 @@ class TestFoldedLayer:
         # the two folds and one dense node.
         store = _layer_store(2, 0)
         tape = Tape()
-        tbf.tbf_layer(tape, tape.constant(np.ones((1, 3, 2, 2))), store, "tbf.layer1", 2,
-                      MICRO)
+        tbf.tbf_layer(tape, tape.constant(np.ones((1, 3, 2, 2))), store, "tbf.layer1")
         assert sorted(tape.ops[1:]) == sorted(
             ["const"] * 8 + ["sum_axis"] * 3 + ["tbf_weight_fold", "tbf_bias_fold", "dense"])
 
@@ -189,7 +189,6 @@ class TestTbfLayer:
 class TestOutputPowers:
     def test_softplus_floor_and_rescale(self):
         cfg = default_config(2, 1, 2)
-        model = ModelConfig(pbf_layers=1, tbf_layers=1, hidden=4, message_dim=4)
         store = ParameterStore()
         store.add("tbf.head.p.W0", np.zeros((4, 1)))
         store.add("tbf.head.p.b0", np.zeros(1))
@@ -197,7 +196,7 @@ class TestOutputPowers:
         store.add("tbf.head.lambda.b0", np.zeros(1))
         tape = Tape()
         d = tape.constant(np.ones((1, 2, 2, 4)))
-        p, lam = tbf.output_powers(tape, d, store, model, cfg.power_budget_w)
+        p, lam = tbf.output_powers(tape, d, store, cfg.power_budget_w)
         # Zero heads -> softplus gives log 2 everywhere; p rescales to P/K.
         np.testing.assert_allclose(lam.value, np.log(2.0), rtol=1e-12)
         np.testing.assert_allclose(p.value, cfg.power_budget_w / 2, rtol=1e-7)

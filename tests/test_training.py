@@ -9,11 +9,13 @@ import pytest
 
 from pinchbeam import pipeline
 from pinchbeam.autodiff import Tape, backward_into
+from pinchbeam.baselines import baseline_se
 from pinchbeam.config import ModelConfig, default_config
 from pinchbeam.errors import (DivergenceError, IncompatibleCheckpointError,
                               InvalidConfigError)
-from pinchbeam.physics import check_feasibility
-from pinchbeam.training import (TrainConfig, evaluate, load_checkpoint,
+from pinchbeam.physics import UserPositions, check_feasibility
+from pinchbeam.training import (TrainConfig, baseline_ses, evaluate,
+                                expected_parameter_shapes, load_checkpoint,
                                 loss_on_tape, reference_se, save_checkpoint,
                                 train, train_dataset)
 from pinchbeam.training import test_dataset as held_out_dataset
@@ -217,6 +219,34 @@ class TestEvaluate:
             assert check_feasibility(result.layout, result.w, cfg) == []
 
 
+class TestBaselineSes:
+    @pytest.mark.parametrize("shape,n", [((8, 3, 8), 3), ((2, 1, 2), 200), ((4, 3, 4), 20)])
+    def test_equals_one_batched_call(self, shape, n):
+        # Chunks of 1, 192 and 8 draws, as evaluate takes them.
+        cfg = default_config(*shape)
+        phi = held_out_dataset(cfg, n, 5)
+        one = baseline_se(UserPositions.from_xy(phi), cfg)
+        assert baseline_ses(phi, cfg).tobytes() == np.asarray(one).tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_draws(self):
+        # 200 draws at (8, 3, 8), one per chunk: 0.04 MB traced, against
+        # 2.9 MB for one batched call, which grows with the draw count.
+        import tracemalloc
+        cfg = default_config(8, 3, 8)
+        phi = held_out_dataset(cfg, 200, 6)
+        peaks = []
+        for run in (lambda: baseline_ses(phi, cfg),
+                    lambda: baseline_se(UserPositions.from_xy(phi), cfg)):
+            run()  # warm caches outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.5e6 < peaks[1]
+
+
 class TestGradClip:
     """``train`` scales the gradient to the clip's global norm only when it is larger."""
 
@@ -330,6 +360,19 @@ class TestCheckpoints:
         with pytest.raises(IncompatibleCheckpointError,
                            match=f"entry {name} values must be numbers"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("pbf_layers,tbf_layers,hidden,message_dim",
+                             [(1, 1, 6, 6), (2, 3, 6, 5), (3, 3, 64, 64), (1, 2, 4, 9)])
+    def test_width_tables_match_init(self, pbf_layers, tbf_layers, hidden, message_dim):
+        # The shapes a checkpoint is checked against come from the two width
+        # tables; they are those init_parameters makes, in its order: 24
+        # entries per placement layer, 8 per precoder layer and 9 more.
+        model = ModelConfig(pbf_layers=pbf_layers, tbf_layers=tbf_layers, hidden=hidden,
+                            message_dim=message_dim)
+        store = pipeline.init_parameters(default_config(2, 1, 2), model, 0)
+        assert list(expected_parameter_shapes(model)) == [
+            (name, value.shape) for name, value in store.values.items()]
+        assert len(store.values) == 24 * pbf_layers + 8 * tbf_layers + 9
 
     def test_checkpoint_names_follow_scheme(self):
         cfg = default_config(2, 2, 2)
