@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +25,6 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # Fraction of the region length that the placement GNN's span projection
 # reserves, so rounding never pushes an antenna past the region edge.
 SPAN_MARGIN_FRACTION = 1e-3
-
-JSON_KEYS = (
-    "n_waveguides",
-    "n_pinch_per_wg",
-    "n_users",
-    "region_side_m",
-    "height_m",
-    "carrier_freq_hz",
-    "refractive_index",
-    "min_gap_m",
-    "power_budget_w",
-    "noise_power_w",
-    "speed_of_light_m_s",
-    "waveguide_y_mode",
-)
-
 
 def check_finite(name: str, value) -> None:
     """Raise InvalidConfigError unless ``value`` is a finite real number, not a bool."""
@@ -196,9 +180,7 @@ class SystemConfig:
         return replace(self, power_budget_w=budget)
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("path_const_override_m2")
-        return {k: d[k] for k in JSON_KEYS}
+        return {k: getattr(self, k) for k in JSON_KEYS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemConfig":
@@ -228,6 +210,10 @@ class SystemConfig:
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"config file {p} is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+# The config JSON schema: every compared field, in field order.
+JSON_KEYS = tuple(f.name for f in fields(SystemConfig) if f.compare)
 
 
 def default_config(n_waveguides: int, n_pinch_per_wg: int, n_users: int,

@@ -164,20 +164,22 @@ def reference_se(phi: np.ndarray, result: pipeline.PolicyResult,
     return compute_se(ht, result.w, cfg.noise_power_w)
 
 
-# Pair rows B·N·M·K² of one C7 draw (N = K = 8, M = 3); more per chunk raises C7's peak memory.
-_EVAL_PAIR_ROWS = 8 * 3 * 8 ** 2
+# Rows a chunk may hold: one C7 draw's pair rows B·N·M·K² (N = K = 8, M = 3);
+# more per chunk raises C7's peak memory.
+_CHUNK_ROWS = 8 * 3 * 8 ** 2
 
 
-def draw_chunks(cfg: SystemConfig, n: int) -> Iterator[slice]:
-    """Slices of ``n`` draws, each as many draws as keep a chunk's pair rows
-    within one C7 draw's (one draw at C7-sized shapes)."""
-    size = max(1, _EVAL_PAIR_ROWS // (cfg.N * cfg.M * cfg.K ** 2))
+def draw_chunks(n: int, rows_per_draw: int) -> Iterator[slice]:
+    """Slices of ``n`` draws, each as many draws as keep a chunk's rows
+    within one C7 draw's pair rows (at least one draw)."""
+    size = max(1, _CHUNK_ROWS // rows_per_draw)
     return (slice(start, start + size) for start in range(0, n, size))
 
 
 def evaluate(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
              n_test: int, seed: int) -> EvalResult:
-    """Deterministic test-set evaluation, chunked by :func:`draw_chunks`.
+    """Deterministic test-set evaluation, chunked by :func:`draw_chunks` at
+    N·M·K² pair rows per draw (one draw at C7-sized shapes).
 
     The reported SE comes from the reference physics path applied to the
     materialized layouts and precoders, not from the tape. ``mean_time_s`` is
@@ -187,7 +189,7 @@ def evaluate(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
     data = test_dataset(cfg, n_test, seed)
     ses = np.empty(n_test)
     elapsed = 0.0
-    for chunk in draw_chunks(cfg, n_test):
+    for chunk in draw_chunks(n_test, cfg.N * cfg.M * cfg.K ** 2):
         phi = data[chunk]
         t0 = time.perf_counter()
         result = pipeline.policy_forward(phi, store, cfg, model)
@@ -198,9 +200,10 @@ def evaluate(store: ParameterStore, cfg: SystemConfig, model: ModelConfig,
 
 def baseline_ses(phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Closest-user + ZF baseline SE of each draw of ``phi`` (n, K, 2),
-    chunked by :func:`draw_chunks`; equal to one batched call bit for bit."""
+    chunked by :func:`draw_chunks` at the baseline's N·M·K channel rows per
+    draw; equal to one batched call bit for bit."""
     ses = np.empty(len(phi))
-    for chunk in draw_chunks(cfg, len(phi)):
+    for chunk in draw_chunks(len(phi), cfg.N * cfg.M * cfg.K):
         ses[chunk] = baselines.baseline_se(UserPositions.from_xy(phi[chunk]), cfg)
     return ses
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pinchbeam import baselines, pipeline, training
-from pinchbeam.cli import _write_csv, main
+from pinchbeam import baselines, cli, pipeline, training
+from pinchbeam.cli import _csv, main
 from pinchbeam.config import ModelConfig, default_config
+from pinchbeam.errors import (DivergenceError, IncompatibleCheckpointError,
+                              InvalidConfigError, OracleIneligibleError, SingularityError)
 from pinchbeam.physics import UserPositions
 
 TRAIN_ARGS = ["--seed", "3", "--n-train", "32", "--n-test", "4", "--batch-size",
@@ -369,48 +371,46 @@ class TestSweepCommand:
                                                             rel=1e-12)
 
     def test_chunked_baseline_csv_equals_one_batch(self, runner, tmp_path):
-        # At (4, 3, 4) the baseline runs 8 draws at a time (8, 8 and 4 of
-        # 20); sweep.csv is byte for byte the one a single batched baseline
-        # call per SNR gives.
+        # At (4, 3, 4) the baseline runs 32 draws at a time (32, 32 and 16
+        # of 80); sweep.csv is byte for byte the one a single batched
+        # baseline call per SNR gives.
         config = tmp_path / "config.json"
         default_config(4, 3, 4).save(config)
         out = train_once(runner, config, tmp_path / "run")
         result = runner.invoke(main, ["sweep", "--checkpoint", str(out / "checkpoint.json"),
-                                      "--snr-db", "0,20", "--n-samples", "20", "--seed", "2",
+                                      "--snr-db", "0,20", "--n-samples", "80", "--seed", "2",
                                       "--out", str(tmp_path / "s")])
         assert result.exit_code == 0, result.output
         ckpt = training.load_checkpoint(out / "checkpoint.json")
-        assert len(list(training.draw_chunks(ckpt.cfg, 20))) == 3
-        users = UserPositions.from_xy(training.test_dataset(ckpt.cfg, 20, 2))
+        assert len(list(training.draw_chunks(80, 4 * 3 * 4))) == 3
+        users = UserPositions.from_xy(training.test_dataset(ckpt.cfg, 80, 2))
         rows = []
         for snr in (0.0, 20.0):
             cfg = replace(ckpt.cfg, noise_power_w=1.0).with_snr_db(snr)
-            policy = training.evaluate(ckpt.store, cfg, ckpt.model, 20, 2)
+            policy = training.evaluate(ckpt.store, cfg, ckpt.model, 80, 2)
             rows.append([snr, policy.mean_se, float(np.mean(baselines.baseline_se(users, cfg))),
-                         20])
-        _write_csv(tmp_path / "expected.csv",
-                   ["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"], rows)
+                         80])
         assert ((tmp_path / "s" / "sweep.csv").read_bytes()
-                == (tmp_path / "expected.csv").read_bytes())
+                == _csv(["snr_db", "mean_se_gpass", "mean_se_baseline", "n_samples"],
+                        rows).encode())
 
 
 class TestBaselineCommand:
     def test_chunked_csv_equals_one_batch(self, runner, tmp_path):
-        # At (4, 3, 4) the baseline runs 8 draws at a time (8, 8 and 4 of
-        # 20); baseline_samples.csv is byte for byte the one a single
+        # At (4, 3, 4) the baseline runs 32 draws at a time (32, 32 and 16
+        # of 80); baseline_samples.csv is byte for byte the one a single
         # batched call gives.
         cfg = default_config(4, 3, 4)
         cfg.save(tmp_path / "config.json")
         result = runner.invoke(main, ["baseline", "--config", str(tmp_path / "config.json"),
-                                      "--n-samples", "20", "--seed", "2",
+                                      "--n-samples", "80", "--seed", "2",
                                       "--out", str(tmp_path / "b")])
         assert result.exit_code == 0, result.output
-        ses = baselines.baseline_se(UserPositions.from_xy(training.test_dataset(cfg, 20, 2)),
+        ses = baselines.baseline_se(UserPositions.from_xy(training.test_dataset(cfg, 80, 2)),
                                     cfg)
-        _write_csv(tmp_path / "expected.csv", ["sample_id", "se_bits_per_hz"],
-                   [[i, float(se)] for i, se in enumerate(ses)])
         assert ((tmp_path / "b" / "baseline_samples.csv").read_bytes()
-                == (tmp_path / "expected.csv").read_bytes())
+                == _csv(["sample_id", "se_bits_per_hz"],
+                        [[i, float(se)] for i, se in enumerate(ses)]).encode())
 
     def test_writes_outputs(self, runner, config_file_k2, tmp_path):
         result = runner.invoke(main, ["baseline", "--config", str(config_file_k2),
@@ -614,7 +614,90 @@ class TestSeedAndGridFlags:
         assert not out.exists()
 
 
+def _args(command, config, config_k2, checkpoint):
+    """Valid arguments of each command, less ``--out``."""
+    return {
+        "train": ["train", "--config", str(config)] + TRAIN_ARGS,
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--config", str(config),
+                 "--n-test", "2"],
+        "sweep": ["sweep", "--checkpoint", str(checkpoint), "--config", str(config),
+                  "--snr-db", "0,10", "--n-samples", "2"],
+        "baseline": ["baseline", "--config", str(config_k2), "--n-samples", "2"],
+        "oracle": ["oracle", "--config", str(config), "--grid-n", "11"],
+        "verify": ["verify", "--config", str(config), "--skip-gradients"],
+        "gen-data": ["gen-data", "--config", str(config), "--n", "2"],
+    }[command]
+
+
+class TestExitCodeTable:
+    """Each error in ``cli.EXIT_CODES`` that a command can meet exits with
+    its code and ``error: <message>`` on stderr, before any output is made."""
+
+    @pytest.mark.parametrize("command, callee, error", [
+        ("train", "SystemConfig.load", InvalidConfigError),
+        ("train", "training.train", DivergenceError),
+        ("eval", "SystemConfig.load", InvalidConfigError),
+        ("eval", "training.load_checkpoint", IncompatibleCheckpointError),
+        ("sweep", "SystemConfig.load", InvalidConfigError),
+        ("sweep", "training.load_checkpoint", IncompatibleCheckpointError),
+        ("baseline", "SystemConfig.load", InvalidConfigError),
+        ("oracle", "SystemConfig.load", InvalidConfigError),
+        ("oracle", "baselines.grid_search_oracle", OracleIneligibleError),
+        ("verify", "SystemConfig.load", InvalidConfigError),
+        ("gen-data", "SystemConfig.load", InvalidConfigError),
+    ])
+    def test_mapped_error_exits_with_its_code(self, runner, monkeypatch, config_file,
+                                              config_file_k2, checkpoint_file, tmp_path,
+                                              command, callee, error):
+        exc = DivergenceError(0, 4) if error is DivergenceError else error(f"from {callee}")
+
+        def boom(*args, **kwargs):
+            raise exc
+
+        owner, name = callee.split(".")
+        monkeypatch.setattr(getattr(cli, owner), name, boom)
+        out = tmp_path / "out"
+        result = runner.invoke(main, _args(command, config_file, config_file_k2,
+                                           checkpoint_file) + ["--out", str(out)])
+        assert result.exit_code == cli.EXIT_CODES[error], result.output
+        assert result.stderr == f"error: {exc}\n"
+        assert not out.exists()
+
+    def test_unmapped_error_surfaces(self, runner, monkeypatch, checkpoint_file, tmp_path):
+        exc = SingularityError("from training.evaluate")
+
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.training, "evaluate", boom)
+        result = runner.invoke(main, ["eval", "--checkpoint", str(checkpoint_file),
+                                      "--n-test", "2", "--out", str(tmp_path / "e")])
+        assert result.exception is exc
+        assert result.exit_code == 1
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command, files", [
+        ("train", {"checkpoint.json", "report.json"}),
+        ("eval", {"eval_samples.csv", "eval.json"}),
+        ("sweep", {"sweep.csv"}),
+        ("baseline", {"baseline_samples.csv", "baseline.json"}),
+        ("oracle", {"oracle.json"}),
+        ("verify", {"verify.json"}),
+        ("gen-data", {"users.csv"}),
+    ])
+    def test_lists_exactly_the_files_written(self, runner, config_file, config_file_k2,
+                                             checkpoint_file, tmp_path, command, files):
+        import hashlib
+        out = tmp_path / "out"
+        result = runner.invoke(main, _args(command, config_file, config_file_k2,
+                                           checkpoint_file) + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                           for name in files}
+
     def test_records_numeric_environment(self, runner, config_file, tmp_path):
         import platform
         result = runner.invoke(main, ["gen-data", "--config", str(config_file),

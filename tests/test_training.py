@@ -220,16 +220,35 @@ class TestEvaluate:
 
 
 class TestBaselineSes:
-    @pytest.mark.parametrize("shape,n", [((8, 3, 8), 3), ((2, 1, 2), 200), ((4, 3, 4), 20)])
+    @pytest.mark.parametrize("shape,n", [((8, 3, 8), 3), ((2, 1, 2), 200), ((4, 3, 4), 20),
+                                         ((8, 3, 8), 20), ((2, 1, 2), 800), ((4, 3, 4), 70)])
     def test_equals_one_batched_call(self, shape, n):
-        # Chunks of 1, 192 and 8 draws, as evaluate takes them.
+        # Chunks of 8, 384 and 32 draws: the first three cases fit in one
+        # chunk, the last three take three chunks, the last one short.
         cfg = default_config(*shape)
         phi = held_out_dataset(cfg, n, 5)
         one = baseline_se(UserPositions.from_xy(phi), cfg)
         assert baseline_ses(phi, cfg).tobytes() == np.asarray(one).tobytes()
 
+    @pytest.mark.parametrize("shape,sizes", [((8, 3, 8), [8, 8, 4]), ((4, 3, 4), [20]),
+                                             ((2, 1, 2), [20])])
+    def test_chunks_sized_by_the_baseline_rows(self, monkeypatch, shape, sizes):
+        # As many draws as keep N·M·K channel rows each within 1,536, not
+        # the policy's N·M·K² pair rows (which give one draw at (8, 3, 8)).
+        import pinchbeam.training as training_mod
+        seen = []
+
+        def recording(users, cfg):
+            seen.append(len(users.positions))
+            return baseline_se(users, cfg)
+
+        monkeypatch.setattr(training_mod.baselines, "baseline_se", recording)
+        cfg = default_config(*shape)
+        baseline_ses(held_out_dataset(cfg, 20, 5), cfg)
+        assert seen == sizes
+
     def test_peak_memory_does_not_grow_with_the_draws(self):
-        # 200 draws at (8, 3, 8), one per chunk: 0.04 MB traced, against
+        # 200 draws at (8, 3, 8), 8 per chunk: 0.15 MB traced, against
         # 2.9 MB for one batched call, which grows with the draw count.
         import tracemalloc
         cfg = default_config(8, 3, 8)
