@@ -16,9 +16,8 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import DegenerateInputError, OracleIneligibleError, RankDeficientError
-from .physics import (AntennaLayout, UserPositions, build_pinching_matrix,
-                      compute_channel, compute_se, effective_channel,
-                      layout_positions)
+from .physics import (AntennaLayout, UserPositions, compute_se, feasibility_margins,
+                      layout_channel, layout_positions)
 from .precoder_gnn import normalize_power_np
 
 # Condition-number guard for the zero-forcing Gram matrix.
@@ -78,12 +77,11 @@ def baseline_closest_user(users: UserPositions, cfg: SystemConfig) -> BaselineRe
     span = AntennaLayout(np.zeros(chosen.shape), gaps, wy, cfg.d).x_positions()[..., -1]
     first_x = np.clip(np.take_along_axis(users.positions[..., 0], chosen, axis=-1)
                       - span / 2, 0.0, cfg.D - span)
-    # D - span may round up, so that first_x + span lands one ulp past D.
-    first_x = np.where(first_x + span > cfg.D, np.nextafter(first_x, 0.0), first_x)
+    # D - span may round up, so that the last antenna, first_x + span, lands one ulp past D.
+    past_d = feasibility_margins(gaps, first_x + span, cfg)[2] > 0
+    first_x = np.where(past_d, np.nextafter(first_x, 0.0), first_x)
     layout = layout_positions(cfg, first_x, gaps)
-    h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-    g = build_pinching_matrix(layout, cfg.guide_wavelength)
-    ht = effective_channel(h, g)
+    ht = layout_channel(users, layout, cfg)
     used_pinv = ~_full_rank(ht)
     w = np.empty_like(ht)
     if not np.all(used_pinv):
@@ -183,27 +181,19 @@ def grid_search_oracle(users: UserPositions, cfg: SystemConfig, grid_n: int = 10
             f"grid search requires M = 1 and K * N <= 2, got M={cfg.M}, "
             f"K={cfg.K}, N={cfg.N}")
     grid = np.linspace(0.0, cfg.D, grid_n)
-    wy = cfg.waveguide_y()
     p_max, noise = cfg.power_budget_w, cfg.noise_power_w
 
     if cfg.K == 1:
         # SE = log2(1 + P * sum_n eta/r_n^2 / noise): waveguides separate.
-        first_x = np.empty(cfg.N)
-        for n in range(cfg.N):
-            r2 = ((grid - users.positions[0, 0]) ** 2
-                  + (wy[n] - users.positions[0, 1]) ** 2 + cfg.d ** 2)
-            first_x[n] = grid[int(np.argmin(r2))]
-        layout = layout_positions(cfg, first_x, np.zeros((cfg.N, 0)))
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-        g = build_pinching_matrix(layout, cfg.guide_wavelength)
-        ht = effective_channel(h, g)
-        w = np.sqrt(p_max) * ht / np.linalg.norm(ht)
-        return OracleResult(float(compute_se(ht, w, noise)), layout, w, grid_n)
+        r2 = ((grid - users.positions[0, 0]) ** 2
+              + (cfg.waveguide_y()[:, None] - users.positions[0, 1]) ** 2 + cfg.d ** 2)
+        layout = layout_positions(cfg, grid[np.argmin(r2, axis=-1)], np.zeros((cfg.N, 0)))
+        se, w = structure_power_sweep(layout_channel(users, layout, cfg), p_max, noise)
+        return OracleResult(se, layout, w, grid_n)
 
     # K = 2, N = 1: every grid position as one batched layout.
     layouts = layout_positions(cfg, grid[:, None], np.zeros((grid_n, 1, 0)))
-    h = compute_channel(users, layouts, cfg.wavelength, cfg.path_const)
-    hts = effective_channel(h, build_pinching_matrix(layouts, cfg.guide_wavelength))
+    hts = layout_channel(users, layouts, cfg)
     best = (-np.inf, 0, None)
     for i in range(grid_n):
         se, w = structure_power_sweep(hts[i], p_max, noise, power_grid_n)

@@ -60,6 +60,14 @@ def _seed(value: int | None) -> int | None:
     return None if value is None else non_negative_integer("--seed", value)
 
 
+def _out_dir(ctx, param, value: str | None) -> str | None:
+    """An ``--out`` flag, checked before any work: its nearest existing part is a directory."""
+    existing = value and next(p for p in (Path(value), *Path(value).parents) if p.exists())
+    if existing and not existing.is_dir():
+        raise InvalidConfigError(f"--out {value}: {existing} is not a directory")
+    return value
+
+
 def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -142,7 +150,7 @@ def main():
 
 @main.command("train")
 @click.option("--config", "config_path", required=True, help="System config JSON.")
-@click.option("--out", "out_dir", required=True, help="Output directory.")
+@click.option("--out", "out_dir", callback=_out_dir, required=True, help="Output directory.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--n-train", default=10000, show_default=True)
 @click.option("--n-test", default=1000, show_default=True)
@@ -179,7 +187,7 @@ def cmd_train(config_path, out_dir, seed, n_train, n_test, batch_size, epochs,
 @click.option("--n-test", default=1000, show_default=True)
 @click.option("--seed", default=None, type=int,
               help="Test-set seed; defaults to the checkpoint seed.")
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", callback=_out_dir, required=True)
 def cmd_eval(ckpt_path, config_path, n_test, seed, out_dir):
     """Evaluate a checkpoint on a fresh test stream; writes SE list and summary."""
     n_test = positive_integer("--n-test", n_test)
@@ -205,7 +213,7 @@ def cmd_eval(ckpt_path, config_path, n_test, seed, out_dir):
 @click.option("--seed", default=None, type=int)
 @click.option("--config", "config_path", default=None,
               help="Geometry must match the checkpoint when given.")
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", callback=_out_dir, required=True)
 def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
     """SE vs SNR for the learned policy and the closest-user + ZF baseline.
 
@@ -242,7 +250,7 @@ def cmd_sweep(ckpt_path, snr_list, n_samples, seed, config_path, out_dir):
 @click.option("--config", "config_path", required=True)
 @click.option("--n-samples", default=1000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", callback=_out_dir, required=True)
 def cmd_baseline(config_path, n_samples, seed, out_dir):
     """Closest-user + zero-forcing baseline on a fresh test stream, at any shape."""
     n_samples = positive_integer("--n-samples", n_samples)
@@ -262,7 +270,7 @@ def cmd_baseline(config_path, n_samples, seed, out_dir):
 @click.option("--grid-n", default=1000, show_default=True)
 @click.option("--power-grid-n", default=50, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", callback=_out_dir, required=True)
 def cmd_oracle(config_path, grid_n, power_grid_n, seed, out_dir):
     """Brute-force best placement/precoder for one sampled user draw."""
     grid_n = positive_integer("--grid-n", grid_n)
@@ -288,7 +296,7 @@ def cmd_oracle(config_path, grid_n, power_grid_n, seed, out_dir):
 @click.option("--config", "config_path", default=None,
               help="Desk-scale config for the physics/equivariance checks.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", "out_dir", default=None)
+@click.option("--out", "out_dir", callback=_out_dir, default=None)
 @click.option("--skip-gradients", is_flag=True, help="Skip the slow gradient suites.")
 def cmd_verify(config_path, seed, out_dir, skip_gradients):
     """Run every module property suite; non-zero exit on any failure."""
@@ -313,7 +321,7 @@ def cmd_verify(config_path, seed, out_dir, skip_gradients):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-stream/--test-stream", default=True,
               help="Which child stream of the seed to draw from.")
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", callback=_out_dir, required=True)
 def cmd_gen_data(config_path, n_samples, seed, train_stream, out_dir):
     """Materialize a user-position dataset as CSV."""
     n_samples = positive_integer("--n", n_samples)

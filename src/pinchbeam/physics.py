@@ -7,7 +7,8 @@ pinching matrix, the effective channel and the SE take optional leading
 batch axes (...); a batched call equals the stack of its per-sample calls
 bit for bit. ``check_feasibility`` checks one sample. Antenna rows are stacked
 waveguide-major: row index = n*M + m for waveguide n (0-based) and antenna m
-on it.
+on it. The oracle's one layout-to-channel path is ``layout_channel``, its one
+feasibility rule ``feasibility_margins``.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def _sample(index) -> str:
     return f"sample {', '.join(str(int(i)) for i in index)}: " if len(index) else ""
 
 
+def feasibility_margins(gaps, x, config: SystemConfig) -> tuple[np.ndarray, ...]:
+    """How far each gap falls short of ``min_gap_m``, and each antenna x lies
+    below 0 and above D; a layout is feasible iff no margin is > 0."""
+    return config.min_gap_m - gaps, -x, x - config.D
+
+
 def layout_positions(config: SystemConfig, first_x: np.ndarray,
                      gaps: np.ndarray) -> AntennaLayout:
     """Validated layout from first-antenna positions (..., N) and gaps (..., N, M-1).
@@ -130,19 +137,19 @@ def layout_positions(config: SystemConfig, first_x: np.ndarray,
         raise InvalidConfigError(
             f"layout is {layout.n_waveguides}x{layout.n_per_waveguide}, "
             f"config wants {config.N}x{config.M}")
-    if layout.gaps.size and np.min(layout.gaps) < config.min_gap_m:
-        bad = np.argwhere(layout.gaps < config.min_gap_m)[0]
+    x = layout.x_positions()
+    short, low, high = feasibility_margins(layout.gaps, x, config)
+    if short.size and np.max(short) > 0:
+        bad = np.argwhere(short > 0)[0]
         raise ConstraintViolationError(
             f"{_sample(bad[:-2])}gap {layout.gaps[tuple(bad)]:.6g} m below minimum "
             f"{config.min_gap_m:.6g} m at waveguide {bad[-2]}, slot {bad[-1] + 1}")
-    x = layout.x_positions()
-    low, high = np.min(x, axis=(-2, -1)), np.max(x, axis=(-2, -1))
-    outside = (low < 0.0) | (high > config.D)
+    outside = (np.max(low, axis=(-2, -1)) > 0) | (np.max(high, axis=(-2, -1)) > 0)
     if np.any(outside):
         bad = tuple(np.argwhere(outside)[0])
         raise ConstraintViolationError(
             f"{_sample(bad)}antenna x-positions must lie in [0, {config.D}], got "
-            f"[{low[bad]:.6g}, {high[bad]:.6g}]")
+            f"[{np.min(x[bad]):.6g}, {np.max(x[bad]):.6g}]")
     return layout
 
 
@@ -190,6 +197,13 @@ def effective_channel(h, g) -> np.ndarray:
     return gc.conj().swapaxes(-1, -2) @ hc
 
 
+def layout_channel(users, layout, config: SystemConfig) -> np.ndarray:
+    """Effective channel (..., N, K) of a layout: ``compute_channel``, then
+    ``build_pinching_matrix`` and ``effective_channel``, at ``config``'s constants."""
+    h = compute_channel(users, layout, config.wavelength, config.path_const)
+    return effective_channel(h, build_pinching_matrix(layout, config.guide_wavelength))
+
+
 def compute_se(h_tilde, w, noise_power: float) -> float | np.ndarray:
     """Sum spectral efficiency in bits/s/Hz.
 
@@ -232,17 +246,12 @@ def check_feasibility(layout: AntennaLayout | None, w, config: SystemConfig) -> 
         if layout.first_x.ndim != 1:
             raise ValueError(
                 f"check_feasibility takes one layout, got batch {layout.first_x.shape[:-1]}")
-        for n in range(layout.n_waveguides):
-            for i, gap in enumerate(layout.gaps[n]):
-                if gap < config.min_gap_m:
-                    out.append(Violation("gap_min", (n, i + 1), config.min_gap_m - gap))
-        x = layout.x_positions()
-        for n in range(x.shape[0]):
-            for m in range(x.shape[1]):
-                if x[n, m] < 0.0:
-                    out.append(Violation("position_low", (n, m), -x[n, m]))
-                elif x[n, m] > config.D:
-                    out.append(Violation("position_high", (n, m), x[n, m] - config.D))
+        short, low, high = feasibility_margins(layout.gaps, layout.x_positions(), config)
+        out += [Violation("gap_min", (int(n), int(i) + 1), short[n, i])
+                for n, i in np.argwhere(short > 0)]
+        for n, m in np.argwhere((low > 0) | (high > 0)):
+            kind, margin = ("position_low", low) if low[n, m] > 0 else ("position_high", high)
+            out.append(Violation(kind, (int(n), int(m)), margin[n, m]))
     if w is not None:
         if np.ndim(w) != 2:
             raise ValueError(f"check_feasibility takes one (N, K) precoder, got {np.shape(w)}")

@@ -28,8 +28,7 @@ from . import cplx as cx
 from .autodiff import ParameterStore, Tape, Var
 from .config import ModelConfig, SystemConfig
 from .errors import DegenerateInputError, InvalidConfigError
-from .physics import (build_pinching_matrix, compute_channel, effective_channel,
-                      random_scenarios)
+from .physics import layout_channel, random_scenarios
 
 # Seed of the frozen input-scale estimate (stored in every checkpoint).
 INPUT_SCALE_SEED = 20260401
@@ -72,9 +71,7 @@ def _input_scale_cached(cfg: SystemConfig, path_const_override_m2: float | None)
     parts = np.empty((INPUT_SCALE_SAMPLES, 2, cfg.N, cfg.K))
     for start in range(0, INPUT_SCALE_SAMPLES, INPUT_SCALE_CHUNK):
         chunk = parts[start:start + INPUT_SCALE_CHUNK]
-        users, layout = random_scenarios(rng, cfg, len(chunk))
-        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
-        ht = effective_channel(h, build_pinching_matrix(layout, cfg.guide_wavelength))
+        ht = layout_channel(*random_scenarios(rng, cfg, len(chunk)), cfg)
         chunk[:, 0] = ht.real
         chunk[:, 1] = ht.imag
     return float(np.std(parts))

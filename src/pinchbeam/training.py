@@ -24,8 +24,7 @@ from .config import (ModelConfig, SystemConfig, check_finite, non_negative_integ
                      positive_integer, write_atomic)
 from .errors import (DivergenceError, IncompatibleCheckpointError,
                      InvalidConfigError)
-from .physics import (UserPositions, build_pinching_matrix, compute_channel,
-                      compute_se, effective_channel)
+from .physics import UserPositions, compute_se, layout_channel
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -157,10 +156,7 @@ class EvalResult:
 def reference_se(phi: np.ndarray, result: pipeline.PolicyResult,
                  cfg: SystemConfig) -> float | np.ndarray:
     """SE of a policy output (one draw or a batch) through the numpy physics path."""
-    users = UserPositions.from_xy(phi)
-    h = compute_channel(users, result.layout, cfg.wavelength, cfg.path_const)
-    g = build_pinching_matrix(result.layout, cfg.guide_wavelength)
-    ht = effective_channel(h, g)
+    ht = layout_channel(UserPositions.from_xy(phi), result.layout, cfg)
     return compute_se(ht, result.w, cfg.noise_power_w)
 
 

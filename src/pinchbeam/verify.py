@@ -20,8 +20,8 @@ from . import placement_gnn as pbf
 from . import precoder_gnn as tbf
 from .autodiff import ParameterStore, Tape, grad_check
 from .config import SPEED_OF_LIGHT, ModelConfig, SystemConfig, default_config
-from .physics import (build_pinching_matrix, compute_channel, compute_se,
-                      effective_channel, random_feasible_layout, random_scenarios)
+from .physics import (build_pinching_matrix, compute_channel, compute_se, effective_channel,
+                      feasibility_margins, random_feasible_layout, random_scenarios)
 from .training import loss_on_tape
 
 # Random draws per physics and solver check.
@@ -160,10 +160,8 @@ def check_layout_feasibility(cfg: SystemConfig, seed: int, trials: int = 10) -> 
         store = pipeline.init_parameters(cfg, model, np.random.SeedSequence((seed, t)))
         phi = rng.uniform(0.0, cfg.D, (_BATCH, cfg.K, 2))
         out = pbf.pbf_forward(Tape(record=False), phi, store, cfg, model)
-        if out.gaps.value.size:
-            worst = max(worst, float(np.max(cfg.min_gap_m - out.gaps.value)))
-        x = out.positions_x.value
-        worst = max(worst, float(np.max(-x)), float(np.max(x - cfg.D)))
+        for margin in feasibility_margins(out.gaps.value, out.positions_x.value, cfg):
+            worst = max(worst, float(np.max(margin, initial=-np.inf)))
     return _check("layout_feasible_by_construction", worst, 0.0,
                   "gaps >= min_gap and positions within [0, D], exactly")
 

@@ -663,6 +663,23 @@ class TestExitCodeTable:
         assert result.stderr == f"error: {exc}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "baseline", "oracle",
+                                         "verify", "gen-data"])
+    def test_out_under_a_file_exits_2_before_any_work(self, runner, monkeypatch, config_file,
+                                                       config_file_k2, checkpoint_file,
+                                                       tmp_path, command):
+        args = _args(command, config_file, config_file_k2, checkpoint_file)
+        # Every command's first work is loading its config or checkpoint.
+        for owner, name in (("SystemConfig", "load"), ("training", "load_checkpoint")):
+            monkeypatch.setattr(getattr(cli, owner), name, lambda *a: pytest.fail("loaded"))
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "run" / "deeper"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: --out {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "kept"
+
     def test_unmapped_error_surfaces(self, runner, monkeypatch, checkpoint_file, tmp_path):
         exc = SingularityError("from training.evaluate")
 

@@ -10,9 +10,10 @@ from pinchbeam import verify
 from pinchbeam.config import ModelConfig, SystemConfig, default_config
 from pinchbeam.errors import (ConstraintViolationError, InvalidConfigError,
                               SingularityError)
-from pinchbeam.physics import (AntennaLayout, UserPositions,
+from pinchbeam.physics import (AntennaLayout, UserPositions, Violation,
                                build_pinching_matrix, check_feasibility,
                                compute_channel, compute_se, effective_channel,
+                               feasibility_margins, layout_channel,
                                layout_positions, random_feasible_layout,
                                random_scenarios, sample_users)
 
@@ -419,6 +420,103 @@ class TestCheckFeasibility:
         violations = check_feasibility(layout, None, cfg)
         assert [v.kind for v in violations] == ["position_high"]
         assert violations[0].margin == pytest.approx(0.5)
+
+
+class TestLayoutChannel:
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (8, 3, 8)])
+    def test_equals_the_three_calls_bit_for_bit(self, shape):
+        cfg = default_config(*shape)
+        users, layout = random_scenarios(np.random.default_rng(21), cfg, 7)
+        h = compute_channel(users, layout, cfg.wavelength, cfg.path_const)
+        expect = effective_channel(h, build_pinching_matrix(layout, cfg.guide_wavelength))
+        got = layout_channel(users, layout, cfg)
+        assert got.shape == (7, cfg.N, cfg.K) and got.dtype == np.complex128
+        assert got.tobytes() == expect.tobytes()
+
+
+def _broken_variants(cfg, layout, rng):
+    """(first_x, gaps) of a batch of feasible layouts and of three broken
+    copies: one short gap, one x below 0 and one x above D."""
+    fx, gaps = layout.first_x, layout.gaps
+    b = int(rng.integers(len(fx)))
+    n = int(rng.integers(cfg.N))
+    out = [(fx, gaps)]
+    if cfg.M > 1:
+        short = gaps.copy()
+        short[b, n, rng.integers(cfg.M - 1)] = cfg.min_gap_m * rng.uniform(0.0, 1.0)
+        out.append((fx, short))
+    low = fx.copy()
+    low[b, n] = -1e-9
+    high = fx.copy()
+    high[b, n] = cfg.D - gaps[b, n].sum() + 1e-9
+    return out + [(low, gaps), (high, gaps)]
+
+
+class TestFeasibilityRule:
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 3, 2), (3, 2, 4)])
+    def test_layout_positions_raises_iff_check_feasibility_finds(self, shape):
+        cfg = default_config(*shape)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            _, layout = random_scenarios(rng, cfg, 4)
+            for fx, gaps in _broken_variants(cfg, layout, rng):
+                found = [check_feasibility(AntennaLayout(fx[i], gaps[i], cfg.waveguide_y(),
+                                                         cfg.d), None, cfg) for i in range(4)]
+                for i in range(4):
+                    if found[i]:
+                        with pytest.raises(ConstraintViolationError):
+                            layout_positions(cfg, fx[i], gaps[i])
+                    else:
+                        layout_positions(cfg, fx[i], gaps[i])
+                if any(found):
+                    first = next(i for i in range(4) if found[i])
+                    with pytest.raises(ConstraintViolationError, match=f"^sample {first}: "):
+                        layout_positions(cfg, fx, gaps)
+                else:
+                    layout_positions(cfg, fx, gaps)
+
+    def test_margins_are_the_signed_distances(self):
+        cfg = default_config(1, 3, 1)
+        short, low, high = feasibility_margins(np.array([[0.5, 0.004]]),
+                                               np.array([[-0.5, 0.0, 10.25]]), cfg)
+        np.testing.assert_array_equal(short, [[cfg.min_gap_m - 0.5, cfg.min_gap_m - 0.004]])
+        np.testing.assert_array_equal(low, [[0.5, -0.0, -10.25]])
+        np.testing.assert_array_equal(high, [[-10.5, -10.0, 0.25]])
+
+    def test_messages(self):
+        cfg = default_config(2, 3, 1)
+        gaps = np.full((2, 2), 0.5)
+        gaps[1, 1] = 0.004
+        with pytest.raises(ConstraintViolationError) as err:
+            layout_positions(cfg, [1.0, 1.0], gaps)
+        assert str(err.value) == ("gap 0.004 m below minimum 0.00764777 m "
+                                  "at waveguide 1, slot 2")
+        with pytest.raises(ConstraintViolationError) as err:
+            layout_positions(cfg, np.array([[1.0, 1.0], [1.0, -0.25]]), np.stack([gaps] * 2))
+        assert str(err.value).startswith("sample 0: gap 0.004 m")
+        gaps[1, 1] = 0.5
+        with pytest.raises(ConstraintViolationError) as err:
+            layout_positions(cfg, np.array([[1.0, 1.0], [1.0, -0.25]]), np.stack([gaps] * 2))
+        assert str(err.value) == ("sample 1: antenna x-positions must lie in [0, 10.0], "
+                                  "got [-0.25, 2]")
+        with pytest.raises(ConstraintViolationError) as err:
+            layout_positions(cfg, [9.5, 1.0], gaps)
+        assert str(err.value) == "antenna x-positions must lie in [0, 10.0], got [1, 10.5]"
+
+    def test_violations_in_slot_order(self):
+        # Gaps first; then positions waveguide-major, each below 0 or above D.
+        cfg = default_config(2, 3, 1)
+        gaps = np.array([[0.004, 0.5], [0.5, 0.001]])
+        layout = AntennaLayout([9.5, -0.75], gaps, cfg.waveguide_y(), cfg.d)
+        x = layout.x_positions()
+        got = check_feasibility(layout, None, cfg)
+        assert got == [Violation("gap_min", (0, 1), cfg.min_gap_m - 0.004),
+                       Violation("gap_min", (1, 2), cfg.min_gap_m - 0.001),
+                       Violation("position_high", (0, 2), x[0, 2] - cfg.D),
+                       Violation("position_low", (1, 0), 0.75),
+                       Violation("position_low", (1, 1), -x[1, 1]),
+                       Violation("position_low", (1, 2), -x[1, 2])]
+        assert all(type(i) is int for v in got for i in v.index)
 
 
 class TestSampleUsers:

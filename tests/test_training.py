@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pinchbeam import pipeline
+from pinchbeam import physics, pipeline
 from pinchbeam.autodiff import Tape, backward_into
 from pinchbeam.baselines import baseline_se
 from pinchbeam.config import ModelConfig, default_config
@@ -89,6 +89,19 @@ class TestLoss:
             result = pipeline.policy_forward(data[i], store, cfg, MICRO)
             assert reference_se(data[i], result, cfg) == pytest.approx(
                 result.se, rel=1e-10)
+
+    def test_reference_se_makes_one_oracle_pass(self, monkeypatch):
+        cfg = default_config(2, 3, 2)
+        store = pipeline.init_parameters(cfg, MICRO, 2)
+        data = held_out_dataset(cfg, 5, 2)
+        result = pipeline.policy_forward(data, store, cfg, MICRO)
+        calls = []
+        for name in ("compute_channel", "build_pinching_matrix", "effective_channel"):
+            fn = getattr(physics, name)
+            monkeypatch.setattr(physics, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        reference_se(data, result, cfg)
+        assert calls == ["compute_channel", "build_pinching_matrix", "effective_channel"]
 
 
 class TestTrain:
